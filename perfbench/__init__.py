@@ -1,0 +1,5 @@
+"""The repository benchmark: seeded workloads, end-to-end and per-layer metrics.
+
+Run it as ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
