@@ -23,11 +23,9 @@ Quickstart::
     print(engine.similarity(5, 9))
 """
 
-from .cluster import ShardClient, ShardWorkerPool
 from .config import SimRankConfig, iterations_for_accuracy
 from .exceptions import (
     BackpressureError,
-    ClusterError,
     ConfigError,
     ConvergenceError,
     DimensionError,
@@ -36,7 +34,6 @@ from .exceptions import (
     GraphError,
     NodeNotFoundError,
     ReproError,
-    WorkerCrashError,
 )
 from .graph import (
     DynamicDiGraph,
@@ -87,8 +84,6 @@ __all__ = [
     "DimensionError",
     "ConvergenceError",
     "BackpressureError",
-    "ClusterError",
-    "WorkerCrashError",
     # graph substrate
     "DynamicDiGraph",
     "EdgeUpdate",
@@ -118,9 +113,6 @@ __all__ = [
     # executor layer
     "ScoreStore",
     "ScoreSnapshot",
-    # cluster layer (multi-process shard workers)
-    "ShardWorkerPool",
-    "ShardClient",
     # serving layer
     "SimRankService",
     "SnapshotView",

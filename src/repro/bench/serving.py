@@ -30,13 +30,6 @@ perf gate (precompute ``S`` once, stream the next edge arrivals)::
 
 Exits non-zero if isolation is violated (in either mode) or fewer than
 ``--min-updates`` updates were applied.
-
-With ``--workers N --faults [SEED]`` the run doubles as a recovery
-smoke test: a deterministic, fully-recoverable fault schedule (worker
-crashes, stalls, staging-allocation failures, payload corruption — no
-poison batches) is armed on the pool, and the benchmark additionally
-fails unless at least one seeded fault actually fired while every
-serving gate still passed.
 """
 
 from __future__ import annotations
@@ -76,35 +69,6 @@ def _time_queries(view, pairs, sources) -> Dict:
     }
 
 
-def _executor_kwargs(
-    workers: int, fault_seed: Optional[int] = None
-) -> Dict:
-    """Service kwargs for the requested executor (0 => in-process).
-
-    A ``fault_seed`` arms a deterministic fault schedule on the pool
-    (crashes, stalls, staging failures, payload corruption — never
-    poison, so the run must complete) and enables the ``rebuild``
-    degraded policy as a final safety net.  The bench's isolation and
-    min-updates gates then double as a recovery smoke test.
-    """
-    if workers <= 0:
-        return {}
-    kwargs: Dict = {"executor": "process", "workers": workers}
-    if fault_seed is not None:
-        from ..cluster import FaultPlan
-
-        kwargs["executor_options"] = {
-            "fault_plan": FaultPlan.seeded(
-                fault_seed,
-                workers,
-                horizon=6,
-                kinds=("crash", "stall", "shm_fail", "corrupt"),
-            )
-        }
-        kwargs["degraded_policy"] = "rebuild"
-    return kwargs
-
-
 def run_serving_bench(
     num_nodes: int = 1000,
     num_updates: int = 120,
@@ -114,8 +78,6 @@ def run_serving_bench(
     recency: float = 0.7,
     seed: int = 7,
     shard_rows: int = 128,
-    workers: int = 0,
-    fault_seed: Optional[int] = None,
     precision: str = "float64",
 ) -> Dict:
     """Run the pinned-reader / draining-writer scenario; return a report."""
@@ -133,7 +95,6 @@ def run_serving_bench(
         initial_scores=initial,
         shard_rows=shard_rows,
         precision=precision,
-        **_executor_kwargs(workers, fault_seed),
     )
 
     rng = np.random.default_rng(seed)
@@ -146,7 +107,7 @@ def run_serving_bench(
     try:
         return _sync_scenario(
             service, updates, pairs, sources, num_nodes, num_pair_queries,
-            num_source_queries, config, shard_rows, seed, workers,
+            num_source_queries, config, shard_rows, seed,
         )
     finally:
         service.close()
@@ -154,7 +115,7 @@ def run_serving_bench(
 
 def _sync_scenario(
     service, updates, pairs, sources, num_nodes, num_pair_queries,
-    num_source_queries, config, shard_rows, seed, workers,
+    num_source_queries, config, shard_rows, seed,
 ) -> Dict:
     # Reader pins a view and runs its query mix at the frozen version.
     view = service.snapshot()
@@ -199,8 +160,6 @@ def _sync_scenario(
             "iterations": config.iterations,
             "shard_rows": shard_rows,
             "seed": seed,
-            "executor": service.executor,
-            "workers": workers,
             "precision": service.precision,
             "score_dtype": service.engine.score_store.dtype.name,
         },
@@ -237,7 +196,6 @@ def _sync_scenario(
             "transition_store_bytes": memory["transition_store_bytes"],
         },
         "executor": metrics["executor"],
-        "degraded": metrics.get("degraded"),
     }
     return report
 
@@ -254,8 +212,6 @@ def run_background_bench(
     max_pending: int = 4096,
     policy: str = "block",
     top_k: int = 10,
-    workers: int = 0,
-    fault_seed: Optional[int] = None,
     precision: str = "float64",
 ) -> Dict:
     """Readers pin published views while the background writer drains.
@@ -287,7 +243,6 @@ def run_background_bench(
         max_pending=max_pending,
         backpressure=policy,
         precision=precision,
-        **_executor_kwargs(workers, fault_seed),
     )
     try:
         return _background_scenario(
@@ -387,7 +342,6 @@ def _background_scenario(
         "wall_seconds": wall_seconds,
         "writer": metrics["writer"],
         "executor": metrics["executor"],
-        "degraded": metrics.get("degraded"),
         "reader": {
             "snapshot_pins": len(pin_seconds),
             "pin_mean_seconds": statistics.fmean(pin_seconds),
@@ -451,13 +405,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fail unless at least this many updates were applied",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="run the scenarios on the process executor with N shard "
-        "workers (0 keeps the in-process executor)",
-    )
-    parser.add_argument(
         "--precision",
         choices=("float64", "float32", "auto"),
         default="float64",
@@ -465,20 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(float64 is the bit-identity reference; float32 halves the "
         "score memory; auto runs the precision autotuner first)",
     )
-    parser.add_argument(
-        "--faults",
-        type=int,
-        nargs="?",
-        const=11,
-        default=None,
-        metavar="SEED",
-        help="arm a seeded, recoverable fault schedule on the pool "
-        "(crash/stall/shm_fail/corrupt) and require the run to survive "
-        "it; needs --workers >= 1 (optional value overrides the seed)",
-    )
     args = parser.parse_args(argv)
-    if args.faults is not None and args.workers <= 0:
-        parser.error("--faults requires --workers >= 1")
 
     violations: List[str] = []
     applied_counts: List[int] = []
@@ -490,8 +424,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             num_source_queries=args.source_queries,
             seed=args.seed,
             shard_rows=args.shard_rows,
-            workers=args.workers,
-            fault_seed=args.faults,
             precision=args.precision,
         )
         violations.extend(
@@ -518,8 +450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             drain_interval=args.drain_interval,
             max_pending=args.max_pending,
             policy=args.backpressure,
-            workers=args.workers,
-            fault_seed=args.faults,
             precision=args.precision,
         )
         report["background_writer"] = background
@@ -547,30 +477,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.faults is not None:
-        # The isolation/min-updates gates above already proved the run
-        # completed correctly; here we prove it did so *under fire* —
-        # the seeded schedule must actually have injected something.
-        fired = 0
-        for section in (
-            report.get("executor"),
-            report.get("background_writer", {}).get("executor"),
-        ):
-            if section:
-                fired += len(section.get("faults", {}).get("fired", []))
-        if fired == 0:
-            print(
-                "SERVING GATE FAIL: --faults was set but no fault from "
-                "the seeded schedule fired (pool replaced, or schedule "
-                "beyond the command horizon)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"fault smoke ok: {fired} seeded fault(s) fired and the "
-            f"serving gates still passed",
-            file=sys.stderr,
-        )
     summary = []
     if "writer" in report:
         summary.append(

@@ -12,16 +12,14 @@ Commands
     ``+ source target`` or ``- source target`` per line.
 ``similar <edges.txt> <node> [-k 10]``
     Top-k most similar nodes to one node (single-source query).
-``serve <edges.txt> <updates.txt> [-k 10] [--writer background] [--workers N] [--precision float32|auto] [--config service.json] [--http PORT] [--data-dir DIR]``
+``serve <edges.txt> <updates.txt> [-k 10] [--writer background] [--precision float32|auto] [--config service.json] [--http PORT] [--data-dir DIR]``
     Serving-layer demo: precompute scores, pin a read snapshot, queue
     the updates through the coalescing scheduler, drain them (inline,
     or via the background writer thread with ``--writer background``),
     and show that the pinned snapshot kept serving the frozen version
     while a fresh snapshot sees the new one.  Top-k rankings are served
     by the shard-heap merge path — the dense score matrix is never
-    materialized for ranking.  With ``--workers N`` the score shards
-    live in N ``repro.cluster`` worker processes and every drain fans
-    out over the pool (results stay bit-identical).
+    materialized for ranking.
 
 All commands accept ``--damping`` and ``--iterations``.
 """
@@ -120,27 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded-queue policy for the background writer",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard the scores across N worker processes "
-        "(repro.cluster pool); 0 keeps the in-process executor",
-    )
-    serve.add_argument(
         "--precision",
         choices=("float64", "float32", "auto"),
         default="float64",
         help="score-store storage precision: float64 (bit-identity "
         "reference), float32 (half the score memory), or auto (run the "
         "accuracy-gated precision autotuner before serving)",
-    )
-    serve.add_argument(
-        "--degraded-policy",
-        choices=("reject", "queue", "rebuild"),
-        default="reject",
-        help="what to do if the worker pool dies mid-serve: stay up "
-        "read-only and reject writes, keep queueing writes, or rebuild "
-        "the score state in-process and keep writing",
     )
     serve.add_argument(
         "--http",
@@ -156,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SERVICE_JSON",
         help="build the service from a ServiceConfig JSON file; "
-        "explicitly passed flags must agree with it (conflicts are a "
-        "hard error)",
+        "explicitly passed flags (including the root --damping and "
+        "--iterations) must agree with it (conflicts are a hard error)",
     )
     serve.add_argument(
         "--data-dir",
@@ -264,35 +247,31 @@ def _build_service(args: argparse.Namespace, graph):
     explicit, so a config file and untouched flags coexist — while an
     explicitly conflicting flag raises the resolver's ConfigError.
     """
-    from .serving import SimRankService
+    from .serving import SimRankService, resolve_service_config
 
-    executor_kwargs = {}
-    if args.workers > 0:
-        executor_kwargs = {
-            "executor": "process",
-            "workers": args.workers,
-            "degraded_policy": args.degraded_policy,
-        }
+    flag_kwargs = {}
     if args.data_dir is not None:
         from .serving import DurabilityConfig
 
-        executor_kwargs["durability"] = DurabilityConfig(
+        flag_kwargs["durability"] = DurabilityConfig(
             data_dir=args.data_dir,
             fsync=args.fsync,
             checkpoint_interval=args.checkpoint_interval,
         )
     if args.config is not None:
-        # Subcommand flag defaults live on the serve subparser, not the
-        # root, so recover them by parsing a placeholder command line.
+        # Flag defaults live on two parsers (root and serve), so recover
+        # them by parsing a placeholder command line.
         defaults = build_parser().parse_args(["serve", "_", "_"])
-        flag_kwargs = dict(executor_kwargs)
-        for name in ("writer", "backpressure", "precision"):
+        for name in (
+            "damping", "iterations", "writer", "backpressure", "precision"
+        ):
             value = getattr(args, name)
             if value != getattr(defaults, name):
                 flag_kwargs[name] = value
-        return SimRankService(graph, config=args.config, **flag_kwargs)
+        config = resolve_service_config(args.config, flag_kwargs)
+        return SimRankService(graph, config=config)
     return SimRankService(
-        graph, _config(args), precision=args.precision, **executor_kwargs
+        graph, _config(args), precision=args.precision, **flag_kwargs
     )
 
 
@@ -356,12 +335,6 @@ def command_serve(args: argparse.Namespace) -> int:
         print(
             f"precision {args.precision}: score store dtype "
             f"{store.dtype.name}{detail}"
-        )
-    if args.workers > 0:
-        print(
-            f"process executor: {service.engine.score_store.pool.num_workers} "
-            f"shard workers over "
-            f"{service.engine.score_store.pool.num_shards} shards"
         )
 
     if args.http is not None:

@@ -1,23 +1,20 @@
 """Single source of truth for the score-matrix storage dtype.
 
-Every layer that materializes score values — the in-process
-:class:`~repro.executor.score_store.ScoreStore` shards, the cluster's
-shared-memory segments, and the crash-replay rebuild path — used to
-hardcode its own ``_FLOAT_DTYPE = np.float64``.  This module is the one
-place that decides which float dtypes are legal score *storage* types
-and what the default is, so a precision change is a parameter, not a
-four-file edit.
+Every layer that materializes score values — the
+:class:`~repro.executor.score_store.ScoreStore` shards, checkpoints and
+the precision tuner — asks this module which float dtypes are legal
+score *storage* types and what the default is, so a precision change is
+a parameter, not a multi-file edit.
 
 Two invariants the rest of the stack relies on:
 
 * ``float64`` is the default and the bit-identity reference: with no
   explicit dtype anywhere, every code path must produce bit-identical
   results to the pre-dtype-seam implementation.
-* Plan *values* always travel as float64 (the packed wire format
-  bit-copies them through int64 words); reduced precision applies to
-  shard **storage**, where the scatter-add casts on store.  That keeps
-  the in-process and worker-side apply arithmetic bit-identical at any
-  storage dtype.
+* Plan *values* are always float64 (the packed WAL format bit-copies
+  them through int64 words); reduced precision applies to shard
+  **storage**, where the scatter-add casts on store.  That keeps live
+  apply and WAL replay bit-identical at any storage dtype.
 """
 
 from __future__ import annotations

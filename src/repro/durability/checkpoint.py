@@ -295,8 +295,9 @@ def graph_from_packed(packed_q: Dict[str, np.ndarray]) -> DynamicDiGraph:
 
     Row ``i`` of ``Q`` lists the in-neighbors of ``i``: every column
     ``j`` in row ``i`` is an edge ``j → i``.  The edge *weights* are
-    redundant (``1/indegree``, re-derived by ``from_packed`` /
-    ``from_graph``), so structure alone reproduces the store.
+    redundant (``1/indegree``, re-derived by
+    :meth:`~repro.linalg.qstore.TransitionStore.from_graph`), so
+    structure alone reproduces the store.
     """
     num_nodes = int(np.asarray(packed_q["num_nodes"]))
     indptr = np.asarray(packed_q["indptr"])

@@ -12,7 +12,7 @@ One :class:`DurabilityManager` owns one data directory::
 Lifecycle (driven by :class:`~repro.serving.service.SimRankService`):
 
 1. Construct — acquires the lock (stale locks of dead pids are
-   reclaimed), registers with the shm reaper, repairs the WAL tail.
+   reclaimed), registers with the orphan reaper, repairs the WAL tail.
 2. :meth:`recover` — loads the newest manifest checkpoint and replays
    the WAL, returning the state the service seeds its engine with
    (None on a fresh dir).
@@ -54,6 +54,12 @@ from .checkpoint import (
     summarize_history,
     write_checkpoint,
     write_manifest,
+)
+from .reaper import (
+    pid_alive,
+    reap_orphans,
+    register_durability,
+    unregister_durability,
 )
 from .wal import (
     KIND_BATCH,
@@ -100,7 +106,7 @@ def _acquire_lock(data_dir: str) -> str:
                     holder = int(handle.read().strip() or -1)
             except (OSError, ValueError):
                 holder = -1
-            if holder > 0 and _pid_alive(holder):
+            if holder > 0 and pid_alive(holder):
                 raise ConfigError(
                     f"durability data dir {data_dir!r} is locked by live "
                     f"process {holder}"
@@ -119,18 +125,6 @@ def _acquire_lock(data_dir: str) -> str:
     )
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except OSError:
-        return False
-    return True
-
-
 class DurabilityManager:
     """See module docstring.  One instance per service per data dir."""
 
@@ -143,8 +137,6 @@ class DurabilityManager:
         self.data_dir = config.data_dir
         self._telemetry = telemetry
         os.makedirs(self.data_dir, exist_ok=True)
-        from ..cluster.shm import reap_orphans, register_durability
-
         # Reap first so a previous SIGKILL'd owner's stale lock is gone
         # before this process tries to take it.
         try:
@@ -152,7 +144,7 @@ class DurabilityManager:
         except OSError:
             pass
         self._lock_path = _acquire_lock(self.data_dir)
-        self._shm_manifest = register_durability(self.data_dir)
+        self._manifest = register_durability(self.data_dir)
         self._wal = WriteAheadLog(
             os.path.join(self.data_dir, "wal"),
             fsync=config.fsync,
@@ -335,29 +327,6 @@ class DurabilityManager:
         self._c_checkpoints.inc()
         self._set_flight_context()
         return True
-
-    def resync(self, engine) -> bool:
-        """Re-anchor the log after an in-process failover.
-
-        The drain the pool died under was finished by journal replay,
-        not acked through the WAL seam, so the log tail no longer
-        describes how the live state was reached.  A full checkpoint
-        recaptures the state and rotates the WAL past the gap.  Unlike
-        :meth:`checkpoint`, failure here marks the manager failed —
-        appending past the gap would silently diverge on recovery.
-        """
-        if self._failed or self._closed:
-            return False
-        if self.checkpoint(engine):
-            return True
-        self._mark_failed(
-            "resync",
-            RuntimeError(
-                "post-failover checkpoint failed; the WAL tail no longer "
-                "matches the live state"
-            ),
-        )
-        return False
 
     def _summarize_interval(
         self, version: int, num_nodes: int
@@ -566,9 +535,7 @@ class DurabilityManager:
         try:
             self._wal.close()
         finally:
-            from ..cluster.shm import unregister_pool
-
-            unregister_pool(self._shm_manifest)
+            unregister_durability(self._manifest)
             try:
                 os.unlink(self._lock_path)
             except OSError:

@@ -4,10 +4,10 @@ The WAL is the crash-consistency half of :mod:`repro.durability`: every
 acked drain appends one frame carrying (a) the drain's consolidated
 :class:`~repro.incremental.row_update.RowUpdate` list — the graph/``Q``
 surgery — and (b) the drain's plans in the
-:class:`~repro.incremental.plan.PackedPlanBatch` wire encoding (the
-same contiguous 8-byte-word block the cluster ships over shared
-memory, bit-exact round-trip tested).  Replaying a frame therefore
-reproduces exactly the state transition the live drain performed.
+:class:`~repro.incremental.plan.PackedPlanBatch` encoding (one
+contiguous 8-byte-word block, bit-exact round-trip tested).  Replaying
+a frame therefore reproduces exactly the state transition the live
+drain performed.
 
 Frame layout (little-endian)::
 

@@ -58,65 +58,6 @@ class BackpressureError(ReproError, RuntimeError):
     """
 
 
-class ClusterError(ReproError, RuntimeError):
-    """The multi-process shard-worker pool failed an operation.
-
-    Raised by :mod:`repro.cluster` when a worker process reports an
-    application error, when the pool is used after :meth:`close`, or
-    when a command cannot be delivered.
-    """
-
-
-class PoolUnrecoverableError(ClusterError):
-    """The shard-worker pool can no longer serve mutating commands.
-
-    The pool stops respawning workers and refuses every further
-    command, but it deliberately *retains* its crash-replay anchor (the
-    frozen replay-base segments plus the command journal) so a caller
-    can rebuild an in-process score store from them — see
-    :func:`repro.cluster.recovery.rebuild_score_store` and the serving
-    layer's degraded read-only mode.
-    """
-
-
-class WorkerCrashError(PoolUnrecoverableError):
-    """A shard worker died and could not be respawned within the limit.
-
-    A *single* crash is handled transparently (the pool respawns the
-    worker and replays its shards from the last published snapshot);
-    this error means the respawn token bucket ran dry, so the pool can
-    no longer guarantee the shard state and the caller must rebuild.
-    """
-
-
-class PoisonBatchError(PoolUnrecoverableError):
-    """A journaled command killed its worker twice and was quarantined.
-
-    Replaying the same command into a fresh worker reproduces the
-    crash, so respawning again would only burn the respawn budget on a
-    deterministic failure.  The pool quarantines the command — packed
-    payload, journal position, and crash count ride on the exception's
-    ``quarantine`` attribute for forensics — and declares itself
-    unrecoverable.  Readers pinned on snapshots are unaffected
-    (bit-stable), and the drain that carried the batch fails cleanly.
-    """
-
-    def __init__(self, message: str, quarantine: object = None) -> None:
-        super().__init__(message)
-        self.quarantine = quarantine
-
-
-class DegradedModeError(ReproError, RuntimeError):
-    """The serving layer is in degraded read-only mode.
-
-    Raised on mutation attempts after the shard-worker pool became
-    unrecoverable and the service froze itself onto the last published
-    snapshot (``degraded_policy="reject"``; the ``"queue"`` policy
-    buffers mutations instead, and ``"rebuild"`` fails over to an
-    in-process score store and keeps writing).
-    """
-
-
 class ServiceClosedError(ReproError, RuntimeError):
     """The serving session was closed and no longer accepts requests.
 

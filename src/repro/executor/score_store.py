@@ -45,8 +45,7 @@ from ..exceptions import DimensionError
 #: overhead is negligible against the union-support GEMM.
 DEFAULT_SHARD_ROWS = 512
 
-#: Samples kept in the bounded recent window of per-plan apply seconds
-#: (so merged batch records can still report a distribution).
+#: Samples kept in the bounded recent window of per-plan apply seconds.
 DEFAULT_RECENT_WINDOW = 256
 
 
@@ -78,11 +77,7 @@ class ApplyMetrics:
 
     ``per_shard_seconds`` accumulates the scatter wall time each shard
     paid across all applied plans; ``last_per_shard_seconds`` holds the
-    breakdown of the most recent plan only.  The cluster bench uses
-    these to attribute drain latency to shard application versus IPC:
-    the in-process store reports pure scatter time here, and the
-    process-pool client reports per-worker apply time next to the
-    measured round-trip overhead.
+    breakdown of the most recent plan only.
     """
 
     plans: int = 0
@@ -90,60 +85,23 @@ class ApplyMetrics:
     per_shard_seconds: Dict[int, float] = field(default_factory=dict)
     last_plan_seconds: float = 0.0
     last_per_shard_seconds: Dict[int, float] = field(default_factory=dict)
-    #: Apply commands that carried more than one plan (the cluster's
-    #: batched-drain path; always 0 for purely per-plan executors).
-    batches: int = 0
-    #: Plans that arrived inside batched commands.
-    batched_plans: int = 0
-    last_batch_size: int = 0
-    #: Bounded window of recent *per-plan* apply seconds.  Batched
-    #: records merge shard timings across the whole command, so without
-    #: this window the per-plan distribution would be unrecoverable —
-    #: callers that know the per-plan split pass it to
-    #: :meth:`record_batch`.
+    #: Bounded window of recent per-plan apply seconds.
     recent_plan_seconds: deque = field(
         default_factory=lambda: deque(maxlen=DEFAULT_RECENT_WINDOW)
     )
 
-    def record(self, per_shard: Dict[int, float], plans: int = 1) -> None:
-        """Fold one apply command's per-shard timings into the gauges."""
-        self.plans += plans
+    def record(self, per_shard: Dict[int, float]) -> None:
+        """Fold one plan's per-shard timings into the gauges."""
+        self.plans += 1
         total = sum(per_shard.values())
         self.seconds += total
         self.last_plan_seconds = total
         self.last_per_shard_seconds = dict(per_shard)
-        if plans == 1:
-            self.recent_plan_seconds.append(total)
+        self.recent_plan_seconds.append(total)
         for shard_id, seconds in per_shard.items():
             self.per_shard_seconds[shard_id] = (
                 self.per_shard_seconds.get(shard_id, 0.0) + seconds
             )
-
-    def record_batch(
-        self,
-        per_shard: Dict[int, float],
-        plans: int,
-        per_plan_seconds: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Fold one whole drain batch (``plans`` plans, one command).
-
-        ``per_plan_seconds`` — when the executor timed each plan
-        individually (the in-process batched path does) — feeds the
-        bounded recent window, so ``report()`` can show a per-plan
-        distribution even though the shard timings are merged.
-        """
-        self.record(per_shard, plans=plans)
-        self.batches += 1
-        self.batched_plans += plans
-        self.last_batch_size = plans
-        if per_plan_seconds is not None:
-            self.recent_plan_seconds.extend(per_plan_seconds)
-
-    def batch_size(self) -> float:
-        """Mean plans per batched apply command (0.0 before any batch)."""
-        if self.batches == 0:
-            return 0.0
-        return self.batched_plans / self.batches
 
     def report(self) -> dict:
         """JSON-friendly summary (keys stringified for serialization)."""
@@ -152,9 +110,6 @@ class ApplyMetrics:
             "apply_seconds": self.seconds,
             "mean_plan_seconds": self.seconds / self.plans if self.plans else 0.0,
             "last_plan_seconds": self.last_plan_seconds,
-            "batches": self.batches,
-            "batch_size": self.batch_size(),
-            "last_batch_size": self.last_batch_size,
             "per_shard_seconds": {
                 str(shard): seconds
                 for shard, seconds in sorted(self.per_shard_seconds.items())
@@ -420,25 +375,9 @@ class ScoreStore:
         """The attached shard-local top-k index, or None."""
         return self._topk
 
-    def make_topk_index(self, k: int):
-        """Build (and attach) the top-k index matching this executor.
-
-        The in-process store answers with a
-        :class:`~repro.executor.topk_index.ShardTopK` over its own
-        shards; the process-pool :class:`~repro.cluster.ShardClient`
-        overrides this to hand out a pool-backed index whose heaps live
-        in the workers.  The engine routes ``top_k`` through this hook
-        so it never needs to know which executor owns the shards.
-        """
-        from .topk_index import ShardTopK
-
-        return ShardTopK(self, k=k)
-
     def apply_report(self) -> dict:
-        """Executor-side apply gauges (mode + per-shard wall time)."""
-        report = {"mode": "inproc", "workers": 0}
-        report.update(self.apply_metrics.report())
-        return report
+        """Executor-side apply gauges (per-shard wall time)."""
+        return self.apply_metrics.report()
 
     def entry(self, row: int, col: int) -> float:
         """One score ``[S]_{row,col}``."""
@@ -544,50 +483,12 @@ class ScoreStore:
     def _apply_plan_scatter(self, plan) -> None:
         """The one copy of the per-plan apply arithmetic.
 
-        Every executor path (per-plan apply, batched apply, the cluster
-        planning overlay via inheritance) funnels through this — the
-        bit-equivalence gate rides on them staying one implementation.
         Timings land in ``self._shard_timing`` (caller resets it).
         """
         left, right = plan.panels()
         block = left @ right.T
         self._scatter_add(plan.rows_union, plan.cols_union, block)
         self._scatter_add(plan.cols_union, plan.rows_union, block.T)
-
-    def apply_batch(self, batch, planned_on=None) -> None:
-        """Apply a :class:`~repro.incremental.plan.PlanBatch` in order.
-
-        Each plan runs the identical per-plan union-support GEMM +
-        scatter as :meth:`apply_plan` (see :class:`PlanBatch` on why the
-        GEMMs are deliberately not fused across plans), so the result is
-        bit-identical to the sequential per-plan path.  The in-process
-        store gains no round trips to amortize — the batched gauges
-        exist so the cluster executor's :class:`ShardClient` can expose
-        the same surface — but the batch is still recorded as one
-        command in :class:`ApplyMetrics`.  ``planned_on`` (a planning
-        overlay, on the cluster path) is ignored here: this store *is*
-        the authoritative state the plans were planned against.
-        """
-        live = [plan for plan in batch if not plan.is_noop]
-        if not live:
-            return
-        timing: Dict[int, float] = {}
-        per_plan: List[float] = []
-        for plan in live:
-            self._shard_timing = {}
-            self._apply_plan_scatter(plan)
-            plan_total = 0.0
-            for shard_id, seconds in self._shard_timing.items():
-                timing[shard_id] = timing.get(shard_id, 0.0) + seconds
-                plan_total += seconds
-            per_plan.append(plan_total)
-            self._apply_hist.observe(plan_total)
-            self.version += 1
-            if self._topk is not None:
-                self._topk.on_plan(plan)
-        self.apply_metrics.record_batch(
-            timing, plans=len(live), per_plan_seconds=per_plan
-        )
 
     def _scatter_shard(
         self,

@@ -182,25 +182,6 @@ class _ShardHeap:
         self.floor: Optional[PairKey] = None
         self.dirty = True
 
-    # __slots__ classes have no __dict__, so pickling the per-shard
-    # heap state (shipped to/from cluster workers) needs explicit
-    # state methods.
-    def __getstate__(self) -> dict:
-        return {
-            "entries": self.entries,
-            "heap": self.heap,
-            "floor": self.floor,
-            "dirty": self.dirty,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.entries = state["entries"]
-        self.heap = state["heap"]
-        self.floor = (
-            tuple(state["floor"]) if state["floor"] is not None else None
-        )
-        self.dirty = state["dirty"]
-
 
 class ShardTopK:
     """Incrementally maintained top-k pairs over a live :class:`ScoreStore`.
@@ -216,16 +197,6 @@ class ShardTopK:
         Candidates kept per shard (default ``max(2k, 16)``) — the slack
         above ``k`` is what lets score *decreases* usually stay local
         instead of forcing a shard re-scan.
-    shard_range:
-        Optional ``(lo, hi)`` *global* shard-id range this index owns.
-        The default (None) tracks every shard of the store; a cluster
-        worker passes its contiguous shard slice so the index maintains
-        exactly the worker's heaps and ignores foreign shards in
-        :meth:`on_plan`/:meth:`on_entry`.
-    track_changes:
-        When True the index records which shards' candidate sets moved
-        (see :meth:`collect_changes`) so a worker can ship per-shard
-        candidate deltas back to the pool after each applied plan.
     """
 
     def __init__(
@@ -233,8 +204,6 @@ class ShardTopK:
         store,
         k: int,
         capacity: Optional[int] = None,
-        shard_range: Optional[Tuple[int, int]] = None,
-        track_changes: bool = False,
     ) -> None:
         if k < 1:
             raise DimensionError(f"k must be >= 1, got {k}")
@@ -247,18 +216,6 @@ class ShardTopK:
             raise DimensionError(
                 f"capacity {self.capacity} must be >= k {self.k}"
             )
-        if shard_range is not None:
-            lo, hi = int(shard_range[0]), int(shard_range[1])
-            if lo < 0 or hi < lo:
-                raise DimensionError(
-                    f"invalid shard_range ({lo}, {hi})"
-                )
-            self._range: Optional[Tuple[int, int]] = (lo, hi)
-        else:
-            self._range = None
-        self._track_changes = bool(track_changes)
-        self._changed: set = set()
-        self._all_changed = False
         #: Monotone counter bumped whenever the candidate state moves —
         #: the cheap "did any ranking possibly change since I last
         #: looked?" signal the front door's top-k subscriptions poll
@@ -272,75 +229,6 @@ class ShardTopK:
         store.attach_topk(self)
 
     # -------------------------------------------------------------- #
-    # Shard-range bookkeeping
-    # -------------------------------------------------------------- #
-
-    def _bounds(self) -> Tuple[int, int]:
-        """The global ``[lo, hi)`` shard-id range this index maintains."""
-        if self._range is not None:
-            return self._range
-        return 0, self._store.num_shards
-
-    @property
-    def shard_range(self) -> Optional[Tuple[int, int]]:
-        """The fixed global shard slice, or None when tracking all shards."""
-        return self._range
-
-    def set_shard_range(self, lo: int, hi: int) -> None:
-        """Re-point the owned shard slice (cluster rebalance/growth).
-
-        Heap state is discarded — the next query re-scans lazily, which
-        keeps results exact without reasoning about partial overlap.
-        """
-        if lo < 0 or hi < lo:
-            raise DimensionError(f"invalid shard_range ({lo}, {hi})")
-        self._range = (int(lo), int(hi))
-        self.invalidate_all()
-
-    # -------------------------------------------------------------- #
-    # Change tracking (cluster workers ship per-shard deltas)
-    # -------------------------------------------------------------- #
-
-    def _mark_changed(self, shard_id: int) -> None:
-        self.revision += 1
-        if self._track_changes:
-            self._changed.add(int(shard_id))
-
-    def collect_changes(self):
-        """Drain the per-shard change set since the last collection.
-
-        Returns ``None`` when change tracking is off or nothing moved.
-        Otherwise returns either the string ``"all"`` (a dense mutation
-        invalidated everything) or a dict mapping each changed global
-        shard id to its *full* replacement candidate list
-        ``[(a, b, score), ...]``, or to ``None`` when the shard went
-        dirty (its candidates are unknown until the next re-scan).
-        Shipping the full (capacity-bounded) list per changed shard is
-        what lets a pool-side mirror stay bit-identical to the worker
-        state without replaying eviction/floor events.
-        """
-        if not self._track_changes:
-            return None
-        if self._all_changed or self._shards is None:
-            self._all_changed = False
-            self._changed.clear()
-            return "all"
-        if not self._changed:
-            return None
-        lo, _hi = self._bounds()
-        out = {}
-        for shard_id in sorted(self._changed):
-            state = self._shards[shard_id - lo]
-            if state.dirty:
-                out[shard_id] = None
-            else:
-                out[shard_id] = [
-                    (a, b, score) for (a, b), score in state.entries.items()
-                ]
-        self._changed.clear()
-        return out
-
-    # -------------------------------------------------------------- #
     # Store notifications (called by ScoreStore on every mutation)
     # -------------------------------------------------------------- #
 
@@ -349,9 +237,6 @@ class ShardTopK:
         self._shards = None
         self.revision += 1
         self.stats.full_invalidations += 1
-        if self._track_changes:
-            self._all_changed = True
-            self._changed.clear()
 
     def on_add_node(self) -> None:
         """Node arrival adds a zero column pair to every shard."""
@@ -363,13 +248,10 @@ class ShardTopK:
             return
         a, b = (row, col) if row < col else (col, row)
         shard_id = a // self._store.shard_rows
-        lo, hi = self._bounds()
-        if shard_id < lo or shard_id >= hi:
-            return
-        if shard_id - lo >= len(self._shards):
+        if shard_id >= len(self._shards):
             self.invalidate_all()
             return
-        state = self._shards[shard_id - lo]
+        state = self._shards[shard_id]
         if state.dirty:
             return
         value = self._store.entry(a, b)
@@ -380,7 +262,7 @@ class ShardTopK:
         else:
             self._insert(state, pair, value)
         if before != self.stats.patched_entries + self.stats.floor_invalidations:
-            self._mark_changed(shard_id)
+            self.revision += 1
 
     def on_plan(self, plan) -> None:
         """An :class:`UpdatePlan` was applied; patch its affected pairs.
@@ -401,15 +283,13 @@ class ShardTopK:
         shard_rows = self._store.shard_rows
         row_set = set(int(i) for i in rows)
         col_set = set(int(j) for j in cols)
-        lo, hi = self._bounds()
-        first = max(int(min(rows[0], cols[0])) // shard_rows, lo)
+        first = int(min(rows[0], cols[0])) // shard_rows
         last = min(
             int(max(rows[-1], cols[-1])) // shard_rows,
-            hi - 1,
-            lo + len(self._shards) - 1,
+            len(self._shards) - 1,
         )
         for shard_id in range(first, last + 1):
-            state = self._shards[shard_id - lo]
+            state = self._shards[shard_id]
             if state.dirty:
                 continue
             before = (
@@ -420,7 +300,7 @@ class ShardTopK:
                 self.stats.patched_entries + self.stats.floor_invalidations
             )
             if before != after:
-                self._mark_changed(shard_id)
+                self.revision += 1
 
     # -------------------------------------------------------------- #
     # Patching internals
@@ -530,7 +410,7 @@ class ShardTopK:
         )
         state.dirty = False
         self.stats.shard_rescans += 1
-        self._mark_changed(shard_id)
+        self.revision += 1
 
     # -------------------------------------------------------------- #
     # Queries
@@ -538,35 +418,15 @@ class ShardTopK:
 
     def dirty_shards(self) -> int:
         """Shards whose heaps need a re-scan at the next query."""
-        lo, hi = self._bounds()
         if self._shards is None:
-            return hi - lo
+            return self._store.num_shards
         return sum(1 for state in self._shards if state.dirty)
 
     def _materialize(self) -> None:
-        """Ensure the per-shard heap list matches the owned shard slice."""
-        lo, hi = self._bounds()
-        if self._shards is None or len(self._shards) != hi - lo:
-            self._shards = [_ShardHeap() for _ in range(hi - lo)]
-
-    def rescan_shards(self, shard_ids: Iterable[int]) -> Dict[int, List[ScoredPair]]:
-        """Force a re-scan of specific global shards; return their candidates.
-
-        The cluster pool calls this on a worker when its parent-side
-        mirror has dirty shards: the reply re-synchronizes the mirror
-        with the worker's exact candidate sets.
-        """
-        self._materialize()
-        lo, _hi = self._bounds()
-        out: Dict[int, List[ScoredPair]] = {}
-        for shard_id in shard_ids:
-            state = self._shards[int(shard_id) - lo]
-            if state.dirty:
-                self._rescan(state, int(shard_id))
-            out[int(shard_id)] = [
-                (a, b, score) for (a, b), score in state.entries.items()
-            ]
-        return out
+        """Ensure the per-shard heap list matches the store's shards."""
+        count = self._store.num_shards
+        if self._shards is None or len(self._shards) != count:
+            self._shards = [_ShardHeap() for _ in range(count)]
 
     def top_k(self, k: Optional[int] = None) -> List[ScoredPair]:
         """The global top-``k`` pairs, k-way merged across shard heaps.
@@ -589,12 +449,11 @@ class ShardTopK:
             self.stats.heap_hits += 1
             return []
         self._materialize()
-        lo, _hi = self._bounds()
         self.stats.shard_queries += len(self._shards)
         hit = True
-        for offset, state in enumerate(self._shards):
+        for shard_id, state in enumerate(self._shards):
             if state.dirty:
-                self._rescan(state, lo + offset)
+                self._rescan(state, shard_id)
                 hit = False
         if hit:
             self.stats.heap_hits += 1
@@ -609,7 +468,7 @@ class ShardTopK:
         return [(a, b, float(score)) for a, b, score in best]
 
     # -------------------------------------------------------------- #
-    # Pickling (shipping heap state across process boundaries)
+    # Pickling (warm heap state without the store)
     # -------------------------------------------------------------- #
 
     def __getstate__(self) -> dict:
@@ -617,8 +476,7 @@ class ShardTopK:
 
         The store reference is dropped; the unpickled index is inert
         until :meth:`attach_store` re-binds it to a store holding the
-        *same scores* (any store — in-process or a worker's shard view —
-        as long as the owned shards' contents match).
+        *same scores*.
         """
         state = dict(self.__dict__)
         state["_store"] = None
@@ -634,8 +492,9 @@ class ShardTopK:
         return self
 
     def __repr__(self) -> str:
-        lo, hi = self._bounds() if self._store is not None else (0, 0)
+        if self._store is None:
+            return f"ShardTopK(k={self.k}, capacity={self.capacity}, detached)"
         return (
             f"ShardTopK(k={self.k}, capacity={self.capacity}, "
-            f"dirty={self.dirty_shards() if self._store else '?'}/{hi - lo})"
+            f"dirty={self.dirty_shards()}/{self._store.num_shards})"
         )

@@ -3,7 +3,7 @@
 One asyncio server, one listening socket, two protocols:
 
 ========================== ===========================================
-``GET /health``             liveness + version + degraded flag
+``GET /health``             liveness + version (+ durability state)
 ``GET /metrics``            service metrics + front-door gauges
 ``POST /query``             one :class:`QueryRequest` (JSON); batched
                             admission for ``similarity`` /
@@ -29,7 +29,7 @@ Design rules:
   event from the writer thread (``call_soon_threadsafe``), waking the
   push task that runs one subscription poll per drain burst;
 * **errors are the taxonomy** — every library exception maps through
-  :func:`~repro.serving.envelopes.http_status`, so a degraded pool is
+  :func:`~repro.serving.envelopes.http_status`, so a closed service is
   a 503 and a full queue is a 429 on the wire exactly as they are
   in-process;
 * **shutdown is graceful** — :meth:`stop` sends every subscriber a
@@ -333,11 +333,10 @@ class FrontDoor:
     def _health(self) -> dict:
         service = self._service
         health = {
-            "status": "degraded" if service.degraded else "ok",
+            "status": "ok",
             "version": service.version,
             "num_nodes": service.num_nodes,
             "pending": service.pending,
-            "degraded": service.degraded,
             "sessions": len(self.sessions),
             "subscribers": len(self.subscriptions),
         }
@@ -468,8 +467,8 @@ class FrontDoor:
         )
         if accepted:
             # Remember the trace until the drain that folds these
-            # updates in; the writer records the drain.apply span (and
-            # worker-side apply spans) under it.
+            # updates in; the writer records the drain.apply span under
+            # it.
             note = getattr(self._service, "note_origin_trace", None)
             if note is not None:
                 note(trace_id)

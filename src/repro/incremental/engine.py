@@ -45,8 +45,9 @@ import scipy.sparse as sp
 
 from ..config import SimRankConfig
 from ..dtypes import resolve_dtype
-from ..exceptions import ClusterError, ConfigError, GraphError, PoolUnrecoverableError
+from ..exceptions import ConfigError, GraphError
 from ..executor.score_store import DEFAULT_SHARD_ROWS, ScoreStore
+from ..executor.topk_index import ShardTopK, top_k_from_blocks
 from ..graph.digraph import DynamicDiGraph
 from ..graph.transition import verify_transition_matrix
 from ..graph.updates import EdgeUpdate, UpdateBatch
@@ -57,10 +58,6 @@ from .affected import AffectedAreaStats
 from .workspace import UpdateWorkspace
 
 ALGORITHMS = ("inc-sr", "inc-usr", "batch")
-
-#: Score-store executors: in-process row-block shards, or a
-#: :mod:`repro.cluster` pool of shard worker processes.
-EXECUTORS = ("inproc", "process")
 
 
 @dataclass
@@ -101,43 +98,16 @@ class DynamicSimRank:
     shard_rows:
         Row-block size of the sharded score store (default
         :data:`~repro.executor.score_store.DEFAULT_SHARD_ROWS`).
-    executor:
-        ``"inproc"`` (default) keeps ``S`` in this process;
-        ``"process"`` shards it across a :mod:`repro.cluster` pool of
-        worker processes — plans fan out over pipes, reads and
-        snapshots stay zero-copy through shared memory, and results
-        are bit-identical to the in-process executor.
-    workers:
-        Worker-process count for the ``"process"`` executor (>= 1;
-        ignored otherwise).
-    start_method:
-        Multiprocessing start method override for the pool (the
-        default, ``spawn``, is the only one promised correct).
-    plan_batching:
-        When True (default) and the executor supports it (the process
-        pool does), :meth:`apply_consolidated` plans the whole drain
-        against a parent-side overlay and ships it as **one**
-        :class:`~repro.incremental.plan.PlanBatch` command instead of
-        one round trip per row group — bit-identical either way.  Set
-        False to force the per-plan wire path (the benchmark's
-        comparison axis).
-    executor_options:
-        Extra keyword arguments forwarded to the ``"process"``
-        executor's :func:`~repro.cluster.build_client` →
-        :class:`~repro.cluster.ShardWorkerPool` (e.g. ``supervise``,
-        ``deadline_floor``, ``command_timeout``, ``max_respawns``,
-        ``fault_plan``).  Ignored for the in-process executor.
     score_dtype:
         Storage dtype of the score shards (``"float64"`` default,
         ``"float32"`` opt-in).  Planning and the union-support GEMM stay
-        float64 everywhere; reduced precision applies where blocks are
-        scattered into shard storage — identically in both executors, so
-        a float32 process run is bit-identical to a float32 in-process
-        run.  The float64 default is the bit-identity reference.
+        float64 everywhere; reduced precision applies only where blocks
+        are scattered into shard storage.  The float64 default is the
+        bit-identity reference.
     telemetry:
         A :class:`repro.telemetry.Telemetry` facade threaded through to
         the score executor (apply-latency histograms, drain trace
-        spans, crash flight recording).  ``None`` (the default) uses
+        spans).  ``None`` (the default) uses
         the shared disabled instance — standalone engines pay one no-op
         method call per instrumentation point.
     """
@@ -150,11 +120,6 @@ class DynamicSimRank:
         initial_scores: Optional[np.ndarray] = None,
         paranoid: bool = False,
         shard_rows: int = DEFAULT_SHARD_ROWS,
-        executor: str = "inproc",
-        workers: int = 2,
-        start_method: Optional[str] = None,
-        plan_batching: bool = True,
-        executor_options: Optional[dict] = None,
         score_dtype: Optional[str] = None,
         telemetry=None,
     ) -> None:
@@ -162,16 +127,10 @@ class DynamicSimRank:
             raise ConfigError(
                 f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
             )
-        if executor not in EXECUTORS:
-            raise ConfigError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
         self._config = default_config(config)
         self._graph = graph.copy()
         self._algorithm = algorithm
-        self._executor = executor
         self._paranoid = bool(paranoid)
-        self._plan_batching = bool(plan_batching)
         self._score_dtype = resolve_dtype(score_dtype)
         if telemetry is None:
             from ..telemetry import NULL_TELEMETRY
@@ -189,28 +148,12 @@ class DynamicSimRank:
                 raise GraphError(
                     f"initial_scores shape {scores.shape} != ({n}, {n})"
                 )
-        if executor == "process":
-            from ..cluster import build_client
-
-            options = dict(executor_options or {})
-            options.setdefault("dtype", self._score_dtype)
-            options.setdefault("telemetry", telemetry)
-            self._scores = build_client(
-                scores,
-                shard_rows=shard_rows,
-                workers=workers,
-                start_method=start_method,
-                **options,
-            )
-            # Topology changes ship the packed Q payload to workers.
-            self._scores.transition_exporter = self._store.export_packed
-        else:
-            self._scores = ScoreStore(
-                scores,
-                shard_rows=shard_rows,
-                dtype=self._score_dtype,
-                telemetry=telemetry,
-            )
+        self._scores = ScoreStore(
+            scores,
+            shard_rows=shard_rows,
+            dtype=self._score_dtype,
+            telemetry=telemetry,
+        )
         self._topk_index = None
         self._history: List[UpdateStats] = []
         self._version = 0
@@ -218,11 +161,6 @@ class DynamicSimRank:
         # ``(row_updates, plans)`` — what the durability layer frames
         # into its write-ahead log (see :meth:`take_last_drain`).
         self._last_drain = None
-        # Failover bookkeeping: plans/row-updates whose graph + Q surgery
-        # already happened but whose score application died with the pool.
-        self._unapplied_plans: List = []
-        self._unapplied_row_updates: List = []
-        self._failed_client = None
 
     # ------------------------------------------------------------------ #
     # Read API
@@ -239,39 +177,9 @@ class DynamicSimRank:
         return self._algorithm
 
     @property
-    def executor(self) -> str:
-        """Which executor owns the score shards (``inproc``/``process``)."""
-        return self._executor
-
-    @property
-    def plan_batching(self) -> bool:
-        """Whether consolidated drains ship as one batched command."""
-        return self._plan_batching
-
-    @property
     def score_dtype(self) -> np.dtype:
         """The configured storage dtype of the score shards."""
         return self._score_dtype
-
-    def close(self) -> None:
-        """Release executor resources (worker processes, shared memory).
-
-        A no-op for the in-process executor; idempotent.  The engine
-        must not be used after closing when running on the process
-        executor.
-        """
-        closer = getattr(self._scores, "close", None)
-        if closer is not None:
-            closer()
-        if self._failed_client is not None:
-            failed, self._failed_client = self._failed_client, None
-            failed.close()
-
-    def __enter__(self) -> "DynamicSimRank":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     @property
     def graph(self) -> DynamicDiGraph:
@@ -340,15 +248,11 @@ class DynamicSimRank:
         if k == 0:
             return []
         if include_self:
-            from ..executor.topk_index import top_k_from_blocks
-
             return top_k_from_blocks(
                 self._scores.iter_shard_blocks(), k, include_self=True
             )
         if self._topk_index is None or k > self._topk_index.capacity:
-            # The executor hands out the matching index: shard heaps in
-            # this process, or a pool-backed mirror over worker heaps.
-            self._topk_index = self._scores.make_topk_index(k)
+            self._topk_index = ShardTopK(self._scores, k=k)
         return self._topk_index.top_k(k)
 
     # ------------------------------------------------------------------ #
@@ -453,80 +357,24 @@ class DynamicSimRank:
         started = time.perf_counter()
         self._last_drain = None
         row_updates = consolidate_batch(batch, self._graph)
-        batched = (
-            self._plan_batching
-            and len(row_updates) > 0
-            and getattr(self._scores, "supports_plan_batches", False)
-        )
-        # Batched drains plan every row group against a parent-side
-        # copy-on-write overlay — each group planned on the scores the
-        # previous group's plan produced, applied with the *same*
-        # arithmetic the executor will run — then ship the whole drain
-        # as one pipelined PlanBatch command instead of one round trip
-        # per group.  One loop serves both paths (only the score target
-        # and the deferred dispatch differ), so they cannot drift.
-        view = self._scores.planning_view() if batched else None
-        scores = view if batched else self._scores
         plans = []
-        for index, row_update in enumerate(row_updates):
+        for row_update in row_updates:
             plan = plan_composite_row_update(
                 self._graph,
                 self._store,
-                scores,
+                self._scores,
                 row_update,
                 self._config,
                 workspace=self._workspace,
             )
-            try:
-                scores.apply_plan(plan)
-            except PoolUnrecoverableError:
-                # Only reachable on the per-plan wire path (the batched
-                # path applies to a local overlay).  The pool journals a
-                # command before dispatching it, so this plan is part of
-                # any rebuild from base + journal: finish the group's
-                # graph + Q surgery to stay consistent with that rebuilt
-                # score state, stash the untouched remainder for
-                # :meth:`failover_in_process`, and surface the failure.
-                row_update.apply_to(self._graph)
-                self._store.set_row_from_graph(
-                    self._graph, row_update.target
-                )
-                self._unapplied_row_updates = list(row_updates[index + 1 :])
-                raise
-            # Collected on *both* wire paths: the batched dispatch below
-            # ships them, and the durability layer frames them into the
-            # WAL either way (plan factors are fresh arrays — only the
-            # dropped diagnostics may alias pooled workspace).
+            self._scores.apply_plan(plan)
+            # Kept for the durability layer, which frames them into the
+            # WAL (plan factors are fresh arrays — only the dropped
+            # diagnostics may alias pooled workspace).
             plans.append(plan)
             row_update.apply_to(self._graph)
             # Row-granular surgery on the dual store (no CSR rebuild).
             self._store.set_row_from_graph(self._graph, row_update.target)
-        if batched:
-            from .plan import PlanBatch
-
-            try:
-                self._scores.apply_batch(PlanBatch(plans), planned_on=view)
-            except PoolUnrecoverableError:
-                # The pool refuses (or fails) a batch *before* journaling
-                # it, so none of these plans reached the journal — but
-                # the graph and Q surgery above already happened.  Stash
-                # the plans; :meth:`failover_in_process` re-applies them
-                # to the rebuilt store to close the gap.
-                self._unapplied_plans = list(plans)
-                raise
-            except ClusterError:
-                raise
-            except Exception:
-                # Transient dispatch failure (e.g. staging-slot
-                # allocation): nothing was journaled or applied, the
-                # pool is still healthy, so ship the same plans one
-                # command at a time — bit-identical arithmetic.
-                for position, plan in enumerate(plans):
-                    try:
-                        self._scores.apply_plan(plan)
-                    except PoolUnrecoverableError:
-                        self._unapplied_plans = list(plans[position + 1 :])
-                        raise
         elapsed = time.perf_counter() - started
         self._version += 1
         self._last_drain = (tuple(row_updates), tuple(plans))
@@ -590,91 +438,6 @@ class DynamicSimRank:
         self._scores.set_entry(node, node, 1.0 - self._config.damping)
         self._version += 1
         return node
-
-    # ------------------------------------------------------------------ #
-    # Failover
-    # ------------------------------------------------------------------ #
-
-    def executor_heartbeat(self) -> bool:
-        """Probe the executor's liveness (always True for in-process).
-
-        Delegates to the cluster client's ``heartbeat`` when running on
-        the process executor: raises
-        :class:`~repro.exceptions.PoolUnrecoverableError` if the pool
-        has failed, returns False if a probe was skipped because
-        pipelined batches are still in flight, True otherwise.
-        """
-        probe = getattr(self._scores, "heartbeat", None)
-        if probe is None:
-            return True
-        return probe()
-
-    def rebuilt_scores(self) -> ScoreStore:
-        """An in-process score store rebuilt from the (failed) pool.
-
-        Frozen replay base + journal, plus any stashed plans that were
-        planned but never journaled — exactly consistent with the live
-        graph and ``Q`` up to the stashed row updates, which is the
-        state a read-only degraded view should serve.  Does **not**
-        swap executors or consume the stashes; see
-        :meth:`failover_in_process` for the destructive version.
-        """
-        if self._executor != "process":
-            raise ClusterError(
-                "rebuilt_scores requires the 'process' executor"
-            )
-        from ..cluster.recovery import rebuild_score_store
-
-        store = rebuild_score_store(self._scores.pool)
-        for plan in self._unapplied_plans:
-            store.apply_plan(plan)
-        return store
-
-    def failover_in_process(self) -> int:
-        """Swap a dead process pool for a rebuilt in-process store.
-
-        Reassembles the score state from the failed pool's frozen
-        replay base + journal
-        (:func:`~repro.cluster.recovery.rebuild_score_store`), re-applies
-        any plans that were planned but never journaled, then finishes
-        the row updates the failed drain never reached — after which the
-        engine runs on the ``"inproc"`` executor as if nothing happened
-        (bit-identical scores).  The dead client is retained so its
-        shared-memory segments stay mapped until :meth:`close`.
-
-        Returns the number of stashed plans + row updates resumed.
-        Raises :class:`~repro.exceptions.ClusterError` when the engine
-        is not on the process executor.
-        """
-        if self._executor != "process":
-            raise ClusterError(
-                "failover_in_process requires the 'process' executor"
-            )
-        from .row_update import plan_composite_row_update
-
-        store = self.rebuilt_scores()
-        pending_plans = self._unapplied_plans
-        pending_updates = self._unapplied_row_updates
-        self._unapplied_plans = []
-        self._unapplied_row_updates = []
-        self._failed_client = self._scores
-        self._scores = store
-        self._executor = "inproc"
-        self._topk_index = None
-        for row_update in pending_updates:
-            plan = plan_composite_row_update(
-                self._graph,
-                self._store,
-                store,
-                row_update,
-                self._config,
-                workspace=self._workspace,
-            )
-            store.apply_plan(plan)
-            row_update.apply_to(self._graph)
-            self._store.set_row_from_graph(self._graph, row_update.target)
-        self._version += 1
-        return len(pending_plans) + len(pending_updates)
 
     # ------------------------------------------------------------------ #
     # Persistence

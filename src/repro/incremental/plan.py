@@ -11,11 +11,10 @@ where the columns of ``L``/``R`` are the per-iteration affected-support
 factor pairs ``(ξ_k, η_k)`` of Algorithm 2 (each stored sparse).  This is
 the same shape as a factored ``R·C`` low-rank update of a weight matrix:
 the plan is tiny relative to ``S`` (its footprint tracks the affected
-area, not ``n²``), so it can be shipped to whichever executor owns the
-score rows — the dense helper :func:`apply_plan_dense` for a plain
-ndarray, or the row-sharded
-:class:`~repro.executor.score_store.ScoreStore`, which applies the
-union-support GEMM shard by shard.
+area, not ``n²``), so it can be applied to a plain ndarray by the dense
+helper :func:`apply_plan_dense`, applied shard by shard by the
+row-sharded :class:`~repro.executor.score_store.ScoreStore`, or packed
+into a write-ahead-log frame (:class:`PackedPlanBatch`).
 
 Separating *planning* (read-only on old state) from *application*
 (a scatter-add against the score store) is what enables the service
@@ -105,7 +104,7 @@ class UpdatePlan:
         rows/columns of ``S`` the plan will touch.
     affected:
         Theorem 4 affected-area statistics recorded while planning
-        (``None`` on plans rebuilt from the packed wire encoding —
+        (``None`` on plans rebuilt from the packed WAL encoding —
         application never reads them).
     vectors:
         The Theorem 1–3 precomputation the plan was built from (kept
@@ -144,7 +143,7 @@ class UpdatePlan:
         the GEMM is nearly free.
 
         ``dtype`` selects the panel (and hence GEMM) precision; the
-        default is float64, which every executor uses regardless of the
+        default is float64, which every apply path uses regardless of the
         score store's storage dtype — reduced-precision stores cast at
         scatter time, so the plan arithmetic stays bit-identical across
         dtypes.
@@ -175,7 +174,7 @@ class UpdatePlan:
         return total
 
     def __getstate__(self) -> dict:
-        """Picklable state — the wire format shipped to cluster workers.
+        """Picklable state.
 
         ``vectors`` is dropped: it is diagnostics-only, may alias pooled
         workspace buffers (mutated by the next planned update), and a
@@ -196,12 +195,11 @@ class UpdatePlan:
 class PackedPlanBatch:
     """A :class:`PlanBatch` flattened into five contiguous arrays.
 
-    This is the wire format of the cluster's batched drain path: every
-    factor support/value vector and union of every plan in a drain is
-    concatenated into a handful of buffers, so the whole batch ships as
-    **one** message whose payload is a single contiguous word block —
-    either staged in a reusable shared-memory segment (zero bytes cross
-    the pipe) or pickled in-band (the crash-replay journal).
+    This is the write-ahead log's frame format
+    (:mod:`repro.durability.wal`): every factor support/value vector and
+    union of every plan in a drain is concatenated into a handful of
+    buffers, so the whole drain is framed as **one** contiguous word
+    block.
 
     Layout (all elements are 8-byte words):
 
@@ -215,7 +213,7 @@ class PackedPlanBatch:
       right_values``.
 
     Unpacking is zero-copy: the rebuilt plans hold *views* into these
-    arrays (or into the shared-memory words they were read from).
+    arrays (or into the WAL words they were read from).
     """
 
     targets: np.ndarray
@@ -237,9 +235,6 @@ class PackedPlanBatch:
             + self.idx.size
             + self.val.size
         )
-
-    def nbytes(self) -> int:
-        return self.word_count() * 8
 
     def section_lengths(self) -> Tuple[int, int, int]:
         """``(lens, idx, val)`` element counts (targets/ranks = count)."""
@@ -287,9 +282,9 @@ class PackedPlanBatch:
         """Rebuild the batch's plans as views into the packed arrays.
 
         The rebuilt plans carry everything :meth:`UpdatePlan.panels` and
-        the executors' scatter paths read — factors and support unions —
+        the score store's scatter path read — factors and support unions —
         bit-identical to the originals.  Planning-time diagnostics
-        (``affected``, ``vectors``) do not ride the wire.
+        (``affected``, ``vectors``) are not packed.
         """
         out: List[UpdatePlan] = []
         len_at = 0
@@ -336,39 +331,17 @@ class PackedPlanBatch:
 class PlanBatch:
     """An ordered sequence of :class:`UpdatePlan` objects — one drain.
 
-    The batch is the executor contract of the pipelined cluster path:
-    the parent plans a whole drain (each plan against the scores left by
-    the previous one), then ships the batch in a single command, and the
-    workers apply the plans **in order** with exactly the per-plan
-    union-support GEMM + scatter arithmetic of the unbatched path.
-    Application is deliberately *not* fused across plans: folding the
-    batch into one wider GEMM reorders BLAS reductions wherever two
-    plans' supports overlap, which breaks the bit-equivalence gate
-    against the in-process executor.  Batching amortizes the per-message
-    round trip, not the arithmetic.
+    Each plan was made against the scores left by the previous one, so
+    replaying a batch means applying its plans **in order** with the
+    per-plan union-support GEMM + scatter arithmetic.  The durability
+    layer packs one batch per drain into a WAL frame
+    (:meth:`packed`) and replays it the same way on recovery.
     """
 
     plans: List[UpdatePlan]
 
-    def __len__(self) -> int:
-        return len(self.plans)
-
-    def __iter__(self):
-        return iter(self.plans)
-
-    @property
-    def is_noop(self) -> bool:
-        return all(plan.is_noop for plan in self.plans)
-
-    @property
-    def total_rank(self) -> int:
-        return sum(plan.rank for plan in self.plans)
-
-    def nbytes(self) -> int:
-        return sum(plan.nbytes() for plan in self.plans)
-
     def packed(self) -> PackedPlanBatch:
-        """Flatten into the contiguous wire encoding (fresh arrays)."""
+        """Flatten into the contiguous WAL encoding (fresh arrays)."""
         targets = np.empty(len(self.plans), dtype=np.int64)
         ranks = np.empty(len(self.plans), dtype=np.int64)
         lens: List[int] = []

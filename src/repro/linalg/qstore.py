@@ -715,12 +715,12 @@ class TransitionStore:
         return self.csr_matrix().toarray()
 
     def export_packed(self) -> dict:
-        """Canonical packed arrays of both layouts (persistence/shipping).
+        """Canonical packed arrays of both layouts (checkpoint payload).
 
         Returns ``indices``/``indptr`` (CSR), ``col_indices``/
         ``col_indptr`` (CSC), the factored ``row_weight`` vector, and
-        ``num_nodes``/``version`` — everything a remote executor needs
-        to reconstruct ``Q`` without scipy object churn.  All arrays are
+        ``num_nodes``/``version`` — the checkpoint format, from which
+        ``Q`` is rebuilt without scipy object churn.  All arrays are
         fresh copies detached from the slab buffers.
         """
         indices, indptr = self._rows.packed()
@@ -787,36 +787,6 @@ class TransitionSnapshot:
         self._csr = csr
         self._csr_t = None
         self.version = int(version)
-
-    @classmethod
-    def from_packed(cls, payload: dict) -> "TransitionSnapshot":
-        """Rebuild a frozen ``Q`` from a :meth:`TransitionStore.export_packed`
-        payload.
-
-        The payload is plain ndarrays (picklable, scipy-free), so this is
-        the receiving end of the cross-process shipping contract: a worker
-        or a remote executor reconstructs the exact CSR the store held at
-        export time — ``data`` is re-derived from the factored
-        ``row_weight`` exactly as :meth:`TransitionStore.csr_matrix` does,
-        so the rebuilt matrix is bit-identical.
-        """
-        n = int(payload["num_nodes"])
-        indptr = payload["indptr"]
-        lengths = np.diff(indptr)
-        data = np.repeat(payload["row_weight"], lengths)
-        csr = sp.csr_matrix(
-            (data, payload["indices"], indptr), shape=(n, n)
-        )
-        return cls(csr, int(payload["version"]))
-
-    # Explicit state keeps the lazily derived transpose view out of the
-    # pickle (it is rebuilt on demand after a round trip).
-    def __getstate__(self) -> Tuple[sp.csr_matrix, int]:
-        return (self._csr, self.version)
-
-    def __setstate__(self, state: Tuple[sp.csr_matrix, int]) -> None:
-        self._csr, self.version = state
-        self._csr_t = None
 
     @property
     def shape(self) -> Tuple[int, int]:

@@ -19,12 +19,8 @@ evolve.  This package puts the read/write split on top of the engine:
 * :mod:`repro.serving.service` — :class:`SimRankService`, the
   single-writer/many-readers session: ``submit`` enqueues, ``drain``
   (sync mode) or the background writer applies coalesced batches,
-  ``snapshot`` pins the current version.  When the process executor's
-  worker pool becomes unrecoverable the service degrades gracefully
-  per its ``degraded_policy`` (:data:`DEGRADED_POLICIES`): reads keep
-  serving the last consistent view, mutations raise
-  :class:`~repro.exceptions.DegradedModeError` (or queue), or the
-  score state is rebuilt in-process and writing resumes.
+  ``snapshot`` pins the current version.  With durability configured,
+  every acked drain is in the write-ahead log first.
 * :mod:`repro.serving.config` — :class:`ServiceConfig` /
   :class:`FrontDoorConfig`, the typed, validated, JSON-round-trippable
   deployment shape (``SimRankService(config=...)`` and
@@ -36,8 +32,6 @@ evolve.  This package puts the read/write split on top of the engine:
 """
 
 from .config import (
-    DEGRADED_POLICIES,
-    EXECUTOR_MODES,
     PRECISION_MODES,
     WRITER_MODES,
     DurabilityConfig,
@@ -78,8 +72,6 @@ __all__ = [
     "http_status",
     "error_body",
     "BACKPRESSURE_POLICIES",
-    "DEGRADED_POLICIES",
     "WRITER_MODES",
-    "EXECUTOR_MODES",
     "PRECISION_MODES",
 ]

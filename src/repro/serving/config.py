@@ -1,8 +1,8 @@
 """Typed, validated, JSON-round-trippable service configuration.
 
 :class:`SimRankService` accumulated a kwarg sprawl over the PRs that
-grew it — writer mode, drain cadence, backpressure, executor choice,
-worker count, batching, degraded policy, precision, … — and the
+grew it — writer mode, drain cadence, backpressure, precision,
+durability, … — and the
 ``serve`` CLI re-declared every knob as a flag.  :class:`ServiceConfig`
 is the single typed source of truth for all of it:
 
@@ -44,24 +44,6 @@ from .writer import (
 #: dedicated :class:`~repro.serving.writer.BackgroundWriter` thread).
 WRITER_MODES = ("sync", "background")
 
-#: Legal executor choices for the score shards.
-EXECUTOR_MODES = ("inproc", "process")
-
-#: What the service does when the shard-worker pool becomes
-#: unrecoverable mid-serve:
-#:
-#: ========== ========================================================
-#: ``reject``  stay up read-only — reads keep serving the last
-#:             consistent view, mutations raise
-#:             :class:`~repro.exceptions.DegradedModeError`
-#: ``queue``   like ``reject``, but submits keep landing in the
-#:             coalescing queue for a later repaired drain
-#: ``rebuild`` fail over: rebuild an in-process score store from the
-#:             pool's frozen base + journal and keep writing without
-#:             the pool (bit-identical scores)
-#: ========== ========================================================
-DEGRADED_POLICIES = ("reject", "queue", "rebuild")
-
 #: Score-store precision modes: ``float64`` (the bit-identity
 #: reference, default), ``float32`` (uniform demotion, caller-asserted
 #: accuracy), or ``auto`` (consume — or search for — an accuracy-gated
@@ -95,7 +77,7 @@ class TelemetryConfig:
         unchanged either way.
     trace_sample_rate:
         Fraction of *minted* trace ids that record spans (deterministic
-        on the id, so all layers and processes agree).  Explicit
+        on the id, so all layers agree).  Explicit
         ``X-Trace-Id`` headers are always sampled.
     trace_capacity:
         Span-ring size (oldest spans are dropped first).
@@ -367,12 +349,6 @@ class ServiceConfig:
     drain_interval: float = DEFAULT_DRAIN_INTERVAL
     max_pending: int = DEFAULT_MAX_PENDING
     backpressure: str = "block"
-    executor: str = "inproc"
-    workers: int = 2
-    start_method: Optional[str] = None
-    plan_batching: bool = True
-    executor_options: Optional[dict] = None
-    degraded_policy: str = "reject"
     precision: str = "float64"
     #: A :class:`~repro.tuning.precision.PrecisionPlan`, its
     #: ``to_dict()`` payload, or a path to a saved plan file; only read
@@ -406,30 +382,6 @@ class ServiceConfig:
             self.backpressure in BACKPRESSURE_POLICIES,
             f"unknown backpressure policy {self.backpressure!r}; expected "
             f"one of {BACKPRESSURE_POLICIES}",
-        )
-        _require(
-            self.executor in EXECUTOR_MODES,
-            f"unknown executor {self.executor!r}; expected one of "
-            f"{EXECUTOR_MODES}",
-        )
-        _require(
-            int(self.workers) >= 1,
-            f"workers must be >= 1: {self.workers!r}",
-        )
-        _require(
-            self.start_method is None or isinstance(self.start_method, str),
-            f"start_method must be None or a string: {self.start_method!r}",
-        )
-        _require(
-            self.executor_options is None
-            or isinstance(self.executor_options, dict),
-            "executor_options must be None or a dict: "
-            f"{self.executor_options!r}",
-        )
-        _require(
-            self.degraded_policy in DEGRADED_POLICIES,
-            f"unknown degraded policy {self.degraded_policy!r}; expected "
-            f"one of {DEGRADED_POLICIES}",
         )
         _require(
             self.precision in PRECISION_MODES,

@@ -12,7 +12,7 @@ scores survive the wire unchanged.
 
 The error side is likewise shared: :data:`ERROR_STATUS` maps the
 library's exception hierarchy onto HTTP status codes once, so
-"queue full" means 429 and "degraded pool" means 503 whether the caller
+"queue full" means 429 and "service closed" means 503 whether the caller
 sees the exception object or the wire status.
 """
 
@@ -27,14 +27,12 @@ import numpy as np
 from ..exceptions import (
     BackpressureError,
     ConfigError,
-    DegradedModeError,
     DimensionError,
     EdgeExistsError,
     EdgeNotFoundError,
     GraphError,
     HistoryUnavailableError,
     NodeNotFoundError,
-    PoolUnrecoverableError,
     ProtocolError,
     ReproError,
     ServiceClosedError,
@@ -60,9 +58,7 @@ _REQUIRED_BY_KIND = {
 #:
 #: ======================== ======
 #: ``BackpressureError``     429
-#: ``DegradedModeError``     503
 #: ``ServiceClosedError``    503
-#: ``PoolUnrecoverableError`` 503
 #: ``SessionNotFoundError``  404
 #: ``NodeNotFoundError``     404
 #: ``EdgeNotFoundError``     404
@@ -76,9 +72,7 @@ _REQUIRED_BY_KIND = {
 #: ======================== ======
 ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (BackpressureError, 429),
-    (DegradedModeError, 503),
     (ServiceClosedError, 503),
-    (PoolUnrecoverableError, 503),
     (SessionNotFoundError, 404),
     (NodeNotFoundError, 404),
     (EdgeNotFoundError, 404),

@@ -43,9 +43,7 @@ class SchedulerStats:
     drained_updates: int = 0
     drained_batches: int = 0
     drained_groups: int = 0
-    #: Largest row-group count any single drain produced — on the
-    #: process executor this is the largest plan batch one wire command
-    #: carried, so the batching win is visible from the queue side too.
+    #: Largest row-group count any single drain produced.
     max_drained_groups: int = 0
 
     def coalescing_ratio(self) -> float:
@@ -73,9 +71,7 @@ class UpdateScheduler:
         #: incrementally so every target-level question is O(1): the
         #: backpressure fast path (:meth:`has_pending_target`), the
         #: :attr:`pending_targets` gauge (previously an O(#targets)
-        #: scan per metrics read), and the cluster pool's dispatcher,
-        #: which reads :attr:`active_targets` to size drain batches
-        #: without re-walking the queue.
+        #: scan per metrics read), and :attr:`active_targets`.
         self._active: set = set()
         self.stats = SchedulerStats()
 
@@ -97,8 +93,7 @@ class UpdateScheduler:
         """The distinct pending target rows (a frozen O(1)-maintained view).
 
         One drained row group is produced per member, so consumers —
-        the cluster dispatcher sizing a drain, metrics, tests — read
-        this instead of scanning the queue.
+        metrics, tests — read this instead of scanning the queue.
         """
         return frozenset(self._active)
 

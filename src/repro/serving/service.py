@@ -21,9 +21,7 @@ serve reads while edges arrive.  It runs in one of two writer modes:
 Pinned views are bit-stable under any number of subsequent drains
 (copy-on-write shards), so a query fleet can keep answering from a
 consistent version while updates stream in, then re-pin at its own
-cadence.  The snapshot semantics are exactly what a multi-process
-deployment would ship across workers (frozen shard views + packed
-``Q``).
+cadence.
 """
 
 from __future__ import annotations
@@ -36,16 +34,13 @@ import numpy as np
 
 from ..exceptions import (
     ConfigError,
-    DegradedModeError,
     HistoryUnavailableError,
-    PoolUnrecoverableError,
     ServiceClosedError,
 )
 from ..graph.digraph import DynamicDiGraph
 from ..graph.updates import EdgeUpdate, UpdateBatch
 from ..incremental.engine import DynamicSimRank
 from .config import (  # noqa: F401  (re-exported for compatibility)
-    DEGRADED_POLICIES,
     PRECISION_MODES,
     WRITER_MODES,
     DurabilityConfig,
@@ -108,30 +103,11 @@ class SimRankService:
     drain_interval, max_pending, backpressure:
         Background-writer tuning; ignored in sync mode (start one later
         with :meth:`start_background_writer`).
-    executor, workers, start_method:
-        ``executor="process"`` moves the score shards into a
-        :mod:`repro.cluster` pool of ``workers`` processes; each drain
-        ships as **one** batched plan command over the pool (with the
-        payload staged in shared memory and dispatch pipelined against
-        the previous drain) while reads and snapshot pins stay
-        zero-copy through shared memory.  Results (scores, rankings,
-        snapshots) are bit-identical to the in-process executor.
-    plan_batching:
-        Set False to force the per-plan wire path on the process
-        executor (one round trip per row group; the benchmark's
-        comparison axis).  Ignored in-process.
-    executor_options:
-        Extra keyword arguments for the process executor's worker pool
-        (``supervise``, ``deadline_floor``, ``command_timeout``,
-        ``max_respawns``, ``fault_plan``, ...).  Ignored in-process.
-    degraded_policy:
-        One of :data:`DEGRADED_POLICIES`; what happens when the pool
-        becomes unrecoverable (default ``"reject"``).
     precision:
         One of :data:`PRECISION_MODES` (default ``"float64"``).
         ``"float32"`` stores the score shards uniformly at float32
-        (planning/GEMM arithmetic stays float64, so results are
-        bit-identical across executors at that storage dtype).
+        (planning/GEMM arithmetic stays float64; only storage is
+        demoted).
         ``"auto"`` consumes ``precision_plan`` — or, when none is
         given, runs a small seeded
         :class:`~repro.tuning.precision.PrecisionAutotuner` calibration
@@ -139,10 +115,7 @@ class SimRankService:
     precision_plan:
         A :class:`~repro.tuning.precision.PrecisionPlan`, its
         ``to_dict()`` payload, or a path to a saved plan file.  Only
-        read when ``precision="auto"``.  Per-shard overrides apply on
-        the in-process executor; the process executor is uniform-dtype
-        by design, so a partial plan conservatively serves at the
-        plan's ``store_dtype`` there.
+        read when ``precision="auto"``.
     durability:
         A data-dir path, a
         :class:`~repro.serving.config.DurabilityConfig`, or its
@@ -165,12 +138,6 @@ class SimRankService:
         drain_interval=_UNSET,
         max_pending=_UNSET,
         backpressure=_UNSET,
-        executor=_UNSET,
-        workers=_UNSET,
-        start_method=_UNSET,
-        plan_batching=_UNSET,
-        executor_options=_UNSET,
-        degraded_policy=_UNSET,
         precision=_UNSET,
         precision_plan=_UNSET,
         durability=_UNSET,
@@ -183,12 +150,6 @@ class SimRankService:
             "drain_interval": drain_interval,
             "max_pending": max_pending,
             "backpressure": backpressure,
-            "executor": executor,
-            "workers": workers,
-            "start_method": start_method,
-            "plan_batching": plan_batching,
-            "executor_options": executor_options,
-            "degraded_policy": degraded_policy,
             "precision": precision,
             "precision_plan": precision_plan,
             "durability": durability,
@@ -204,7 +165,7 @@ class SimRankService:
         cfg = resolve_service_config(config, overrides)
         self._config = cfg
         #: The service's telemetry spine, shared by every layer below
-        #: (engine, executor, pool) and above (front door): one metric
+        #: (engine, executor, durability) and above (front door): one metric
         #: registry, one trace ring, one flight recorder.
         self.telemetry = Telemetry.from_config(cfg.telemetry)
         self._query_hist = self.telemetry.registry.histogram(
@@ -263,11 +224,6 @@ class SimRankService:
                 simrank_config,
                 algorithm="inc-sr",
                 initial_scores=initial_scores,
-                executor=cfg.executor,
-                workers=cfg.workers,
-                start_method=cfg.start_method,
-                plan_batching=cfg.plan_batching,
-                executor_options=cfg.executor_options,
                 score_dtype=score_dtype,
                 telemetry=self.telemetry,
                 **engine_kwargs,
@@ -275,10 +231,7 @@ class SimRankService:
             if (
                 self._precision_plan is not None
                 and not self._precision_plan.uniform
-                and cfg.executor != "process"
             ):
-                # Per-shard overrides exist only in-process; the pool is
-                # uniform-dtype (see PrecisionPlan docs).
                 self._precision_plan.apply_to(self._engine.score_store)
             if self._durability is not None:
                 if recovered is not None:
@@ -291,12 +244,6 @@ class SimRankService:
             raise
         self._scheduler = UpdateScheduler()
         self._writer: Optional[BackgroundWriter] = None
-        self._degraded_policy = cfg.degraded_policy
-        self._degraded = False
-        self._degraded_reason: Optional[str] = None
-        self._degraded_view: Optional[SnapshotView] = None
-        self._failovers = 0
-        self._last_failover_resumed = 0
         if cfg.writer == "background":
             self.start_background_writer(
                 drain_interval=cfg.drain_interval,
@@ -356,19 +303,12 @@ class SimRankService:
         self._ensure_open()
         if self._writer is not None:
             raise ConfigError("background writer already running")
-        heartbeat = (
-            self._engine.executor_heartbeat
-            if self._engine.executor == "process"
-            else None
-        )
         self._writer = BackgroundWriter(
             self._engine,
             self._scheduler,
             drain_interval=drain_interval,
             max_pending=max_pending,
             policy=policy,
-            on_fatal=self._on_pool_failure,
-            heartbeat=heartbeat,
             on_publish=self._on_writer_publish,
             on_drained=self._durable_on_drain,
             telemetry=self.telemetry,
@@ -385,19 +325,18 @@ class SimRankService:
         self._writer = None
 
     def close(self, drain: bool = True) -> None:
-        """Stop the writer and release the executor — idempotent.
+        """Stop the writer and release the data dir — idempotent.
 
         Safe to call from several threads at once and any number of
         times: the whole teardown runs under one lock, the first caller
         does the work, every later (or concurrent) caller waits for it
         and returns.  After close every read/write entry point raises
         :class:`~repro.exceptions.ServiceClosedError` instead of
-        touching the released executor — that is what lets a network
-        front door shut down while requests are still in flight.
-
-        On the process executor this also shuts the worker pool down
-        and unlinks its shared-memory segments, so always close (or use
-        the context manager) when done serving.
+        touching a closed service — that is what lets a network front
+        door shut down while requests are still in flight.  With
+        durability configured this also flushes the WAL and releases
+        the data-dir lock, so always close (or use the context manager)
+        when done serving.
         """
         with self._close_lock:
             if self._closed:
@@ -407,11 +346,8 @@ class SimRankService:
             try:
                 self.stop_background_writer(drain=drain)
             finally:
-                try:
-                    self._engine.close()
-                finally:
-                    if self._durability is not None:
-                        self._durability.close()
+                if self._durability is not None:
+                    self._durability.close()
 
     @property
     def closed(self) -> bool:
@@ -495,11 +431,6 @@ class SimRankService:
         return self._writer is not None
 
     @property
-    def executor(self) -> str:
-        """Which executor owns the score shards (``inproc``/``process``)."""
-        return self._engine.executor
-
-    @property
     def precision(self) -> str:
         """The configured precision mode (:data:`PRECISION_MODES`)."""
         return self._precision
@@ -529,122 +460,6 @@ class SimRankService:
         return len(self._scheduler)
 
     # -------------------------------------------------------------- #
-    # Graceful degradation
-    # -------------------------------------------------------------- #
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the service is serving read-only from a frozen view."""
-        return self._degraded
-
-    @property
-    def degraded_reason(self) -> Optional[str]:
-        """What killed the pool, when :attr:`degraded` is True."""
-        return self._degraded_reason
-
-    @property
-    def degraded_policy(self) -> str:
-        """The configured pool-failure policy."""
-        return self._degraded_policy
-
-    @property
-    def failovers(self) -> int:
-        """Completed in-process failovers (``rebuild`` policy)."""
-        return self._failovers
-
-    def _build_degraded_view(self) -> Optional[SnapshotView]:
-        """A consistent read-only view rebuilt from the dead pool.
-
-        Base + journal + stashed plans — never the parent's live
-        mirror, which a mid-drain failure leaves torn across workers.
-        Returns None if even the rebuild fails (reads then raise).
-        """
-        try:
-            store = self._engine.rebuilt_scores()
-            return SnapshotView(
-                scores=store.snapshot(),
-                transitions=self._engine.transition_store.snapshot(),
-                config=self._engine.config,
-                version=self._engine.version,
-            )
-        except Exception:
-            return None
-
-    def _on_pool_failure(
-        self, exc: BaseException, defer_resync: bool = False
-    ) -> bool:
-        """Handle an unrecoverable pool: fail over or degrade read-only.
-
-        Runs under the writer's apply lock (background mode) or on the
-        draining thread (sync mode).  Returns True when the ``rebuild``
-        policy swapped in an in-process store and serving may continue
-        at full capability.
-        """
-        self._degraded = True
-        self._degraded_reason = f"{type(exc).__name__}: {exc}"
-        flight = self.telemetry.flight
-        flight.record(
-            "pool_failure",
-            error=type(exc).__name__,
-            reason=str(exc),
-            policy=self._degraded_policy,
-        )
-        if self._degraded_policy == "rebuild":
-            try:
-                resumed = self._engine.failover_in_process()
-            except Exception:
-                pass  # fall through to read-only degradation
-            else:
-                self._degraded = False
-                self._degraded_reason = None
-                self._failovers += 1
-                self._last_failover_resumed = resumed
-                flight.record("failover", resumed=resumed)
-                if not defer_resync:
-                    self._durable_resync()
-                return True
-        # Degraded-mode entry is one of the flight recorder's three
-        # dump triggers: snapshot the last N events for the post-mortem.
-        flight.dump("degraded")
-        view = self._writer.current_view if self._writer is not None else None
-        if view is None:
-            view = self._build_degraded_view()
-        self._degraded_view = view
-        return False
-
-    def _refuse_mutation(self, what: str) -> None:
-        raise DegradedModeError(
-            f"service is degraded ({self._degraded_reason}); {what} is "
-            f"unavailable under the {self._degraded_policy!r} policy"
-        )
-
-    def _degraded_read_view(self) -> SnapshotView:
-        view = self._degraded_view
-        if view is None:
-            raise DegradedModeError(
-                f"service is degraded ({self._degraded_reason}) and no "
-                "consistent view could be rebuilt from the failed pool"
-            )
-        return view
-
-    def _handle_pool_failure(self, exc: BaseException) -> bool:
-        """Thread-safe wrapper around :meth:`_on_pool_failure`.
-
-        Pipelined dispatch means a pool death can surface at *any* later
-        sync point — a read as easily as a drain — possibly on a reader
-        thread racing the writer's own heartbeat detection.  Serialize
-        on the apply lock and re-check who won.
-        """
-        if self._writer is not None:
-            with self._writer.apply_lock:
-                if self._degraded:
-                    return False
-                if self._engine.executor != "process":
-                    return True  # another thread already failed over
-                return self._on_pool_failure(exc)
-        return self._on_pool_failure(exc)
-
-    # -------------------------------------------------------------- #
     # Write path
     # -------------------------------------------------------------- #
 
@@ -653,9 +468,7 @@ class SimRankService:
 
         The drain that folds the submission in records a
         ``drain.apply`` span under each remembered id (with the fan-in
-        count as an attribute) and propagates the most recent one down
-        the executor as the active trace — so worker-side apply spans
-        land in the submitter's trace.  Bounded: beyond 64 pending ids
+        count as an attribute).  Bounded: beyond 64 pending ids
         new ones are dropped (the span ring is best-effort anyway).
         """
         if not trace_id or not self.telemetry.tracer.sampled(trace_id):
@@ -683,8 +496,6 @@ class SimRankService:
     def submit_many(self, updates: Iterable[EdgeUpdate]) -> None:
         """Queue a stream of updates for the next drain."""
         self._ensure_open()
-        if self._degraded and self._degraded_policy != "queue":
-            self._refuse_mutation("submit")
         if self._writer is not None:
             self._writer.submit_many(updates)
         else:
@@ -709,17 +520,11 @@ class SimRankService:
                 "the background writer owns the drain loop; use flush() "
                 "to wait for it (or stop_background_writer() first)"
             )
-        if self._degraded:
-            self._refuse_mutation("drain")
         batch = self._scheduler.drain()
         if not len(batch):
             return 0
         traces = self._take_origin_traces()
         tracer = self.telemetry.tracer
-        # The active-trace baton rides the whole apply call chain down
-        # to the cluster pipe (see Tracer.set_active); sync drains run
-        # on the calling thread, so set/clear brackets the apply.
-        tracer.set_active(traces[-1] if traces else None)
         started = time.perf_counter()
         try:
             groups = self._engine.apply_consolidated(batch)
@@ -737,23 +542,9 @@ class SimRankService:
             self._durable_on_drain()
             self._notify_drained(self._engine.version)
             return groups
-        except PoolUnrecoverableError as exc:
-            # Unlike the transient branch below, do NOT re-queue: the
-            # engine's graph/Q already advanced for every journaled
-            # group and its stashes carry the rest, so re-submitting
-            # the batch would apply those updates twice after a
-            # rebuild.  Under the ``rebuild`` policy the failover
-            # finishes the interrupted drain in-process and the call
-            # succeeds (returning the resumed group count).
-            if self._on_pool_failure(exc):
-                self._notify_drained(self._engine.version)
-                return self._last_failover_resumed
-            raise
         except Exception:
             self._scheduler.submit_many(batch)
             raise
-        finally:
-            tracer.set_active(None)
 
     def flush(self, timeout: Optional[float] = None) -> bool:
         """Ensure everything queued so far is applied.
@@ -770,48 +561,16 @@ class SimRankService:
     def add_node(self) -> int:
         """Grow the node universe by one isolated node (applied live)."""
         self._ensure_open()
-        if self._degraded:
-            self._refuse_mutation("add_node")
-        try:
-            if self._writer is not None:
-                with self._writer.apply_lock:
-                    node = self._engine.add_node()
-                    self._durable_add_node(node)
-                    self._writer.publish()
-                return node
-            node = self._engine.add_node()
-            self._durable_add_node(node)
-            self._notify_drained(self._engine.version)
-            return node
-        except PoolUnrecoverableError as exc:
-            return self._add_node_failover(exc)
-
-    def _add_node_failover(self, exc: BaseException) -> int:
-        """Finish an add_node the dying pool interrupted, if possible.
-
-        Under ``rebuild`` the journal replay restores whatever the pool
-        acknowledged; the steps the engine never reached (growing the
-        store, the ``1 − C`` self-score, the version bump) are then
-        re-done idempotently against the rebuilt in-process store.
-        """
-        lock = self._writer.apply_lock if self._writer is not None else None
-        try:
-            if lock is not None:
-                lock.acquire()
-            if not self._on_pool_failure(exc, defer_resync=True):
-                raise exc
-            node = self._engine.graph.num_nodes - 1
-            store = self._engine.score_store
-            while store.num_nodes < self._engine.graph.num_nodes:
-                store.add_node()
-            store.set_entry(node, node, 1.0 - self._engine.config.damping)
-            self._durable_resync()
-            if self._writer is not None:
+        if self._writer is not None:
+            with self._writer.apply_lock:
+                node = self._engine.add_node()
+                self._durable_add_node(node)
                 self._writer.publish()
             return node
-        finally:
-            if lock is not None:
-                lock.release()
+        node = self._engine.add_node()
+        self._durable_add_node(node)
+        self._notify_drained(self._engine.version)
+        return node
 
     # -------------------------------------------------------------- #
     # Durability hooks
@@ -846,19 +605,6 @@ class SimRankService:
         )
         self._durability.maybe_checkpoint(self._engine)
 
-    def _durable_resync(self) -> None:
-        """Re-anchor the log after an in-process failover.
-
-        Journal replay re-derived the live state outside the WAL seam,
-        so the stale last-drain record (if any) is dropped and a full
-        checkpoint recaptures and rotates — see
-        :meth:`~repro.durability.manager.DurabilityManager.resync`.
-        """
-        if self._durability is None:
-            return
-        self._engine.take_last_drain()  # stale: replay bypassed the seam
-        self._durability.resync(self._engine)
-
     @property
     def durability(self):
         """The :class:`DurabilityManager`, or None when not configured."""
@@ -873,24 +619,12 @@ class SimRankService:
 
         Background mode returns the writer's latest *published* view —
         one attribute read, so readers never block on an in-flight
-        drain.  Sync mode pins the live stores directly.  A degraded
-        service keeps answering from the last consistent view (never
-        from the torn live mirror a mid-drain pool failure leaves
-        behind).
+        drain.  Sync mode pins the live stores directly.
         """
         self._ensure_open()
-        if self._degraded:
-            return self._degraded_read_view()
         if self._writer is not None:
             return self._writer.current_view
-        try:
-            return self._pin_live()
-        except PoolUnrecoverableError as exc:
-            # Pipelined batches surface a mid-drain pool death at the
-            # next sync point — often a read like this one.
-            if self._handle_pool_failure(exc):
-                return self._pin_live()
-            return self._degraded_read_view()
+        return self._pin_live()
 
     def _pin_live(self) -> SnapshotView:
         return SnapshotView(
@@ -907,16 +641,9 @@ class SimRankService:
         at most one drain behind); sync mode reads the live store.
         """
         self._ensure_open()
-        if self._degraded:
-            return self._degraded_read_view().similarity(node_a, node_b)
         if self._writer is not None:
             return self._writer.current_view.similarity(node_a, node_b)
-        try:
-            return self._engine.similarity(node_a, node_b)
-        except PoolUnrecoverableError as exc:
-            if self._handle_pool_failure(exc):
-                return self._engine.similarity(node_a, node_b)
-            return self._degraded_read_view().similarity(node_a, node_b)
+        return self._engine.similarity(node_a, node_b)
 
     def top_k(self, k: int, include_self: bool = False):
         """Top-``k`` pairs at the latest version via the shard-heap path.
@@ -927,21 +654,10 @@ class SimRankService:
         lock so it never interleaves with a drain.
         """
         self._ensure_open()
-        if self._degraded:
-            return self._degraded_read_view().top_k(
-                k, include_self=include_self
-            )
-        try:
-            if self._writer is not None:
-                with self._writer.apply_lock:
-                    return self._engine.top_k(k, include_self=include_self)
-            return self._engine.top_k(k, include_self=include_self)
-        except PoolUnrecoverableError as exc:
-            if self._handle_pool_failure(exc):
-                return self.top_k(k, include_self=include_self)
-            return self._degraded_read_view().top_k(
-                k, include_self=include_self
-            )
+        if self._writer is not None:
+            with self._writer.apply_lock:
+                return self._engine.top_k(k, include_self=include_self)
+        return self._engine.top_k(k, include_self=include_self)
 
     def view_at(self, version: int) -> SnapshotView:
         """Pin a historical version as an immutable snapshot.
@@ -1032,12 +748,9 @@ class SimRankService:
                 "coalescing_ratio": stats.coalescing_ratio(),
             },
         }
-        # Executor-side apply gauges: per-shard scatter wall time
-        # in-process, per-worker apply time + IPC overhead on the pool
-        # — this is what lets the cluster bench attribute drain latency
-        # to workers vs IPC.  The report iterates dicts the drain
-        # mutates, so in background mode it must not interleave with an
-        # in-flight apply.
+        # Executor-side apply gauges (per-shard scatter wall time).  The
+        # report iterates dicts the drain mutates, so in background mode
+        # it must not interleave with an in-flight apply.
         if self._writer is not None:
             with self._writer.apply_lock:
                 report["executor"] = self._engine.score_store.apply_report()
@@ -1057,12 +770,6 @@ class SimRankService:
         }
         if self._writer is not None:
             report["writer"] = self._writer.report()
-        report["degraded"] = {
-            "degraded": self._degraded,
-            "policy": self._degraded_policy,
-            "reason": self._degraded_reason,
-            "failovers": self._failovers,
-        }
         index = self._engine.topk_index
         if index is not None:
             report["topk"] = {

@@ -13,10 +13,7 @@ thread so the serving loop is genuinely concurrent:
   :class:`~repro.serving.snapshot.SnapshotView`.  Readers pin the
   published view with a single attribute read — they never touch
   mutable state, never take the apply lock, and therefore never block
-  on a drain, no matter how long it runs.  On the process executor the
-  whole drain ships to the shard workers as **one** batched plan
-  command (payload staged in shared memory), so a drain of ``g`` row
-  groups pays one pipe round trip instead of ``g``.
+  on a drain, no matter how long it runs.
 * **bounded queue with backpressure** — ``max_pending`` caps the net
   queued updates.  At capacity the configured policy decides:
 
@@ -31,20 +28,13 @@ thread so the serving loop is genuinely concurrent:
                      so the caller sheds load explicitly
   ========== =========================================================
 
-* **fail-stop on bad batches, auto-resume on transient ones** — if the
-  engine rejects a batch the updates are re-queued (nothing is lost),
-  the error is stored, and the loop pauses instead of spinning on the
-  same poison batch; :meth:`flush` re-raises the error and
-  :meth:`clear_error` resumes immediately.  Transient failures also
-  self-heal: the loop schedules its own resume with capped exponential
-  backoff (``min(30, 0.5·2^k)`` seconds), counted in
-  :attr:`WriterStats.resume_attempts`.  A *fatal* executor failure
-  (:class:`~repro.exceptions.PoolUnrecoverableError`) is different:
-  the engine's graph already advanced, so the batch is **not**
-  re-queued (re-applying it would double-count), auto-resume is
-  disabled, and the optional ``on_fatal`` callback gets one chance to
-  fail the executor over (see the service's ``degraded_policy``) —
-  if it returns True the writer republishes and keeps draining.
+* **pause on bad batches, then auto-resume** — if the engine rejects a
+  batch the updates are re-queued (nothing is lost), the error is
+  stored, and the loop pauses instead of spinning on the same poison
+  batch; :meth:`flush` re-raises the error and :meth:`clear_error`
+  resumes immediately.  Failures also self-heal: the loop schedules its
+  own resume with capped exponential backoff (``min(30, 0.5·2^k)``
+  seconds), counted in :attr:`WriterStats.resume_attempts`.
 """
 
 from __future__ import annotations
@@ -54,11 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..exceptions import (
-    BackpressureError,
-    ConfigError,
-    PoolUnrecoverableError,
-)
+from ..exceptions import BackpressureError, ConfigError
 from ..graph.updates import EdgeUpdate
 from .snapshot import SnapshotView
 
@@ -80,8 +66,7 @@ class WriterStats:
     drains: int = 0
     drained_updates: int = 0
     row_groups: int = 0
-    #: Largest consolidated drain this writer applied — on the process
-    #: executor, the largest plan batch it shipped in one command.
+    #: Largest consolidated drain this writer applied.
     max_row_groups: int = 0
     publishes: int = 0
     blocked_submits: int = 0
@@ -92,11 +77,8 @@ class WriterStats:
     apply_seconds: float = 0.0
     max_apply_seconds: float = 0.0
     errors: int = 0
-    #: Automatic resumes after transient apply failures (fatal executor
-    #: failures never auto-resume; see the class docstring).
+    #: Automatic resumes after apply failures (see the class docstring).
     resume_attempts: int = 0
-    #: Idle-loop executor liveness probes issued.
-    heartbeats: int = 0
 
     def mean_apply_seconds(self) -> float:
         """Mean wall-clock seconds per applied drain batch."""
@@ -127,20 +109,6 @@ class BackgroundWriter:
         Bound on net queued updates before backpressure applies.
     policy:
         One of :data:`BACKPRESSURE_POLICIES`.
-    on_fatal:
-        Optional callback invoked (under the apply lock) when a drain
-        or heartbeat dies with
-        :class:`~repro.exceptions.PoolUnrecoverableError`.  Return True
-        to signal the executor was failed over and draining may
-        continue; anything else (or raising) leaves the loop paused
-        with the error stored and auto-resume disabled.
-    heartbeat:
-        Optional zero-argument executor liveness probe called from the
-        idle loop every ``heartbeat_interval`` seconds — lets the
-        writer detect a dead pool *between* drains instead of on the
-        next mutation.  Failures take the same path as drain failures.
-    heartbeat_interval:
-        Seconds between idle liveness probes.
     on_publish:
         Optional ``callback(view)`` invoked (under the apply lock,
         right after :attr:`current_view` flips) every time a fresh
@@ -156,10 +124,7 @@ class BackgroundWriter:
     trace_source:
         Optional zero-argument callable returning the trace ids of the
         traced submissions this drain folds in (the service's
-        pending-origin-trace buffer).  The most recent id becomes the
-        tracer's *active* trace for the duration of the apply, which is
-        how the executor and the cluster pipe inherit it without any
-        signature changes.
+        pending-origin-trace buffer).
     """
 
     def __init__(
@@ -169,9 +134,6 @@ class BackgroundWriter:
         drain_interval: float = DEFAULT_DRAIN_INTERVAL,
         max_pending: int = DEFAULT_MAX_PENDING,
         policy: str = "block",
-        on_fatal=None,
-        heartbeat=None,
-        heartbeat_interval: float = 1.0,
         on_publish=None,
         on_drained=None,
         telemetry=None,
@@ -236,18 +198,10 @@ class BackgroundWriter:
         self._stopping = False
         self._drain_on_stop = True
         self._error: Optional[BaseException] = None
-        self.on_fatal = on_fatal
         self.on_publish = on_publish
         #: Fires between the engine apply and the publish, still under
         #: the apply lock — the service's WAL-append-before-ack seam.
         self.on_drained = on_drained
-        self.heartbeat = heartbeat
-        self.heartbeat_interval = float(heartbeat_interval)
-        self._last_heartbeat = 0.0
-        #: Whether the stored error is an unrecoverable executor failure
-        #: (no auto-resume; ``clear_error`` still works if the caller
-        #: repaired the executor out of band).
-        self._fatal = False
         self._resume_at: Optional[float] = None
         self._resume_backoff = 0
 
@@ -337,16 +291,10 @@ class BackgroundWriter:
         """Whether the loop is paused on a stored apply failure."""
         return self._error is not None
 
-    @property
-    def fatal(self) -> bool:
-        """Whether the stored failure is an unrecoverable executor one."""
-        return self._error is not None and self._fatal
-
     def clear_error(self) -> None:
         """Resume draining after the caller repaired the queue."""
         with self._cond:
             self._error = None
-            self._fatal = False
             self._resume_at = None
             self._resume_backoff = 0
             self._cond.notify_all()
@@ -449,12 +397,11 @@ class BackgroundWriter:
                 stopping = self._stopping
                 if (
                     self._error is not None
-                    and not self._fatal
                     and self._resume_at is not None
                     and time.monotonic() >= self._resume_at
                 ):
-                    # Auto-resume after a transient failure: the batch
-                    # was re-queued, so retrying is lossless.
+                    # Auto-resume after a failure: the batch was
+                    # re-queued, so retrying is lossless.
                     self._error = None
                     self._resume_at = None
                     self.stats.resume_attempts += 1
@@ -467,8 +414,6 @@ class BackgroundWriter:
                         self._inflight = len(candidate)
             if batch is not None:
                 self._apply(batch)
-            elif not stopping and not paused:
-                self._maybe_heartbeat()
             if stopping:
                 with self._cond:
                     done = (
@@ -479,75 +424,27 @@ class BackgroundWriter:
                 if done:
                     return
 
-    def _maybe_heartbeat(self) -> None:
-        """Probe executor liveness from the idle loop (best effort)."""
-        if self.heartbeat is None:
-            return
-        now = time.monotonic()
-        if now - self._last_heartbeat < self.heartbeat_interval:
-            return
-        self._last_heartbeat = now
-        try:
-            with self._apply_lock:
-                self.stats.heartbeats += 1
-                self.heartbeat()
-        except Exception as exc:
-            self._on_failure(exc, batch=None)
-
     def _on_failure(self, exc: BaseException, batch) -> None:
-        """Route one drain/heartbeat failure: failover, requeue, pause.
+        """Re-queue a failed drain's batch and pause with auto-resume.
 
-        Fatal pool failures never re-queue the batch — the engine's
-        graph already advanced for it and the pool's journal + the
-        engine's stashes carry the score side, so re-submitting would
-        apply the same updates twice after a rebuild.
+        The engine rejects an invalid batch before touching any state,
+        so re-queueing is lossless; the loop resumes itself after a
+        capped exponential backoff.
         """
-        fatal = isinstance(exc, PoolUnrecoverableError)
-        handled = False
-        if fatal and self.on_fatal is not None:
-            try:
-                with self._apply_lock:
-                    handled = bool(self.on_fatal(exc))
-                    if handled:
-                        self.publish()
-            except Exception:
-                handled = False
         with self._cond:
             self.stats.errors += 1
-            if handled:
-                # The executor was failed over and the interrupted
-                # drain completed through the engine's stashes: account
-                # the batch as drained and keep the loop running.
-                if batch is not None:
-                    self.stats.drains += 1
-                    self.stats.drained_updates += len(batch)
-                self._inflight = 0
-                self._cond.notify_all()
-                return
-            if batch is not None and not fatal:
-                # Transient failure: nothing was journaled or applied,
-                # so re-queue losslessly and schedule an auto-resume
-                # with capped exponential backoff.
-                self._scheduler.submit_many(batch)
-            if not fatal:
-                self._resume_at = time.monotonic() + min(
-                    30.0, 0.5 * 2.0**self._resume_backoff
-                )
-                self._resume_backoff += 1
-            else:
-                self._resume_at = None
+            self._scheduler.submit_many(batch)
+            self._resume_at = time.monotonic() + min(
+                30.0, 0.5 * 2.0**self._resume_backoff
+            )
+            self._resume_backoff += 1
             self._inflight = 0
             self._error = exc
-            self._fatal = fatal
             self._cond.notify_all()
 
     def _apply(self, batch) -> None:
         traces = self._trace_source() if self._trace_source else []
         tracer = self._telemetry.tracer
-        # The most recent traced submission becomes the drain's active
-        # trace: the baton rides engine → executor → cluster pipe, so
-        # worker-side apply spans land in the submitter's trace.
-        tracer.set_active(traces[-1] if traces else None)
         started = time.perf_counter()
         try:
             with self._apply_lock:
@@ -556,12 +453,9 @@ class BackgroundWriter:
                     self.on_drained()
                 self.publish()
         except Exception as exc:
-            # Pause instead of spinning on the same poison batch; see
-            # _on_failure for the requeue/failover split.
+            # Pause instead of spinning on the same poison batch.
             self._on_failure(exc, batch)
             return
-        finally:
-            tracer.set_active(None)
         elapsed = time.perf_counter() - started
         self._drain_hist.observe(elapsed)
         for trace_id in traces:
@@ -639,9 +533,7 @@ class BackgroundWriter:
             "max_apply_seconds": self.stats.max_apply_seconds,
             "errors": self.stats.errors,
             "writer_paused": self.paused,
-            "fatal": self.fatal,
             "resume_attempts": self.stats.resume_attempts,
-            "heartbeats": self.stats.heartbeats,
         }
 
     def __repr__(self) -> str:

@@ -8,10 +8,9 @@ metrics (NDCG, error norms, top-k overlap).  Three pillars, one
 * :mod:`repro.telemetry.registry` — typed counters / gauges /
   fixed-bucket histograms with a near-zero-overhead no-op mode.
 * :mod:`repro.telemetry.tracing` — per-request trace ids propagated
-  front door → service → writer → executor → cluster pipe, spans in a
-  bounded ring.
+  front door → service → writer → executor, spans in a bounded ring.
 * :mod:`repro.telemetry.flight` — a per-process event ring snapshotted
-  to JSON on worker crash, batch quarantine, or degraded entry.
+  to JSON when durability fails.
 * :mod:`repro.telemetry.prometheus` — text-format exposition for
   ``GET /metrics?format=prometheus`` plus the minimal parser the tests
   and CI validate scrapes with.

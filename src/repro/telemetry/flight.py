@@ -1,20 +1,19 @@
 """Crash flight recorder: a bounded event ring snapshotted on failure.
 
 Every process keeps a ``deque(maxlen=N)`` of recent telemetry events —
-drain dispatches, worker respawns, backpressure trips, anything a layer
+drains, backpressure trips, WAL failures, anything a layer
 cares to :meth:`FlightRecorder.record`.  Appends are single bytecode
 deque operations (atomic under the GIL, no lock on the hot path).
 
-When something goes wrong — a worker crashes, a batch is quarantined,
-the service enters degraded mode — the owning layer calls
-:meth:`FlightRecorder.dump` and the whole ring is written to a JSON
-file, so the post-mortem has the last N events *leading up to* the
-failure without re-running the chaos schedule.
+When something goes wrong — e.g. a WAL append or checkpoint fails —
+the owning layer calls :meth:`FlightRecorder.dump` and the whole ring
+is written to a JSON file, so the post-mortem has the last N events
+*leading up to* the failure.
 
 Dump files are named ``flight-<pid>-<reason>-<seq>.json`` and contain::
 
     {
-      "reason": "quarantine",
+      "reason": "durability",
       "pid": 12345,
       "dumped_at": 1754650000.123,
       "context": {"durable_version": 41, "wal_offset": 18204, ...},
@@ -30,7 +29,7 @@ durable version and WAL byte offset — so a dump pins *where the
 on-disk history ends* next to the events that led to the failure.
 
 Dumping is best-effort: an unwritable directory must never turn a
-handled worker crash into a parent crash, so I/O errors are swallowed
+handled failure into a crash, so I/O errors are swallowed
 and surfaced only via the ``dump_errors`` counter.  Files land in
 ``TelemetryConfig.flight_dir`` when configured, otherwise the system
 temp directory.
@@ -60,7 +59,7 @@ class FlightRecorder:
         self.capacity = int(capacity)
         # Dumps default to the system temp dir: post-mortems must work
         # out of the box without littering the working directory of
-        # every process that merely *survived* a worker crash.
+        # every process that merely *survived* a failure.
         self.directory = directory or tempfile.gettempdir()
         self._ring: deque = deque(maxlen=self.capacity)
         self._seq_lock = threading.Lock()

@@ -1,7 +1,7 @@
 """Typed metric registry: counters, gauges, fixed-bucket histograms.
 
 One registry instance is the telemetry spine of a process: every layer
-(front door, service, writer, executor, cluster pool) creates its
+(front door, service, writer, executor, durability) creates its
 instruments here instead of hand-rolling gauge dicts.  Three instrument
 types:
 

@@ -4,18 +4,15 @@ A trace id is minted at the front door (or accepted verbatim from an
 ``X-Trace-Id`` header) and rides the request through every layer:
 ``QueryRequest`` envelopes carry it into admission batching, update
 submissions remember it until the drain that folds them in, and the
-cluster pipe carries it inside ``ApplyPlanCmd``/``ApplyBatchCmd``
-headers so worker-side apply time lands in the same trace (the parent
-materialises those spans from the worker-reported ``Reply.seconds`` —
-worker clocks are never compared against parent clocks).
+drain's apply span lands in the same trace.
 
 Spans are plain dicts in a bounded ring (``deque(maxlen)``, appends are
 atomic under the GIL), exportable as JSON via :meth:`Tracer.export` or
 the front door's ``GET /traces?trace_id=...``.
 
 Sampling is **deterministic on the trace id** (CRC32, not the salted
-``hash``), so every layer — and every process — independently agrees
-whether a given trace is recorded.  Explicitly supplied ids (the
+``hash``), so every layer independently agrees whether a given trace
+is recorded.  Explicitly supplied ids (the
 ``X-Trace-Id`` header) are always sampled: if a caller went to the
 trouble of naming the trace, they want to see it.
 """
@@ -35,7 +32,7 @@ _SAMPLE_SPACE = 1 << 20
 
 
 def trace_sampled(trace_id: str, sample_rate: float) -> bool:
-    """Deterministic, process-independent sampling decision."""
+    """Deterministic sampling decision (stable across processes)."""
     if sample_rate >= 1.0:
         return True
     if sample_rate <= 0.0:
@@ -145,9 +142,8 @@ class Tracer:
             return trace_id in self._forced
 
     # The active trace is a one-slot baton for call chains too deep to
-    # thread an argument through (writer drain -> engine -> executor ->
-    # pool).  Drains are serialised by the writer's apply lock, so a
-    # single slot is race-free in practice.
+    # thread an argument through.  Drains are serialised by the writer's
+    # apply lock, so a single slot is race-free in practice.
     def set_active(self, trace_id: Optional[str]) -> None:
         self._active = trace_id
 
@@ -172,7 +168,7 @@ class Tracer:
         start_time: Optional[float] = None,
         **attrs,
     ) -> None:
-        """Record an externally timed span (e.g. worker apply seconds)."""
+        """Record an externally timed span (e.g. a measured drain)."""
         if not self.sampled(trace_id):
             return
         span = {

@@ -110,10 +110,8 @@ class PrecisionPlan:
     """A reproducible record of an accepted precision configuration.
 
     ``store_dtype`` is the uniform storage dtype; ``shard_dtypes`` maps
-    shard index -> dtype name for per-shard overrides on top of it
-    (in-process executor only — the shard-worker pool is uniform-dtype
-    by design, so a partial plan conservatively stays at
-    ``store_dtype`` there).  ``metrics`` records the measured accuracy
+    shard index -> dtype name for per-shard overrides on top of it.
+    ``metrics`` records the measured accuracy
     of every candidate the search evaluated plus the accepted
     configuration's numbers.
     """
@@ -146,7 +144,7 @@ class PrecisionPlan:
         )
 
     def apply_to(self, store) -> int:
-        """Apply the per-shard overrides to an in-process score store.
+        """Apply the per-shard overrides to a score store.
 
         The uniform ``store_dtype`` must already have been chosen at
         store construction; this only retypes the override shards.

@@ -17,41 +17,30 @@ from repro.graph.generators import (
 )
 
 
-def _repro_shm_segments() -> set:
-    """Names of live repro-owned POSIX shm segments (and manifests)."""
-    found = set()
-    try:
-        found.update(
-            name for name in os.listdir("/dev/shm") if name.startswith("repro")
-        )
-    except OSError:
-        pass
-    from repro.cluster.shm import MANIFEST_DIR
+def _reaper_manifests() -> set:
+    """Names of the durability reaper's live manifest files."""
+    from repro.durability.reaper import MANIFEST_DIR
 
     try:
-        found.update(
-            f"manifest:{name}" for name in os.listdir(MANIFEST_DIR)
-        )
+        return set(os.listdir(MANIFEST_DIR))
     except OSError:
-        pass
-    return found
+        return set()
 
 
 @pytest.fixture
-def shm_guard():
-    """Zero-leak guard: the test must not leave shm segments behind.
+def manifest_guard():
+    """Leak guard: the test must not leave reaper manifests behind.
 
-    Every pool allocation is named ``repro...`` and registered in a
-    per-pool manifest, so a before/after diff of ``/dev/shm`` plus the
-    manifest directory catches any segment that outlived its pool —
-    including across worker kills, quarantines, and degraded-mode
-    shutdowns.
+    Every durability session registers a manifest with the orphan
+    reaper and removes it at close, so a before/after diff of the
+    manifest directory catches any data dir a test opened but never
+    closed.
     """
-    before = _repro_shm_segments()
+    before = _reaper_manifests()
     yield
     gc.collect()
-    leaked = _repro_shm_segments() - before
-    assert not leaked, f"leaked shm segments: {sorted(leaked)}"
+    leaked = _reaper_manifests() - before
+    assert not leaked, f"leaked reaper manifests: {sorted(leaked)}"
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, load_update_file, main
-from repro.exceptions import GraphError
+from repro.exceptions import ConfigError, GraphError
 from repro.graph.io import save_edge_list
 
 
@@ -118,16 +118,27 @@ class TestCommands:
         assert "fresh snapshot v1 top pairs" in out
 
     def test_serve_process_executor(self, edges_file, updates_file, capsys):
-        assert (
-            main(
-                ["serve", edges_file, updates_file, "-k", "3", "--workers", "2"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "process executor" in out
-        assert "shard workers" in out
-        assert "still serves the frozen version: yes" in out
+        """The process executor is gone: asking for shard workers must
+        fail loudly instead of quietly serving in-process."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", edges_file, updates_file, "-k", "3", "--workers", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--workers" in captured.err
+        assert "still serves the frozen version" not in captured.out
+
+    def test_serve_config_checks_root_flags(
+        self, edges_file, updates_file, tmp_path, capsys
+    ):
+        config_path = tmp_path / "service.json"
+        config_path.write_text('{"damping": 0.7, "iterations": 9}')
+        serve = ["serve", edges_file, updates_file, "--config", str(config_path)]
+        with pytest.raises(ConfigError, match="damping"):
+            main(["--damping", "0.9", *serve])
+        with pytest.raises(ConfigError, match="iterations"):
+            main(["--iterations", "12", *serve])
+        assert main(["--damping", "0.7", "--iterations", "9", *serve]) == 0
+        assert "still serves the frozen version: yes" in capsys.readouterr().out
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

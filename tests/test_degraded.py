@@ -1,282 +1,52 @@
-"""Graceful degradation: poison quarantine, read-only mode, failover.
+"""Graceful degradation of the in-process service.
 
-The scenarios behind ``SimRankService(degraded_policy=...)``: a poison
-batch deterministically kills its workers until the pool quarantines it
-and declares itself unrecoverable, and the service must then either
-stay up read-only (``reject``/``queue``) serving the last consistent
-view, or rebuild an in-process score store from the frozen segments +
-journal and keep writing (``rebuild``).  Throughout, readers pinned
-before the failure must stay bit-stable.
-
-The pool's batched dispatch is pipelined, so the failure typically
-surfaces at the *next sync point* — often a read, not the drain that
-shipped the poison batch.  The tests below exercise both surfacing
-paths (sync drains and the background writer thread).
+A drain that fails requeues its batch losslessly and pauses the
+background writer, which auto-resumes on a capped exponential backoff
+once the queue is repaired.  There are no degraded-mode policies to
+choose from: asking for one must fail loudly rather than be ignored.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro import SimRankConfig
-from repro.cluster import FaultAction, FaultPlan
-from repro.exceptions import DegradedModeError
+from repro.cli import main
 from repro.graph.generators import erdos_renyi_digraph
+from repro.graph.io import save_edge_list
 from repro.graph.updates import EdgeUpdate
-from repro.serving import DEGRADED_POLICIES, SimRankService
-from repro.simrank.matrix import matrix_simrank
-
-from _streams import random_update_stream
-
-pytestmark = pytest.mark.usefixtures("shm_guard")
+from repro.serving import SimRankService
 
 CFG = SimRankConfig(damping=0.6, iterations=7)
 
 
-@pytest.fixture(scope="module")
-def workload():
-    graph = erdos_renyi_digraph(48, 0.06, seed=17)
-    scores = matrix_simrank(graph, CFG)
-    updates = random_update_stream(graph, 12, seed=19)
-    return graph, scores, updates
-
-
-def _oracle(graph, scores, updates):
-    service = SimRankService(graph, CFG, initial_scores=scores)
-    try:
-        service.submit_many(updates)
-        service.drain()
-        return service.engine.similarities()
-    finally:
-        service.close()
-
-
-def _poison_plan(at_command):
-    return FaultPlan(
-        actions=(
-            FaultAction(kind="poison", worker_id=0, at_command=at_command),
-        )
-    )
-
-
-def _poisoned_service(graph, scores, at_command=3, **kwargs):
-    return SimRankService(
-        graph,
-        CFG,
-        initial_scores=scores,
-        executor="process",
-        workers=2,
-        shard_rows=16,
-        executor_options={"fault_plan": _poison_plan(at_command)},
-        **kwargs,
-    )
-
-
 class TestPolicySurface:
-    def test_policies_enumerated(self):
-        assert DEGRADED_POLICIES == ("reject", "queue", "rebuild")
-
-    def test_unknown_policy_rejected(self, workload):
-        graph, scores, _ = workload
-        with pytest.raises(Exception):
-            SimRankService(
-                graph, CFG, initial_scores=scores, degraded_policy="panic"
+    def test_unknown_policy_rejected(self, tmp_path, capsys):
+        graph = erdos_renyi_digraph(20, 0.1, seed=17)
+        edges = str(tmp_path / "graph.txt")
+        save_edge_list(graph, edges)
+        updates = tmp_path / "updates.txt"
+        updates.write_text("+ 0 19\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "serve",
+                    edges,
+                    str(updates),
+                    "--degraded-policy",
+                    "panic",
+                ]
             )
-
-
-class TestRejectPolicy:
-    def test_read_only_mode_after_pool_loss(self, workload):
-        graph, scores, updates = workload
-        service = _poisoned_service(
-            graph, scores, degraded_policy="reject"
-        )
-        try:
-            pinned = service.snapshot()
-            frozen = pinned.similarities()
-            frozen_top = pinned.top_k(5)
-            service.submit_many(updates)
-            # Pipelined dispatch: drain() may return before the poison
-            # batch's crash is collected at the next sync point.
-            try:
-                service.drain()
-            except Exception:
-                pass
-            view = service.snapshot()  # detection happens here at latest
-            assert service.degraded
-            assert "Poison" in service.degraded_reason
-            # Mutations are refused with the typed error...
-            with pytest.raises(DegradedModeError):
-                service.submit(EdgeUpdate.insert(0, 5))
-            with pytest.raises(DegradedModeError):
-                service.add_node()
-            # ...but every read path keeps serving.
-            assert view is not None
-            assert np.isfinite(view.similarity(1, 2))
-            assert len(service.top_k(5)) == 5
-            assert np.isfinite(service.similarity(3, 4))
-            # The reader pinned before the drain never saw a torn byte.
-            assert np.array_equal(pinned.similarities(), frozen)
-            assert pinned.top_k(5) == frozen_top
-            # Observability: quarantine + degraded gauges are exposed.
-            report = service.metrics_report()
-            assert report["degraded"]["degraded"] is True
-            assert report["degraded"]["policy"] == "reject"
-            executor = report["executor"]
-            assert executor["supervisor"]["quarantined_batches"] == 1
-        finally:
-            service.close()
-
-    def test_degraded_view_is_consistent_not_torn(self, workload):
-        """The degraded view is rebuilt from base + journal, never the
-        (possibly torn) parent mirror of a mid-drain pool."""
-        graph, scores, updates = workload
-        service = _poisoned_service(
-            graph, scores, at_command=2, degraded_policy="reject"
-        )
-        try:
-            service.submit_many(updates)
-            try:
-                service.drain()
-            except Exception:
-                pass
-            view = service.snapshot()
-            assert service.degraded  # the fault actually fired
-            matrix = view.similarities()
-            # A consistent SimRank matrix is symmetric with unit diagonal
-            # scaled by (1 - C); a torn cross-worker mirror is not.
-            np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
-        finally:
-            service.close()
-
-
-class TestQueuePolicy:
-    def test_submits_queue_while_drains_refuse(self, workload):
-        graph, scores, updates = workload
-        service = _poisoned_service(
-            graph, scores, at_command=2, degraded_policy="queue"
-        )
-        try:
-            service.submit_many(updates)
-            try:
-                service.drain()
-            except Exception:
-                pass
-            service.snapshot()
-            assert service.degraded
-            before = service.pending
-            service.submit(EdgeUpdate.insert(1, 7))  # queued, not refused
-            assert service.pending == before + 1
-            with pytest.raises(DegradedModeError):
-                service.drain()
-        finally:
-            service.close()
-
-
-class TestRebuildPolicy:
-    def test_failover_is_bit_identical_and_writable(self, workload):
-        graph, scores, updates = workload
-        oracle = _oracle(graph, scores, updates)
-        service = _poisoned_service(
-            graph, scores, degraded_policy="rebuild"
-        )
-        try:
-            service.snapshot()  # advances the command clock past arming
-            service.submit_many(updates)
-            service.drain()
-            sim = service.similarity(1, 2)  # sync point: detect + failover
-            assert service.failovers == 1
-            assert not service.degraded
-            assert service.executor == "inproc"
-            final = service.engine.similarities()
-            assert np.array_equal(final, oracle)
-            assert sim == oracle[1, 2]
-            # Writes resume on the rebuilt in-process store.
-            edges = set(service.engine.graph.edges())
-            fresh = next(
-                (a, b)
-                for a in range(graph.num_nodes)
-                for b in range(graph.num_nodes)
-                if a != b and (a, b) not in edges
-            )
-            service.submit(EdgeUpdate.insert(*fresh))
-            service.drain()
-            report = service.metrics_report()["degraded"]
-            assert report["failovers"] == 1
-            assert report["degraded"] is False
-        finally:
-            service.close()
-
-
-class TestBackgroundWriterDegradation:
-    def test_rebuild_failover_inside_writer_thread(self, workload):
-        graph, scores, updates = workload
-        oracle = _oracle(graph, scores, updates)
-        service = _poisoned_service(
-            graph,
-            scores,
-            at_command=2,
-            degraded_policy="rebuild",
-            writer="background",
-            drain_interval=0.01,
-        )
-        try:
-            service.submit_many(updates)
-            assert service.flush(timeout=60)
-            assert service.failovers == 1
-            assert not service.degraded
-            with service.writer.apply_lock:
-                final = service.engine.similarities()
-            assert np.array_equal(final, oracle)
-            report = service.writer.report()
-            assert report["writer_paused"] is False
-            assert report["fatal"] is False
-        finally:
-            service.close()
-
-    def test_reject_pauses_writer_fatally(self, workload):
-        graph, scores, updates = workload
-        service = _poisoned_service(
-            graph,
-            scores,
-            at_command=2,
-            degraded_policy="reject",
-            writer="background",
-            drain_interval=0.01,
-        )
-        try:
-            pre = service.snapshot()
-            pre_value = pre.similarity(1, 2)
-            service.submit_many(updates)
-            with pytest.raises(Exception):
-                service.flush(timeout=60)
-            deadline = time.monotonic() + 10
-            while not service.degraded and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert service.degraded
-            writer = service.writer
-            assert writer.fatal
-            assert writer.paused
-            # A fatal pause never auto-resumes: the batch would double
-            # apply on a store whose graph already advanced.
-            assert writer.stats.resume_attempts == 0
-            # Readers stay on the last published (pre-drain) view.
-            assert service.snapshot().similarity(1, 2) == pre_value
-            with pytest.raises(DegradedModeError):
-                service.add_node()
-            report = service.metrics_report()
-            assert report["writer"]["fatal"] is True
-            assert report["writer"]["writer_paused"] is True
-        finally:
-            service.close()
+        assert excinfo.value.code == 2
+        assert "--degraded-policy" in capsys.readouterr().err
 
 
 class TestWriterAutoResume:
     def test_transient_error_resumes_with_backoff(self):
-        """A transient drain failure requeues the batch and auto-resumes
-        on a capped exponential backoff once the queue is repaired."""
+        """A failed drain requeues the batch and auto-resumes on a
+        capped exponential backoff once the queue is repaired."""
         graph = erdos_renyi_digraph(20, 0.1, seed=61)
         service = SimRankService(
             graph, CFG, writer="background", drain_interval=0.001
@@ -288,7 +58,6 @@ class TestWriterAutoResume:
                 service.flush(timeout=30)
             writer = service.writer
             assert writer.paused
-            assert not writer.fatal
             assert service.pending == 1  # requeued losslessly
             # Repair the queue: the inverse update cancels the poison
             # insert, so the retried drain is a no-op that succeeds.

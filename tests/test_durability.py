@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from repro import SimRankConfig
-from repro.cluster import shm
 from repro.durability import (
     KIND_ADD_NODE,
     KIND_BATCH,
@@ -48,6 +47,7 @@ from repro.durability import (
     write_checkpoint,
     write_manifest,
 )
+from repro.durability import reaper
 from repro.durability.manager import DurabilityManager
 from repro.exceptions import (
     ConfigError,
@@ -63,6 +63,8 @@ from repro.serving import DurabilityConfig, ServiceConfig, SimRankService
 from repro.simrank.matrix import matrix_simrank
 
 CFG = SimRankConfig(damping=0.6, iterations=7)
+
+pytestmark = pytest.mark.usefixtures("manifest_guard")
 
 
 def _update_stream(graph, num_batches, per_batch, seed):
@@ -109,7 +111,6 @@ def _drain_frames(workload):
         triples.append(
             (engine.version, row_updates, PlanBatch(list(plans)).packed())
         )
-    engine.close()
     return triples
 
 
@@ -347,7 +348,6 @@ class TestCheckpoints:
         )
         graph = graph_from_packed(data.packed_q)
         assert set(graph.edges()) == set(engine.graph.edges())
-        engine.close()
 
     def test_publication_is_atomic(self, workload, tmp_path):
         engine = self._engine(workload)
@@ -366,7 +366,6 @@ class TestCheckpoints:
         assert [v for v, _path in list_checkpoints(str(tmp_path))] == [3]
         write_manifest(str(tmp_path), [3])
         assert read_manifest(str(tmp_path))["latest"] == 3
-        engine.close()
 
     def test_manifest_corruption_is_loud(self, tmp_path):
         assert read_manifest(str(tmp_path)) is None
@@ -403,7 +402,6 @@ class TestCheckpoints:
         # The factored interval delta IS the score movement (plans are
         # exact); truncation at 1e-13 keeps it to numerical noise.
         assert np.allclose(delta, after - before, atol=1e-9)
-        engine.close()
 
 
 # ------------------------------------------------------------------ #
@@ -675,7 +673,7 @@ class TestReaper:
             os.path.join(data_dir, "wal.lock"), "w", encoding="utf-8"
         ) as handle:
             handle.write("999999999")  # dead pid
-        removed = shm._sweep_durability(data_dir, 999999999)
+        removed = reaper._sweep_durability(data_dir, 999999999)
         assert removed == 2
         assert not os.path.exists(os.path.join(data_dir, "wal.lock"))
         assert os.listdir(os.path.join(data_dir, "checkpoints")) == []
@@ -687,7 +685,7 @@ class TestReaper:
             os.path.join(data_dir, "wal.lock"), "w", encoding="utf-8"
         ) as handle:
             handle.write(str(os.getpid()))  # us: definitely alive
-        assert shm._sweep_durability(data_dir, 999999999) == 0
+        assert reaper._sweep_durability(data_dir, 999999999) == 0
         assert os.path.exists(os.path.join(data_dir, "wal.lock"))
 
     def test_reap_orphans_handles_durability_manifests(self, tmp_path):
@@ -697,9 +695,9 @@ class TestReaper:
             os.path.join(data_dir, "wal.lock"), "w", encoding="utf-8"
         ) as handle:
             handle.write("999999999")
-        os.makedirs(shm.MANIFEST_DIR, exist_ok=True)
+        os.makedirs(reaper.MANIFEST_DIR, exist_ok=True)
         manifest = os.path.join(
-            shm.MANIFEST_DIR, "durabilitytest-reap.json"
+            reaper.MANIFEST_DIR, "durabilitytest-reap.json"
         )
         with open(manifest, "w", encoding="utf-8") as handle:
             json.dump(
@@ -711,7 +709,7 @@ class TestReaper:
                 handle,
             )
         try:
-            shm.reap_orphans()
+            reaper.reap_orphans()
             assert not os.path.exists(manifest)
             assert not os.path.exists(os.path.join(data_dir, "wal.lock"))
         finally:

@@ -10,7 +10,7 @@ each asserted as an *exact* equality:
 * **subscription reconstruction** — a client applying pushed deltas
   holds exactly the ranking a full recompute produces, at every drain
   point, digest-verified;
-* **error taxonomy** — ConfigError is a 400, a degraded pool is a 503,
+* **error taxonomy** — ConfigError is a 400, a closed service is a 503,
   an unknown session is a 404;
 * **close discipline** — service close is idempotent and
   concurrent-safe, and the front door's stop releases every pinned
@@ -60,8 +60,6 @@ from repro.serving import (
 from repro.simrank.matrix import matrix_simrank
 
 from _streams import random_update_stream
-
-pytestmark = pytest.mark.usefixtures("shm_guard")
 
 CFG = SimRankConfig(damping=0.6, iterations=7)
 
@@ -153,6 +151,10 @@ class TestServiceConfig:
             FrontDoorConfig(admission_window=-1.0)
         with pytest.raises(ConfigError):
             FrontDoorConfig(subscription_max_k=0)
+        # Configs saved before the executor knobs were removed must
+        # fail loudly, naming the keys, not quietly serve in-process.
+        with pytest.raises(ConfigError, match="executor.*workers"):
+            ServiceConfig.from_dict({"executor": "process", "workers": 2})
 
 
 # ------------------------------------------------------------------ #
@@ -554,66 +556,6 @@ class TestWireErrors:
             service.close()
 
 
-class TestDegraded:
-    def test_degraded_pool_is_503(self, workload):
-        from repro.cluster import FaultAction, FaultPlan
-
-        graph, scores, updates = workload
-        service = SimRankService(
-            graph.copy(),
-            CFG,
-            initial_scores=scores.copy(),
-            executor="process",
-            workers=2,
-            shard_rows=16,
-            degraded_policy="reject",
-            executor_options={
-                "fault_plan": FaultPlan(
-                    actions=(
-                        FaultAction(
-                            kind="poison", worker_id=0, at_command=2
-                        ),
-                    )
-                )
-            },
-        )
-
-        async def body(door):
-            async with HTTPClient(door.host, door.port) as client:
-                # The poison surfaces at a pipelined sync point — keep
-                # draining/reading until the service flips degraded.
-                for start in range(0, len(updates), 2):
-                    if service.degraded:
-                        break
-                    try:
-                        service.submit_many(updates[start : start + 2])
-                        service.drain()
-                        service.similarity(0, 1)  # read sync point
-                    except Exception:
-                        pass
-                assert service.degraded
-                # reject policy: writes refuse with 503 across the wire.
-                status, body_json = await client.request(
-                    "POST",
-                    "/updates",
-                    {"updates": [["delete", *next(iter(graph.edges()))]]},
-                )
-                assert status == 503
-                assert body_json["error"] == "DegradedModeError"
-                status, body_json = await client.request("POST", "/flush", {})
-                assert status == 503
-                assert body_json["error"] == "DegradedModeError"
-                status, health = await client.request("GET", "/health")
-                assert status == 200
-                assert health["degraded"] is True
-            return True
-
-        try:
-            assert asyncio.run(_with_door(service, body))
-        finally:
-            service.close()
-
-
 # ------------------------------------------------------------------ #
 # Close discipline
 # ------------------------------------------------------------------ #
@@ -802,60 +744,6 @@ class TestTelemetryWire:
                 assert "drain.apply" in names, names
                 drain = traces["spans"][names.index("drain.apply")]
                 assert drain["attrs"]["updates"] >= 1
-            return True
-
-        try:
-            assert asyncio.run(_with_door(service, body))
-        finally:
-            service.close()
-
-    def test_worker_apply_spans_join_the_trace(self, workload):
-        """With the process executor the trace crosses the cluster
-        pipe: command headers carry the id and the parent materialises
-        per-worker ``worker.apply`` spans from the replies."""
-        graph, scores, _ = workload
-        edge = next(iter(graph.edges()))
-        service = SimRankService(
-            graph.copy(),
-            CFG,
-            initial_scores=scores.copy(),
-            executor="process",
-            workers=2,
-            shard_rows=16,
-        )
-
-        async def body(door):
-            async with HTTPClient(door.host, door.port) as client:
-                status, body_json = await client.request(
-                    "POST",
-                    "/updates",
-                    {"updates": [["delete", *edge]]},
-                    headers={"X-Trace-Id": "trace-e2e-worker"},
-                )
-                assert status == 200
-                assert body_json["accepted"] == 1
-                status, _ = await client.request("POST", "/flush", {})
-                assert status == 200
-                # Batch replies are pipelined; a read is the sync point
-                # that collects them (and materialises worker spans).
-                status, _ = await client.request(
-                    "POST",
-                    "/query",
-                    {"kind": "similarity", "node_a": 0, "node_b": 1},
-                )
-                assert status == 200
-                status, traces = await client.request(
-                    "GET", "/traces?trace_id=trace-e2e-worker"
-                )
-                assert status == 200
-                spans = traces["spans"]
-                names = [span["name"] for span in spans]
-                assert "drain.apply" in names, names
-                workers = [s for s in spans if s["name"] == "worker.apply"]
-                assert workers, names
-                assert {w["attrs"]["worker"] for w in workers} <= {0, 1}
-                for span in workers:
-                    assert span["trace_id"] == "trace-e2e-worker"
             return True
 
         try:

@@ -1,10 +1,10 @@
-"""Batched plan pipelining: wire encoding, batch apply, equivalence.
+"""The packed ``PlanBatch`` encoding (the write-ahead log's frame format).
 
-The contract under test is the one the cluster's batched drain path
-rides on: a ``PlanBatch`` survives the packed word encoding bit-exactly,
-applying a batch equals applying its plans sequentially, and a service
-drain over the batched wire path is bit-identical to both the per-plan
-wire path and the in-process oracle over arbitrary mixed update streams.
+A ``PlanBatch`` must survive the packed word encoding bit-exactly, so a
+drain replayed from the WAL applies exactly the plans the live drain
+applied: replaying a packed batch onto a score store equals applying
+its plans sequentially, and a service recovered from its WAL after
+arbitrary mixed update streams is bit-identical to the live one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.incremental.row_update import (
 )
 from repro.linalg.qstore import TransitionStore
 from repro.metrics.topk import top_k_pairs
-from repro.serving import SimRankService
+from repro.serving import DurabilityConfig, SimRankService
 from repro.simrank.matrix import matrix_simrank
 
 from _streams import random_update_stream
@@ -106,9 +106,7 @@ class TestPackedEncoding:
             )
 
     def test_empty_batch(self):
-        batch = PlanBatch([])
-        assert batch.is_noop
-        packed = batch.packed()
+        packed = PlanBatch([]).packed()
         assert packed.count == 0
         assert packed.word_count() == 0
         assert PackedPlanBatch.from_words(
@@ -116,80 +114,84 @@ class TestPackedEncoding:
         ).plans() == []
 
 
+def _replay(store, batch):
+    """Apply a drain the way WAL recovery does: from its packed words."""
+    packed = batch.packed()
+    words = np.empty(packed.word_count(), dtype=np.int64)
+    packed.write_words(words)
+    for plan in PackedPlanBatch.from_words(
+        words, packed.count, packed.section_lengths()
+    ).plans():
+        store.apply_plan(plan)
+
+
 class TestScoreStoreBatchApply:
     def test_batch_equals_sequential(self):
-        """ScoreStore.apply_batch == per-plan apply_plan, bitwise."""
+        """A replayed packed batch == per-plan apply_plan, bitwise."""
         _, scores, plans = _plans_for_stream(50, 25, seed=6)
         sequential = ScoreStore(scores, shard_rows=16)
         batched = ScoreStore(scores, shard_rows=16)
         for plan in plans:
             sequential.apply_plan(plan)
-        batched.apply_batch(PlanBatch(plans))
+        _replay(batched, PlanBatch(plans))
         assert np.array_equal(sequential.to_array(), batched.to_array())
         assert batched.version == sequential.version
-        report = batched.apply_metrics.report()
-        assert report["batches"] == 1
-        assert report["batch_size"] == len(
+        assert batched.apply_metrics.report()["plans"] == len(
             [plan for plan in plans if not plan.is_noop]
         )
 
     def test_noop_batch_is_ignored(self):
         store = ScoreStore(np.zeros((8, 8)), shard_rows=4)
-        store.apply_batch(PlanBatch([]))
+        _replay(store, PlanBatch([]))
         assert store.version == 0
-        assert store.apply_metrics.batches == 0
+        assert store.apply_metrics.plans == 0
 
 
 class TestServiceStreamEquivalence:
-    """Batched wire path == per-plan wire path == in-process oracle."""
+    """WAL-replayed drains == live in-process drains, bitwise."""
 
     @pytest.mark.parametrize("seed", [21, 22])
-    def test_mixed_streams_bit_identical(self, seed):
+    def test_mixed_streams_bit_identical(self, seed, tmp_path):
         graph = erdos_renyi_digraph(80, 0.05, seed=seed)
         scores = matrix_simrank(graph, CFG)
         updates = random_update_stream(graph, 60, seed=seed + 100)
-        services = {
-            "inproc": SimRankService(
-                graph, CFG, initial_scores=scores, shard_rows=16
-            ),
-            "batched": SimRankService(
-                graph,
-                CFG,
-                initial_scores=scores,
-                shard_rows=16,
-                executor="process",
-                workers=2,
-            ),
-            "per-plan": SimRankService(
-                graph,
-                CFG,
-                initial_scores=scores,
-                shard_rows=16,
-                executor="process",
-                workers=2,
-                plan_batching=False,
-            ),
-        }
+        durability = DurabilityConfig(
+            data_dir=str(tmp_path), fsync="off", checkpoint_interval=1000
+        )
+        live = SimRankService(
+            graph.copy(), CFG, initial_scores=scores.copy(), shard_rows=16
+        )
+        durable = SimRankService(
+            graph.copy(),
+            CFG,
+            initial_scores=scores.copy(),
+            shard_rows=16,
+            durability=durability,
+        )
         try:
             chunk = 12
             for begin in range(0, len(updates), chunk):
                 part = updates[begin : begin + chunk]
-                for service in services.values():
+                for service in (live, durable):
                     service.submit_many(part)
                     service.drain()
-            oracle = services["inproc"].engine.similarities()
-            oracle_top = top_k_pairs(oracle, 10)
-            for name in ("batched", "per-plan"):
-                assert np.array_equal(
-                    services[name].engine.similarities(), oracle
-                ), name
-                assert services[name].top_k(10) == oracle_top, name
-            # Only the batched service shipped batched commands.
-            batched_report = services["batched"].metrics_report()["executor"]
-            assert batched_report["plan_batches"] > 0
-            assert batched_report["batch_size"] > 1.0
-            perplan_report = services["per-plan"].metrics_report()["executor"]
-            assert perplan_report["plan_batches"] == 0
+            oracle = live.engine.similarities()
+            assert np.array_equal(durable.engine.similarities(), oracle)
+            final = durable.version
+            # Every drain since the base checkpoint is a WAL frame.
+            assert durable.durability.report()["wal_lag_drains"] > 1
+            # Crash: release the lock only, skip every shutdown flush.
+            durable.durability.close()
+            durable._durability = None
         finally:
-            for service in services.values():
-                service.close()
+            live.close()
+            durable.close()
+        recovered = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=durability
+        )
+        try:
+            assert recovered.version == final
+            assert np.array_equal(recovered.engine.similarities(), oracle)
+            assert recovered.top_k(10) == top_k_pairs(oracle, 10)
+        finally:
+            recovered.close()

@@ -1,13 +1,11 @@
 """Mixed-precision score store + the PROSE-style accuracy autotuner.
 
 Covers the dtype seam end to end: per-shard storage dtypes in the
-in-process :class:`ScoreStore`, uniform pool dtypes in the process
-executor (bit-identical to the in-process executor at the *same*
-dtype), dtype-aware memory accounting, the ranking-accuracy metrics
+:class:`ScoreStore`, dtype-aware memory accounting, the ranking-accuracy
+metrics
 (NDCG@k / top-k overlap) the precision gates are built on, and the
 :class:`PrecisionAutotuner` → :class:`PrecisionPlan` →
-``SimRankService(precision=...)`` loop including restart and
-journal-replay round trips.
+``SimRankService(precision=...)`` loop including restart round trips.
 
 The float64 default must stay bit-identical to the pre-dtype stack:
 that invariant is asserted directly here and indirectly by every
@@ -21,7 +19,7 @@ import pytest
 
 from repro import SimRankConfig
 from repro.dtypes import DEFAULT_FLOAT_DTYPE, dtype_name, resolve_dtype
-from repro.exceptions import ClusterError, ConfigError
+from repro.exceptions import ConfigError
 from repro.executor.score_store import ScoreStore
 from repro.graph.generators import preferential_attachment_digraph
 from repro.graph.updates import UpdateBatch
@@ -57,11 +55,8 @@ def _replay(graph, scores, updates, **engine_kwargs):
     engine = DynamicSimRank(
         graph, CFG, initial_scores=scores.copy(), **engine_kwargs
     )
-    try:
-        engine.apply(UpdateBatch(list(updates)))
-        return engine.similarities()
-    finally:
-        engine.close()
+    engine.apply(UpdateBatch(list(updates)))
+    return engine.similarities()
 
 
 # ------------------------------------------------------------------ #
@@ -167,62 +162,6 @@ class TestBitIdentity:
         f32 = _replay(graph, scores, updates, score_dtype="float32")
         assert f32.dtype == np.float32
         np.testing.assert_allclose(f32, f64, atol=1e-5)
-
-    def test_process_float32_bit_identical_to_inproc_float32(self, workload):
-        graph, scores, updates = workload
-        inproc = _replay(graph, scores, updates, score_dtype="float32")
-        cluster = _replay(
-            graph,
-            scores,
-            updates,
-            score_dtype="float32",
-            executor="process",
-            workers=2,
-            shard_rows=16,
-        )
-        assert cluster.dtype == np.float32
-        assert np.array_equal(cluster, inproc)
-
-    def test_journal_replay_preserves_pool_dtype(self, workload):
-        graph, scores, updates = workload
-        engine = DynamicSimRank(
-            graph,
-            CFG,
-            initial_scores=scores.copy(),
-            score_dtype="float32",
-            executor="process",
-            workers=1,
-            shard_rows=16,
-        )
-        try:
-            engine.apply(UpdateBatch(list(updates[:6])))
-            expected = engine.similarities()
-            from repro.cluster.recovery import rebuild_score_store
-
-            rebuilt = rebuild_score_store(engine.score_store.pool)
-            assert rebuilt.dtype == np.float32
-            assert np.array_equal(rebuilt.to_array(), expected)
-        finally:
-            engine.close()
-
-    def test_pool_rejects_per_shard_demotion(self, workload):
-        graph, scores, _ = workload
-        engine = DynamicSimRank(
-            graph,
-            CFG,
-            initial_scores=scores.copy(),
-            executor="process",
-            workers=1,
-            shard_rows=16,
-        )
-        try:
-            with pytest.raises(ClusterError):
-                engine.score_store.set_shard_dtype(0, "float32")
-            with pytest.raises(ClusterError):
-                engine.score_store.set_dtype("float32")
-        finally:
-            engine.close()
-
 
 # ------------------------------------------------------------------ #
 # Accuracy metrics: determinism + stability under float32 epsilon

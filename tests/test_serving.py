@@ -344,7 +344,6 @@ class TestApplyMetrics:
         assert store.apply_metrics.seconds > 0.0
         assert store.apply_metrics.per_shard_seconds
         report = store.apply_report()
-        assert report["mode"] == "inproc"
         assert report["plans"] == store.apply_metrics.plans
         assert set(report["per_shard_seconds"]) <= {
             str(i) for i in range(store.num_shards)
@@ -357,7 +356,5 @@ class TestApplyMetrics:
         service.submit_many(_random_stream(graph, 6, seed=11))
         service.drain()
         executor = service.metrics_report()["executor"]
-        assert executor["mode"] == "inproc"
-        assert executor["workers"] == 0
         assert executor["apply_seconds"] > 0.0
         assert executor["mean_plan_seconds"] > 0.0

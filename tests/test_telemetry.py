@@ -354,7 +354,6 @@ class TestServiceIntegration:
                 "scheduler",
                 "executor",
                 "precision",
-                "degraded",
                 "telemetry",
                 "durability",
             }
