@@ -1,4 +1,4 @@
-"""Ablation benchmarks (DESIGN.md §5): the knobs beyond the paper's figures."""
+"""Ablation benchmarks: the knobs beyond the paper's figures."""
 
 import numpy as np
 import pytest

@@ -2,7 +2,8 @@
 
 Benchmarks run the per-figure experiment harness at ``tiny`` scale by
 default so ``pytest benchmarks/ --benchmark-only`` finishes in minutes.
-Set ``REPRO_BENCH_SCALE=bench`` to reproduce the EXPERIMENTS.md numbers.
+Set ``REPRO_BENCH_SCALE=bench`` for the larger workloads of the
+README's "Paper figures" section.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@
 * :mod:`repro.bench.cli` — ``python -m repro.bench <experiment>``.
 
 Every experiment accepts ``scale`` (``"tiny"`` for CI-speed runs,
-``"bench"`` for the numbers recorded in EXPERIMENTS.md).
+``"bench"`` for the larger workloads of the README's "Paper figures"
+section).
 """
 
 from .harness import Table, timed

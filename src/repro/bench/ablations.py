@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in DESIGN.md §5.
+"""Ablation studies for the engine's design choices.
 
 Not figures of the paper, but the knobs a downstream adopter will ask
 about:

@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale",
         choices=("tiny", "bench"),
         default="tiny",
-        help="workload scale (tiny: seconds; bench: EXPERIMENTS.md numbers)",
+        help="workload scale (tiny: seconds; bench: larger workloads, minutes)",
     )
     return parser
 

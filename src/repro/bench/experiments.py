@@ -4,10 +4,8 @@ Each ``fig*`` function builds its workload from :mod:`repro.datasets`,
 runs the algorithms, and returns a :class:`~repro.bench.harness.Table`
 whose rows mirror the series the paper plots.  ``scale`` selects
 ``"tiny"`` (seconds; used by tests and pytest-benchmark) or ``"bench"``
-(the EXPERIMENTS.md numbers).
-
-See DESIGN.md §3 for the experiment index and §4 for workload
-substitutions.
+(larger workloads).  The README's "Paper figures" section lists the
+experiments and the workload substitutions.
 """
 
 from __future__ import annotations
@@ -217,8 +215,9 @@ def fig2a(scale: str = _TINY) -> Table:
     table.add_note(
         "Every incremental method is charged for fresh all-pairs scores "
         "after each unit update; Batch = one full matrix-form "
-        "recomputation on the final graph (BLAS-backed; see "
-        "EXPERIMENTS.md for the comparison caveat)."
+        "recomputation on the final graph (BLAS-backed, not the paper's "
+        "memoized batch algorithm, so Inc/Batch ratios are not the "
+        "paper's)."
     )
     return table
 

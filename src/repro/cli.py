@@ -186,6 +186,13 @@ def _print_top_pairs(scores: np.ndarray, k: int) -> None:
         print(f"  ({a}, {b})  {score:.6f}")
 
 
+def _save_scores(path: str, scores: np.ndarray) -> None:
+    # Through a handle: np.save would append ``.npy`` to a bare name.
+    with open(path, "wb") as handle:
+        np.save(handle, scores)
+    print(f"scores saved to {path}")
+
+
 def command_info(args: argparse.Namespace) -> int:
     graph = load_edge_list(args.edges)
     stats = graph_stats(graph)
@@ -200,8 +207,7 @@ def command_compute(args: argparse.Namespace) -> int:
     scores = matrix_simrank(graph, _config(args))
     _print_top_pairs(scores, args.top)
     if args.output:
-        np.save(args.output, scores)
-        print(f"scores saved to {args.output}")
+        _save_scores(args.output, scores)
     return 0
 
 
@@ -226,8 +232,7 @@ def command_update(args: argparse.Namespace) -> int:
         )
     _print_top_pairs(engine.similarities(), args.top)
     if args.output:
-        np.save(args.output, engine.similarities())
-        print(f"scores saved to {args.output}")
+        _save_scores(args.output, engine.similarities())
     return 0
 
 

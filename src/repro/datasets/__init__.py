@@ -6,8 +6,7 @@ Those corpora are not shipped here; :mod:`repro.datasets.citation` and
 :mod:`repro.datasets.video` generate scaled-down graphs with the same
 structural fingerprints (skewed in-degrees, timestamped arrival, rank
 deficiency), and :mod:`repro.datasets.registry` names ready-made
-configurations used by the benchmarks.  See DESIGN.md §4 for the
-substitution rationale.
+configurations used by the benchmarks.
 """
 
 from .citation import citation_network, cith_like, dblp_like

@@ -467,33 +467,7 @@ class ShardTopK:
         )
         return [(a, b, float(score)) for a, b, score in best]
 
-    # -------------------------------------------------------------- #
-    # Pickling (warm heap state without the store)
-    # -------------------------------------------------------------- #
-
-    def __getstate__(self) -> dict:
-        """Picklable state: everything except the (unpicklable) store.
-
-        The store reference is dropped; the unpickled index is inert
-        until :meth:`attach_store` re-binds it to a store holding the
-        *same scores*.
-        """
-        state = dict(self.__dict__)
-        state["_store"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def attach_store(self, store) -> "ShardTopK":
-        """Re-bind an unpickled index to a live score store."""
-        self._store = store
-        store.attach_topk(self)
-        return self
-
     def __repr__(self) -> str:
-        if self._store is None:
-            return f"ShardTopK(k={self.k}, capacity={self.capacity}, detached)"
         return (
             f"ShardTopK(k={self.k}, capacity={self.capacity}, "
             f"dirty={self.dirty_shards()}/{self._store.num_shards})"

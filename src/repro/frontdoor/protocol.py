@@ -9,8 +9,8 @@ delta subscriptions) lives above the wire anyway.
 The module carries **both sides** of each protocol: the server-side
 parser/encoder used by :class:`~repro.frontdoor.server.FrontDoor`, and
 minimal client helpers (:class:`HTTPClient`, :func:`ws_connect`) used
-by the closed-loop load generator and the test suite, so the repo can
-exercise its own wire format end to end without external tooling.
+by the test suite, so the repo can exercise its own wire format end to
+end without external tooling.
 
 Malformed input raises :class:`~repro.exceptions.ProtocolError`
 (HTTP 400 / WebSocket protocol-error close); size limits on request
@@ -309,7 +309,7 @@ async def send_ws_json(
 
 
 # ------------------------------------------------------------------ #
-# Client helpers (load generator + tests)
+# Client helpers (tests)
 # ------------------------------------------------------------------ #
 
 

@@ -10,9 +10,8 @@ The incremental algorithms never rebuild ``Q`` from scratch: a unit update
 in a :class:`~repro.linalg.qstore.TransitionStore` (persistent dual
 CSR/CSC slabs with O(row) surgery and no scipy object churn);
 :func:`update_transition_matrix` remains the reference single-row rewrite
-on plain scipy CSR arrays — used by tests, ablations, and the frozen
-seed baseline in :mod:`repro.bench.legacy` — and :func:`transition_row`
-builds one row directly from the graph.
+on plain scipy CSR arrays — used by tests and ablations — and
+:func:`transition_row` builds one row directly from the graph.
 """
 
 from __future__ import annotations

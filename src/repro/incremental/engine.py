@@ -449,19 +449,21 @@ class DynamicSimRank:
         The paper's workflow precomputes SimRank once and then serves
         updates; persisting the state lets that precomputation survive
         process restarts.  ``Q`` is rebuilt on load (cheaper than
-        storing it).
+        storing it).  The file is written at ``path`` exactly; numpy
+        would append ``.npz`` to a bare path name.
         """
         edges = np.asarray(list(self._graph.edges()), dtype=np.int64)
-        np.savez_compressed(
-            path,
-            num_nodes=np.asarray([self._graph.num_nodes], dtype=np.int64),
-            edges=edges.reshape(-1, 2),
-            scores=self._scores.to_array(),
-            damping=np.asarray([self._config.damping]),
-            iterations=np.asarray([self._config.iterations], dtype=np.int64),
-            algorithm=np.asarray([self._algorithm]),
-            score_dtype=np.asarray([self._score_dtype.name]),
-        )
+        with open(path, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                num_nodes=np.asarray([self._graph.num_nodes], dtype=np.int64),
+                edges=edges.reshape(-1, 2),
+                scores=self._scores.to_array(),
+                damping=np.asarray([self._config.damping]),
+                iterations=np.asarray([self._config.iterations], dtype=np.int64),
+                algorithm=np.asarray([self._algorithm]),
+                score_dtype=np.asarray([self._score_dtype.name]),
+            )
 
     @classmethod
     def load(cls, path: str) -> "DynamicSimRank":

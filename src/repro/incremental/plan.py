@@ -173,23 +173,6 @@ class UpdatePlan:
             total += idx.nbytes + val.nbytes
         return total
 
-    def __getstate__(self) -> dict:
-        """Picklable state.
-
-        ``vectors`` is dropped: it is diagnostics-only, may alias pooled
-        workspace buffers (mutated by the next planned update), and a
-        plan's *apply* semantics are fully determined by the factors and
-        support unions.  Everything that reaches
-        :meth:`panels`/:func:`apply_plan_dense` survives the round trip
-        bit-identically.
-        """
-        state = dict(self.__dict__)
-        state["vectors"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
 
 @dataclass
 class PackedPlanBatch:

@@ -12,7 +12,7 @@ converges to the exact matrix-form fixed point with error at most
 The paper benchmarks against Yu et al.'s fine-grained-memoization batch
 algorithm [6]; at reproduction scale the BLAS-backed sparse-dense
 iteration below is the fastest batch method available and plays that
-role (see DESIGN.md §4).
+role.
 """
 
 from __future__ import annotations

@@ -102,7 +102,6 @@ class Tracer:
         self._ring: deque = deque(maxlen=self.capacity)
         self._forced: set = set()
         self._forced_lock = threading.Lock()
-        self._active: Optional[str] = None
         self.spans_recorded = 0
         self.spans_dropped = 0
 
@@ -140,15 +139,6 @@ class Tracer:
             return True
         with self._forced_lock:
             return trace_id in self._forced
-
-    # The active trace is a one-slot baton for call chains too deep to
-    # thread an argument through.  Drains are serialised by the writer's
-    # apply lock, so a single slot is race-free in practice.
-    def set_active(self, trace_id: Optional[str]) -> None:
-        self._active = trace_id
-
-    def active(self) -> Optional[str]:
-        return self._active
 
     # ------------------------------------------------------------- #
     # Span recording
@@ -225,12 +215,6 @@ class NullTracer:
 
     def sampled(self, trace_id) -> bool:
         return False
-
-    def set_active(self, trace_id) -> None:
-        pass
-
-    def active(self):
-        return None
 
     def span(self, name, trace_id, **attrs):
         return _NULL_SPAN

@@ -59,14 +59,18 @@ class TestCommands:
         assert "in_degree_gini" in out
 
     def test_compute_with_output(self, edges_file, tmp_path, capsys):
-        out_path = str(tmp_path / "scores.npy")
-        code = main(
-            ["--iterations", "5", "compute", edges_file, "-o", out_path, "-k", "3"]
-        )
-        assert code == 0
-        scores = np.load(out_path)
-        assert scores.shape[0] == scores.shape[1]
-        assert "top-3 similar pairs" in capsys.readouterr().out
+        # The named path is the path written, suffix or not.
+        for name in ("scores.npy", "scores"):
+            out_path = str(tmp_path / name)
+            code = main(
+                ["--iterations", "5", "compute", edges_file, "-o", out_path, "-k", "3"]
+            )
+            assert code == 0
+            scores = np.load(out_path)
+            assert scores.shape[0] == scores.shape[1]
+            out = capsys.readouterr().out
+            assert "top-3 similar pairs" in out
+            assert f"scores saved to {out_path}" in out
 
     def test_update_unit_path(self, edges_file, updates_file, capsys):
         code = main(

@@ -13,16 +13,18 @@ class TestSaveLoad:
         config = SimRankConfig(damping=0.7, iterations=12)
         engine = DynamicSimRank(cyclic_graph, config, algorithm="inc-sr")
         engine.apply(EdgeUpdate.insert(4, 2))
-        path = str(tmp_path / "session.npz")
-        engine.save(path)
+        # The named path is the path written, suffix or not.
+        for name in ("session.npz", "session"):
+            path = str(tmp_path / name)
+            engine.save(path)
 
-        restored = DynamicSimRank.load(path)
-        assert restored.graph == engine.graph
-        assert restored.config == config
-        assert restored.algorithm == "inc-sr"
-        np.testing.assert_allclose(
-            restored.similarities(), engine.similarities()
-        )
+            restored = DynamicSimRank.load(path)
+            assert restored.graph == engine.graph
+            assert restored.config == config
+            assert restored.algorithm == "inc-sr"
+            np.testing.assert_allclose(
+                restored.similarities(), engine.similarities()
+            )
 
     def test_restored_session_keeps_updating(self, cyclic_graph, tmp_path):
         config = SimRankConfig(damping=0.6, iterations=25)

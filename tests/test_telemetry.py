@@ -225,14 +225,6 @@ class TestTracer:
         assert tracer.spans_recorded == 10
         assert tracer.spans_dropped == 6
 
-    def test_active_baton(self):
-        tracer = Tracer()
-        assert tracer.active() is None
-        tracer.set_active("t9")
-        assert tracer.active() == "t9"
-        tracer.set_active(None)
-        assert tracer.active() is None
-
 
 # ------------------------------------------------------------------ #
 # Prometheus exposition

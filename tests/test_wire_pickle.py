@@ -1,10 +1,10 @@
 """Pickle round trips for the engine's value objects.
 
 :class:`UpdatePlan` objects, packed transition payloads (the checkpoint
-format), frozen transition snapshots, warmed per-shard top-k heap state
-and update streams all pickle.  These property tests pin the contract:
-a ``pickle.loads(pickle.dumps(x))`` round trip must preserve apply
-semantics and ranking results exactly.
+format), frozen transition snapshots and update streams all pickle.
+These property tests pin the contract: a
+``pickle.loads(pickle.dumps(x))`` round trip must preserve apply
+semantics exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import pytest
 from repro import SimRankConfig
 from repro.durability.checkpoint import graph_from_packed
 from repro.executor.score_store import ScoreStore
-from repro.executor.topk_index import ShardTopK
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.incremental.plan import apply_plan_dense, plan_unit_update
 from repro.linalg.qstore import TransitionStore
-from repro.metrics.topk import top_k_pairs
 from repro.simrank.matrix import matrix_simrank
 
 from _streams import random_update_stream
@@ -62,12 +60,6 @@ class TestUpdatePlanPickle:
             assert clone.rank == plan.rank
             assert np.array_equal(clone.rows_union, plan.rows_union)
             assert np.array_equal(clone.cols_union, plan.cols_union)
-
-    def test_vectors_dropped_from_wire_format(self):
-        graph = erdos_renyi_digraph(40, 0.06, seed=9)
-        (plan, _), *_ = _plans_for(graph, 1, seed=1)
-        assert plan.vectors is not None
-        assert _roundtrip(plan).vectors is None
 
     def test_sharded_apply_of_unpickled_plan_matches(self):
         graph = erdos_renyi_digraph(60, 0.05, seed=4)
@@ -118,32 +110,6 @@ class TestTransitionPayloadPickle:
         assert np.array_equal(
             clone.csr_matrix().toarray(), snap.csr_matrix().toarray()
         )
-
-
-class TestShardTopKPickle:
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_heap_state_roundtrip_preserves_ranking(self, seed):
-        graph = erdos_renyi_digraph(70, 0.05, seed=seed)
-        scores = matrix_simrank(graph, CFG)
-        store = ScoreStore(scores, shard_rows=16)
-        index = ShardTopK(store, k=8)
-        assert index.top_k(8) == top_k_pairs(store.to_array(), 8)
-
-        # Round-trip the warmed heap state and attach it to an
-        # equivalent store: rankings must be identical without rescans.
-        clone = _roundtrip(index)
-        twin = ScoreStore(scores, shard_rows=16)
-        clone.attach_store(twin)
-        rescans_before = clone.stats.shard_rescans
-        assert clone.top_k(8) == index.top_k(8)
-        assert clone.stats.shard_rescans == rescans_before
-
-        # The unpickled index keeps maintaining correctly under plans.
-        for plan, _ in _plans_for(graph, 5, seed=seed + 9):
-            store.apply_plan(plan)
-            twin.apply_plan(plan)
-            assert clone.top_k(8) == index.top_k(8)
-            assert clone.top_k(8) == top_k_pairs(twin.to_array(), 8)
 
 
 class TestUpdateStreamPickle:
