@@ -9,9 +9,12 @@ covering ``shard_rows`` consecutive rows — which buys three things:
 
 * **per-shard plan application**: a kernel
   :class:`~repro.incremental.plan.UpdatePlan` touches only the shards
-  overlapping its union supports; each overlapping shard receives its
-  row slice of the one union-support GEMM block (bit-identical to the
-  dense scatter, each score entry still gets exactly one add);
+  overlapping its union supports.  Each of its two passes (block and
+  transpose) is one GEMM over the column *span* of the supports, added
+  as contiguous slices, one per run of consecutive rows — no
+  per-element fancy indexing except for sparse spans.  The result is
+  bit-identical to the dense reference: each score entry still gets
+  exactly one add of the same product;
 * **independent growth**: node arrival grows at most the tail shard's
   rows and each shard's column capacity (amortized by doubling), never
   reallocating ``S`` wholesale; and
@@ -41,12 +44,22 @@ from ..dtypes import DEFAULT_FLOAT_DTYPE, resolve_dtype
 from ..exceptions import DimensionError
 
 #: Default rows per shard.  Small enough that copy-on-write divergence
-#: and per-shard growth stay cheap, large enough that per-shard scatter
-#: overhead is negligible against the union-support GEMM.
+#: and per-shard growth stay cheap, large enough that few row runs of a
+#: plan are split at shard boundaries.
 DEFAULT_SHARD_ROWS = 512
 
 #: Samples kept in the bounded recent window of per-plan apply seconds.
 DEFAULT_RECENT_WINDOW = 256
+
+#: Apply-strategy crossover (see :meth:`ScoreStore._add_product`): a
+#: pass whose column span exceeds this many times its column count takes
+#: the ``np.ix_`` scatter instead of a zero-padded span tile, which also
+#: caps the tile's padding for any input.  Fitted on the 394 passes of
+#: 85 cith-unit and 112 dblp-durable plans (n=2000, 2-core x86,
+#: OpenBLAS): the summed apply time is flat within 1% for ratios 3–6
+#: and rises 8% at 2 and 33% at 1.5; the 6 dblp passes above 4 scatter
+#: 1.4x faster than they tile.
+SPARSE_SPAN_RATIO = 4
 
 
 def window_summary_ms(samples) -> dict:
@@ -75,9 +88,11 @@ _FLOAT_DTYPE = DEFAULT_FLOAT_DTYPE
 class ApplyMetrics:
     """Per-shard apply wall-time gauges of one score-store executor.
 
-    ``per_shard_seconds`` accumulates the scatter wall time each shard
-    paid across all applied plans; ``last_per_shard_seconds`` holds the
-    breakdown of the most recent plan only.
+    ``seconds`` and ``last_plan_seconds`` are whole-plan apply wall
+    time (panels, GEMMs and adds).  ``per_shard_seconds`` accumulates
+    the add-only wall time each shard paid across all applied plans;
+    ``last_per_shard_seconds`` holds the breakdown of the most recent
+    plan only.
     """
 
     plans: int = 0
@@ -90,17 +105,16 @@ class ApplyMetrics:
         default_factory=lambda: deque(maxlen=DEFAULT_RECENT_WINDOW)
     )
 
-    def record(self, per_shard: Dict[int, float]) -> None:
-        """Fold one plan's per-shard timings into the gauges."""
+    def record(self, seconds: float, per_shard: Dict[int, float]) -> None:
+        """Fold one plan's apply time and per-shard add times in."""
         self.plans += 1
-        total = sum(per_shard.values())
-        self.seconds += total
-        self.last_plan_seconds = total
+        self.seconds += seconds
+        self.last_plan_seconds = seconds
         self.last_per_shard_seconds = dict(per_shard)
-        self.recent_plan_seconds.append(total)
-        for shard_id, seconds in per_shard.items():
+        self.recent_plan_seconds.append(seconds)
+        for shard_id, shard_seconds in per_shard.items():
             self.per_shard_seconds[shard_id] = (
-                self.per_shard_seconds.get(shard_id, 0.0) + seconds
+                self.per_shard_seconds.get(shard_id, 0.0) + shard_seconds
             )
 
     def report(self) -> dict:
@@ -256,9 +270,19 @@ class ScoreStore:
         self._telemetry = telemetry
         #: Per-plan apply latency histogram; the shared null instrument
         #: when telemetry is off, so the hot path never branches.
-        self._apply_hist = telemetry.registry.histogram(
+        registry = telemetry.registry
+        self._apply_hist = registry.histogram(
             "repro_executor_apply_plan_seconds",
-            help="Per-plan union-support GEMM + scatter wall time",
+            help="Per-plan apply wall time (panels, GEMMs and adds)",
+        )
+        #: Plan passes by apply strategy (see :meth:`_add_product`).
+        self._slice_passes = registry.counter(
+            "repro_executor_apply_slice_passes_total",
+            help="Plan passes added as contiguous row-run slices",
+        )
+        self._fancy_passes = registry.counter(
+            "repro_executor_apply_fancy_passes_total",
+            help="Plan passes scattered through np.ix_ (sparse column span)",
         )
         self._dtype = resolve_dtype(dtype)
         scores = np.asarray(scores, dtype=self._dtype)
@@ -286,7 +310,7 @@ class ScoreStore:
             rows = min(self._shard_rows, self._n - base)
             # order="C" is load-bearing: np.array's default order="K"
             # would inherit an F-ordered source (BLAS results often
-            # are), and the row-block scatter path is several times
+            # are), and the row-run slice adds are several times
             # slower on F-ordered shards.
             buffer = np.array(
                 scores[base : base + rows], dtype=self._dtype, order="C"
@@ -463,19 +487,21 @@ class ScoreStore:
         return shard.buffer
 
     def apply_plan(self, plan) -> None:
-        """Apply a kernel :class:`UpdatePlan`: union-support GEMM + scatter.
+        """Apply a kernel :class:`UpdatePlan`: ``ΔS = L·Rᵀ`` plus transpose.
 
-        Densifies the plan's factors over the union supports once, runs
-        the single GEMM, and scatter-adds the block (and its transpose)
-        shard by shard.  Only shards overlapping the supports are
-        touched — and only those pay a copy-on-write clone.
+        Densifies the plan's factors once and adds the block and its
+        transpose as two passes of :meth:`_add_product`.  Only shards
+        overlapping the supports are touched — and only those pay a
+        copy-on-write clone.
         """
         if plan.is_noop:
             return
         self._shard_timing = {}
+        started = time.perf_counter()
         self._apply_plan_scatter(plan)
-        self.apply_metrics.record(self._shard_timing)
-        self._apply_hist.observe(sum(self._shard_timing.values()))
+        seconds = time.perf_counter() - started
+        self.apply_metrics.record(seconds, self._shard_timing)
+        self._apply_hist.observe(seconds)
         self.version += 1
         if self._topk is not None:
             self._topk.on_plan(plan)
@@ -483,56 +509,84 @@ class ScoreStore:
     def _apply_plan_scatter(self, plan) -> None:
         """The one copy of the per-plan apply arithmetic.
 
-        Timings land in ``self._shard_timing`` (caller resets it).
+        Add-only per-shard timings land in ``self._shard_timing``
+        (caller resets it).
         """
         left, right = plan.panels()
-        block = left @ right.T
-        self._scatter_add(plan.rows_union, plan.cols_union, block)
-        self._scatter_add(plan.cols_union, plan.rows_union, block.T)
+        self._add_product(plan.rows_union, plan.cols_union, left, right)
+        self._add_product(plan.cols_union, plan.rows_union, right, left)
 
-    def _scatter_shard(
-        self,
-        shard: _Shard,
-        shard_id: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        block: np.ndarray,
-    ) -> None:
-        """One shard's slice of the scatter, timed into the apply gauges."""
-        started = time.perf_counter()
-        buffer = self._writable(shard)
-        buffer[np.ix_(rows - shard.base, cols)] += block
-        self._shard_timing[shard_id] = self._shard_timing.get(
-            shard_id, 0.0
-        ) + (time.perf_counter() - started)
-
-    def _scatter_add(
-        self, rows: np.ndarray, cols: np.ndarray, block: np.ndarray
-    ) -> None:
-        """``S[rows × cols] += block`` with ``rows`` sorted ascending."""
-        if rows.size == 0 or cols.size == 0:
-            return
+    def _row_segments(self, rows: np.ndarray):
+        """Yield ``(shard_id, lo, hi)`` per shard ``rows[lo:hi]`` falls in."""
         first = int(rows[0]) // self._shard_rows
         last = int(rows[-1]) // self._shard_rows
         if first == last:
-            self._scatter_shard(self._shards[first], first, rows, cols, block)
+            yield first, 0, rows.size
             return
         bounds = np.searchsorted(
             rows,
             np.arange(first + 1, last + 1, dtype=np.int64) * self._shard_rows,
-        )
-        segments = np.concatenate(([0], bounds, [rows.size]))
-        for offset, shard_id in enumerate(range(first, last + 1)):
-            lo, hi = int(segments[offset]), int(segments[offset + 1])
-            if lo == hi:
-                continue
-            self._scatter_shard(
-                self._shards[shard_id],
-                shard_id,
-                rows[lo:hi],
-                cols,
-                block[lo:hi],
-            )
+        ).tolist()
+        for shard_id, lo, hi in zip(
+            range(first, last + 1), [0] + bounds, bounds + [rows.size]
+        ):
+            if lo < hi:
+                yield shard_id, lo, hi
+
+    def _add_product(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+    ) -> None:
+        """``S[rows × cols] += left @ right.T`` with both supports sorted.
+
+        Two strategies, both bit-identical to the ``np.ix_`` scatter of
+        the support block ``left @ right.T`` (each entry is the same
+        length-``rank`` dot product):
+
+        * *slice runs* — ``right`` is densified over the column span
+          ``[cols[0], cols[-1]]`` with zero rows off the support, so one
+          GEMM gives a ``|rows| × span`` tile whose padding is exact
+          zeros; each maximal run of consecutive rows, split at shard
+          boundaries, is then one contiguous slice add;
+        * *fancy* — the ``np.ix_`` scatter of the support block, when
+          the span is more than :data:`SPARSE_SPAN_RATIO` times the
+          column count and the padded tile would cost more than it
+          saves.
+        """
+        if rows.size == 0 or cols.size == 0:
+            return
+        col0 = int(cols[0])
+        span = int(cols[-1]) - col0 + 1
+        sparse = span > SPARSE_SPAN_RATIO * cols.size
+        if sparse:
+            self._fancy_passes.inc()
+        else:
+            self._slice_passes.inc()
+            if span != cols.size:
+                dense = np.zeros((span, right.shape[1]), dtype=right.dtype)
+                dense[cols - col0] = right
+                right = dense
+            window = slice(col0, col0 + span)
+            run_starts = np.flatnonzero(np.diff(rows) != 1) + 1
+        tile = left @ right.T
+        for shard_id, lo, hi in self._row_segments(rows):
+            started = time.perf_counter()
+            shard = self._shards[shard_id]
+            buffer = self._writable(shard)
+            if sparse:
+                buffer[np.ix_(rows[lo:hi] - shard.base, cols)] += tile[lo:hi]
+            else:
+                a, b = np.searchsorted(run_starts, (lo + 1, hi))
+                cuts = [lo, *run_starts[a:b].tolist(), hi]
+                for k0, k1 in zip(cuts[:-1], cuts[1:]):
+                    top = int(rows[k0]) - shard.base
+                    buffer[top : top + k1 - k0, window] += tile[k0:k1]
+            self._shard_timing[shard_id] = self._shard_timing.get(
+                shard_id, 0.0
+            ) + (time.perf_counter() - started)
 
     def add_dense(self, delta: np.ndarray) -> None:
         """``S += delta`` shard by shard (the unpruned Inc-uSR path)."""

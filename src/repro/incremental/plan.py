@@ -138,9 +138,10 @@ class UpdatePlan:
         """Densify the factors over the union supports: ``(L, R)``.
 
         ``L`` is ``|rows_union| × rank`` and ``R`` is
-        ``|cols_union| × rank`` so the scatter block is one GEMM
-        ``L @ R.T`` — the fancy-indexed scatter-add is the slow part,
-        the GEMM is nearly free.
+        ``|cols_union| × rank`` so the score block is one GEMM
+        ``L @ R.T``.  The score store re-spreads one panel over its
+        support's span so each pass's GEMM output can be added as
+        contiguous slices (see ``ScoreStore._add_product``).
 
         ``dtype`` selects the panel (and hence GEMM) precision; the
         default is float64, which every apply path uses regardless of the
@@ -468,10 +469,13 @@ def plan_unit_update(
 def apply_plan_dense(s_matrix: np.ndarray, plan: UpdatePlan) -> np.ndarray:
     """Apply a plan to a plain dense score matrix, in place.
 
-    The reference executor: one union-support GEMM followed by two
-    fancy-indexed scatter-adds (block and transpose).  The sharded
-    :class:`~repro.executor.score_store.ScoreStore` applies the same
-    block row-slice by row-slice, so both executors are bit-identical.
+    The reference executor, kept deliberately simple: one
+    union-support GEMM followed by two fancy-indexed scatter-adds
+    (block and transpose).  The sharded
+    :class:`~repro.executor.score_store.ScoreStore` computes the same
+    products over the supports' spans and adds them as contiguous
+    slices; every entry gets the same single add, so both executors
+    are bit-identical.
     """
     if plan.is_noop:
         return s_matrix

@@ -748,7 +748,7 @@ class SimRankService:
                 "coalescing_ratio": stats.coalescing_ratio(),
             },
         }
-        # Executor-side apply gauges (per-shard scatter wall time).  The
+        # Executor-side apply gauges (plan and per-shard add wall time).  The
         # report iterates dicts the drain mutates, so in background mode
         # it must not interleave with an in-flight apply.
         if self._writer is not None:

@@ -1,15 +1,30 @@
 """Tests for repro.executor.score_store (the sharded executor layer)."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DimensionError
 from repro.executor import ScoreStore
+from repro.executor.score_store import SPARSE_SPAN_RATIO
 from repro.graph.generators import erdos_renyi_digraph
-from repro.incremental.plan import apply_plan_dense, plan_unit_update
+from repro.incremental.plan import (
+    PlanBatch,
+    UpdatePlan,
+    apply_plan_dense,
+    plan_unit_update,
+)
 from repro.graph.updates import EdgeUpdate
 from repro.linalg.qstore import TransitionStore
 from repro.simrank.matrix import matrix_simrank
+from repro.telemetry import NULL_TELEMETRY, Telemetry, render_prometheus
+from repro.telemetry.registry import NullCounter
+
+SLICE_PASSES = "repro_executor_apply_slice_passes_total"
+FANCY_PASSES = "repro_executor_apply_fancy_passes_total"
 
 
 def _random_scores(n, seed=0):
@@ -190,3 +205,149 @@ class TestAccounting:
         report = store.shard_report()
         assert len(report) == store.num_shards == 3
         assert {entry["base"] for entry in report} == {0, 4, 8}
+
+
+def _plan(rows, cols, rank, seed):
+    """A plan over the given supports; factor 0 spans both unions."""
+    rng = np.random.default_rng(seed)
+    rows = np.asarray(sorted(set(rows)), dtype=np.int64)
+    cols = np.asarray(sorted(set(cols)), dtype=np.int64)
+    left, right = [], []
+    for term in range(rank):
+        keep_rows = rng.random(rows.size) < 0.7
+        keep_cols = rng.random(cols.size) < 0.7
+        if term == 0:
+            keep_rows[:] = keep_cols[:] = True
+        left_idx, right_idx = rows[keep_rows], cols[keep_cols]
+        left.append((left_idx, rng.uniform(-1.0, 1.0, left_idx.size)))
+        right.append((right_idx, rng.uniform(-1.0, 1.0, right_idx.size)))
+    return UpdatePlan(0, left, right, rows, cols, affected=None)
+
+
+@st.composite
+def _support(draw, n):
+    """Sorted indices below ``n``: long runs, a stride, or scattered."""
+    shape = draw(st.sampled_from(["runs", "strided", "scattered"]))
+    if shape == "runs":
+        runs = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(1, n)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        return [
+            i for start, size in runs for i in range(start, min(n, start + size))
+        ]
+    if shape == "strided":
+        start = draw(st.integers(0, n - 1))
+        stride = draw(st.integers(1, 2 * SPARSE_SPAN_RATIO))
+        return list(range(start, n, stride))
+    return draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+
+
+@st.composite
+def _apply_cases(draw):
+    n = draw(st.integers(2, 48))
+    return {
+        "n": n,
+        "rows": draw(_support(n)),
+        "cols": draw(_support(n)),
+        "rank": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 2**16)),
+        "shard_rows": draw(st.sampled_from([1, 3, 7, 64])),
+        "dtype": draw(st.sampled_from([np.float64, np.float32])),
+        "packed": draw(st.booleans()),
+    }
+
+
+class TestApplyStrategies:
+    """Every apply strategy is bit-identical to the dense reference."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_apply_cases())
+    def test_apply_plan_equals_dense_reference(self, case):
+        plan = _plan(case["rows"], case["cols"], case["rank"], case["seed"])
+        if case["packed"]:
+            plan = PlanBatch([plan]).packed().plans()[0]
+        scores = _random_scores(case["n"], seed=case["seed"]).astype(
+            case["dtype"]
+        )
+        store = ScoreStore(
+            scores, shard_rows=case["shard_rows"], dtype=case["dtype"]
+        )
+        pinned = store.snapshot()
+        store.apply_plan(plan)
+
+        expected = scores.copy()
+        apply_plan_dense(expected, plan)
+        result = store.to_array()
+        assert result.dtype == case["dtype"]
+        np.testing.assert_array_equal(result, expected)
+        np.testing.assert_array_equal(pinned.to_array(), scores)
+        touched = {
+            int(i) // case["shard_rows"]
+            for i in np.union1d(plan.rows_union, plan.cols_union)
+        }
+        assert store.cow_copies == len(touched)
+
+    @pytest.mark.parametrize(
+        "cols, fancy",
+        [
+            (range(10, 50), 0),  # one long run
+            (range(10, 50, 2), 0),  # half-dense span
+            (range(0, 60, 2 * SPARSE_SPAN_RATIO), 1),  # sparse span
+        ],
+    )
+    def test_strategy_counters(self, cols, fancy):
+        """The block pass follows ``cols``; the transpose pass slices."""
+        telemetry = Telemetry()
+        rows = [3, 4, 5, 9, 10, 11, 17, 18]  # runs cross shard bounds
+        plan = _plan(rows, cols, rank=3, seed=4)
+        scores = _random_scores(64)
+        store = ScoreStore(scores, shard_rows=7, telemetry=telemetry)
+        store.apply_plan(plan)
+        expected = apply_plan_dense(scores.copy(), plan)
+        np.testing.assert_array_equal(store.to_array(), expected)
+        registry = telemetry.registry
+        assert registry.get(FANCY_PASSES).value == fancy
+        assert registry.get(SLICE_PASSES).value == 2 - fancy
+        scrape = render_prometheus(registry)
+        assert f"{FANCY_PASSES} {fancy}" in scrape
+        assert f"{SLICE_PASSES} {2 - fancy}" in scrape
+
+    def test_strategy_counters_are_null_without_telemetry(self):
+        store = ScoreStore(_random_scores(8), telemetry=NULL_TELEMETRY)
+        assert isinstance(store._slice_passes, NullCounter)
+        assert isinstance(store._fancy_passes, NullCounter)
+
+    def test_apply_time_covers_panels_and_gemm(self, monkeypatch):
+        original = UpdatePlan.panels
+
+        def slow_panels(plan, dtype=None):
+            time.sleep(0.005)
+            return original(plan, dtype)
+
+        monkeypatch.setattr(UpdatePlan, "panels", slow_panels)
+        telemetry = Telemetry()
+        store = ScoreStore(
+            _random_scores(40), shard_rows=16, telemetry=telemetry
+        )
+        plans = [
+            _plan(range(5, 30), range(0, 40, 3), rank=2, seed=seed)
+            for seed in range(3)
+        ]
+        for plan in plans:
+            store.apply_plan(plan)
+        hist = telemetry.registry.get("repro_executor_apply_plan_seconds")
+        assert hist.count == len(plans)
+        assert hist.sum >= 0.005 * len(plans)
+        metrics = store.apply_metrics
+        assert metrics.seconds == pytest.approx(hist.sum)
+        assert metrics.last_plan_seconds >= 0.005
+        # per_shard_seconds stays the add-only breakdown.
+        assert 0.0 < sum(metrics.per_shard_seconds.values()) < metrics.seconds
