@@ -18,7 +18,7 @@ Commands
     or via the background writer thread with ``--writer background``),
     and show that the pinned snapshot kept serving the frozen version
     while a fresh snapshot sees the new one.  Top-k rankings are served
-    by the shard-heap merge path — the dense score matrix is never
+    by the shard-local top-k index — the dense score matrix is never
     materialized for ranking.
 
 All commands accept ``--damping`` and ``--iterations``.

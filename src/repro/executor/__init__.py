@@ -8,21 +8,21 @@ package owns the similarity matrix ``S`` and knows how to apply them:
   independently growable row-block shards with per-shard plan
   application and copy-on-write :class:`ScoreSnapshot` views for the
   serving layer.
-* :mod:`repro.executor.topk_index` — :class:`ShardTopK`, shard-local
-  incremental top-k candidate heaps patched from each plan's affected
-  supports (lazy re-scan only on floor invalidation), plus
+* :mod:`repro.executor.topk_index` — :class:`ShardTopK`, each shard's
+  exact best pairs kept as arrays and merged with the promotion hits
+  the store finds inside each plan's apply (a query rescans only a
+  shard that untracked too many sunk pairs), plus
   :func:`top_k_from_blocks`, the block-at-a-time merge used by frozen
   snapshots — ``top_k()`` never materializes the dense ``n × n`` matrix.
 """
 
 from .score_store import DEFAULT_SHARD_ROWS, ScoreSnapshot, ScoreStore
-from .topk_index import ShardTopK, TopKStats, top_k_from_blocks
+from .topk_index import ShardTopK, top_k_from_blocks
 
 __all__ = [
     "ScoreStore",
     "ScoreSnapshot",
     "DEFAULT_SHARD_ROWS",
     "ShardTopK",
-    "TopKStats",
     "top_k_from_blocks",
 ]

@@ -399,6 +399,11 @@ class ScoreStore:
         """The attached shard-local top-k index, or None."""
         return self._topk
 
+    @property
+    def telemetry(self):
+        """The telemetry facade the store's instruments register in."""
+        return self._telemetry
+
     def apply_report(self) -> dict:
         """Executor-side apply gauges (per-shard wall time)."""
         return self.apply_metrics.report()
@@ -492,29 +497,38 @@ class ScoreStore:
         Densifies the plan's factors once and adds the block and its
         transpose as two passes of :meth:`_add_product`.  Only shards
         overlapping the supports are touched — and only those pay a
-        copy-on-write clone.
+        copy-on-write clone.  With a top-k index attached, the same
+        passes collect its promotion hits, which the index then merges.
         """
         if plan.is_noop:
             return
         self._shard_timing = {}
+        topk = self._topk
+        promotion = topk.promotion_scores() if topk is not None else None
+        hits: Dict[int, list] = {}
         started = time.perf_counter()
-        self._apply_plan_scatter(plan)
+        self._apply_plan_scatter(plan, promotion, hits)
         seconds = time.perf_counter() - started
         self.apply_metrics.record(seconds, self._shard_timing)
         self._apply_hist.observe(seconds)
         self.version += 1
-        if self._topk is not None:
-            self._topk.on_plan(plan)
+        if topk is not None:
+            topk.on_plan(hits)
 
-    def _apply_plan_scatter(self, plan) -> None:
+    def _apply_plan_scatter(self, plan, promotion, hits) -> None:
         """The one copy of the per-plan apply arithmetic.
 
         Add-only per-shard timings land in ``self._shard_timing``
-        (caller resets it).
+        (caller resets it); promotion hits land in ``hits`` (see
+        :meth:`_add_product`).
         """
         left, right = plan.panels()
-        self._add_product(plan.rows_union, plan.cols_union, left, right)
-        self._add_product(plan.cols_union, plan.rows_union, right, left)
+        self._add_product(
+            plan.rows_union, plan.cols_union, left, right, promotion, hits
+        )
+        self._add_product(
+            plan.cols_union, plan.rows_union, right, left, promotion, hits
+        )
 
     def _row_segments(self, rows: np.ndarray):
         """Yield ``(shard_id, lo, hi)`` per shard ``rows[lo:hi]`` falls in."""
@@ -539,6 +553,8 @@ class ScoreStore:
         cols: np.ndarray,
         left: np.ndarray,
         right: np.ndarray,
+        promotion: Optional[List[float]],
+        hits: Dict[int, list],
     ) -> None:
         """``S[rows × cols] += left @ right.T`` with both supports sorted.
 
@@ -555,6 +571,13 @@ class ScoreStore:
           the span is more than :data:`SPARSE_SPAN_RATIO` times the
           column count and the padded tile would cost more than it
           saves.
+
+        With ``promotion`` (the top-k index's score per shard, or None
+        without an index to feed), every region just written is compared
+        against its shard's score and the upper-triangle entries ``>=``
+        it are appended to ``hits[shard_id]`` as ``(a, b)`` arrays; every
+        written shard gets a ``hits`` entry, even an empty one.  Comparing right after each add catches every entry at its
+        final value: the pass that writes an entry last compares it last.
         """
         if rows.size == 0 or cols.size == 0:
             return
@@ -576,14 +599,40 @@ class ScoreStore:
             started = time.perf_counter()
             shard = self._shards[shard_id]
             buffer = self._writable(shard)
+            score = None if promotion is None else promotion[shard_id]
+            if score is not None:
+                found = hits.setdefault(shard_id, [])
             if sparse:
-                buffer[np.ix_(rows[lo:hi] - shard.base, cols)] += tile[lo:hi]
+                block = np.ix_(rows[lo:hi] - shard.base, cols)
+                buffer[block] += tile[lo:hi]
+                if score is not None:
+                    i, j = np.divmod(
+                        np.flatnonzero(buffer[block] >= score), cols.size
+                    )
+                    a, b = rows[lo:hi][i], cols[j]
+                    upper = b > a
+                    found.append((a[upper], b[upper]))
             else:
                 a, b = np.searchsorted(run_starts, (lo + 1, hi))
                 cuts = [lo, *run_starts[a:b].tolist(), hi]
                 for k0, k1 in zip(cuts[:-1], cuts[1:]):
                     top = int(rows[k0]) - shard.base
                     buffer[top : top + k1 - k0, window] += tile[k0:k1]
+                    if score is None:
+                        continue
+                    # Columns up to the run's first row are lower-triangle
+                    # duplicates of entries the other pass writes.
+                    first = max(col0, int(rows[k0]) + 1)
+                    if first >= col0 + span:
+                        continue
+                    written = buffer[top : top + k1 - k0, first : col0 + span]
+                    flat = np.flatnonzero(written >= score)
+                    if flat.size:
+                        i, j = np.divmod(flat, written.shape[1])
+                        i += int(rows[k0])
+                        j += first
+                        upper = j > i
+                        found.append((i[upper], j[upper]))
             self._shard_timing[shard_id] = self._shard_timing.get(
                 shard_id, 0.0
             ) + (time.perf_counter() - started)

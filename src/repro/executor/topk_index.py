@@ -7,24 +7,29 @@ avoid.  This module keeps the ranking *incremental* and *shard-local*:
 
 * Each :class:`~repro.executor.score_store.ScoreStore` row-block shard
   owns the canonical pairs ``(a, b)`` with ``a < b`` whose row ``a``
-  falls in the shard.  :class:`ShardTopK` keeps, per shard, a small
-  candidate set (a dict plus a lazy-deletion heap) of the shard's best
-  ``capacity`` pairs under the same deterministic order as
+  falls in the shard.  :class:`ShardTopK` keeps, per shard, the shard's
+  exact best pairs as three parallel arrays (rows, columns, scores)
+  under the same deterministic order as
   :func:`~repro.metrics.topk.top_k_pairs` — descending score, ties by
-  ``(a, b)``.
-* When the executor applies an :class:`~repro.incremental.plan.UpdatePlan`,
-  only the pairs inside the plan's affected supports
-  (``rows_union × cols_union`` and its transpose) can have moved, so the
-  index patches exactly those pairs in the overlapping shards.  A shard
-  pays a lazy re-scan only when its **heap floor is invalidated** — a
-  tracked candidate falls to or below the score floor beneath which
-  entries were previously discarded, so untracked pairs could now
-  outrank it.  Dirty shards are re-scanned at the next query, not
-  eagerly.
-* A query merges the per-shard candidate sets k-way —
-  O(shards · capacity) candidates through a size-k heap instead of an
-  O(n²) dense scan — and :class:`TopKStats` records the ``heap_hit_rate``
-  (queries answered purely from the maintained heaps).
+  ``(a, b)`` — plus a **floor**, the key of the best untracked pair.
+  Invariant: every tracked key < floor <= every untracked key, so the
+  tracked set is always the shard's exact top-|tracked|.
+* When the store applies an :class:`~repro.incremental.plan.UpdatePlan`
+  it compares each slice it writes against the written shard's floor
+  score and hands the index the entries at or above it (promotion
+  hits).  The index then patches each written shard with one vectorised
+  merge: refresh the tracked scores, append the hits, drop every key at
+  or below the floor (a tracked pair that sank there is simply
+  untracked), and trim back to ``capacity`` — the first discarded key
+  becomes the new floor.  A plan costs work proportional to its
+  affected area; nothing is marked for a rescan.
+* A query merges the tracked sets, then rescans only the shards whose
+  floor beats the merged k-th key (those that untracked too many pairs
+  to vouch for it), and merges again.  Whole-index rescans happen only
+  at the first build and after a dense rewrite or node arrival.
+
+The index's counters (queries, clean queries, shard rescans, untracked
+and promoted pairs) live on the telemetry registry as ``repro_topk_*``.
 
 :func:`top_k_from_blocks` is the scan-based sibling used by frozen
 :class:`~repro.executor.score_store.ScoreSnapshot` views: it selects
@@ -36,73 +41,92 @@ brute-force reference.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import DimensionError
 
-Pair = Tuple[int, int]
 #: Total-order key — ascending key = better pair (score desc, then pair
 #: order), matching :func:`repro.metrics.topk.top_k_pairs` exactly.
 PairKey = Tuple[float, int, int]
 ScoredPair = Tuple[int, int, float]
+#: Promotion hits of one shard: ``(a, b)`` index arrays, possibly
+#: overlapping the tracked set and each other.
+Hits = List[Tuple[np.ndarray, np.ndarray]]
+
+_NO_INT = np.zeros(0, dtype=np.int64)
+_NO_FLOAT = np.zeros(0, dtype=np.float64)
 
 
 def _key(a: int, b: int, score: float) -> PairKey:
     return (-score, a, b)
 
 
+def _select(
+    a: np.ndarray, b: np.ndarray, s: np.ndarray, k: int
+) -> List[ScoredPair]:
+    """The best ``k`` of parallel candidate arrays, in ranking order."""
+    order = np.lexsort((b, a, -s))[:k]
+    return [(int(a[i]), int(b[i]), float(s[i])) for i in order]
+
+
+def _trim(a: np.ndarray, b: np.ndarray, s: np.ndarray, capacity: int):
+    """The best ``capacity`` of more candidates, plus the first dropped key.
+
+    Returns ``(a, b, s, floor)``: the kept arrays in ranking order and
+    the key of the best discarded pair — the new floor.
+    """
+    order = np.lexsort((b, a, -s))
+    cut = order[capacity]
+    floor = _key(int(a[cut]), int(b[cut]), float(s[cut]))
+    order = order[:capacity]
+    return a[order], b[order], s[order], floor
+
+
 def _block_candidates(
     block: np.ndarray, base: int, limit: int, include_self: bool = False
-) -> Tuple[List[ScoredPair], bool]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Deterministic top-``limit`` upper-triangle entries of one row block.
 
     ``block`` covers global rows ``base .. base + rows``; only entries
-    with ``col > row`` (``>=`` when ``include_self``) participate.
-    Returns ``(candidates, truncated)`` where ``truncated`` is True when
-    valid entries were discarded — i.e. the block held more than
-    ``limit`` of them.  Tie handling matches ``top_k_pairs``: entries
-    equal to the cut-off score are kept in ``(row, col)`` order, which is
-    exactly the row-major order ``np.nonzero`` yields.
+    with ``col > row`` (``>=`` when ``include_self``) participate, so the
+    scan starts at the first column any row may use and blanks only the
+    strict lower triangle of the ``rows × rows`` square on the diagonal.
+    Returns ``(a, b, scores, truncated)`` — int64, int64 and float64
+    arrays, unordered — where ``truncated`` is True when valid entries
+    were discarded, i.e. the block held more than ``limit`` of them.
+    Ties at the cut-off score are kept in ``(row, col)`` order, which is
+    the row-major order ``np.flatnonzero`` yields.
     """
     rows, n = block.shape
-    if rows == 0 or n == 0 or limit <= 0:
-        return [], False
-    offset = 0 if include_self else 1
-    row_ids = np.arange(base, base + rows, dtype=np.int64)
-    invalid = np.arange(n, dtype=np.int64)[None, :] < (
-        row_ids[:, None] + offset
-    )
-    valid_count = rows * n - int(invalid.sum())
-    if valid_count <= 0:
-        return [], False
-    work = np.array(block, dtype=np.float64)
-    work[invalid] = -np.inf
-    if valid_count <= limit:
-        r, c = np.nonzero(~invalid)
-        return (
-            [
-                (int(base + i), int(j), float(work[i, j]))
-                for i, j in zip(r, c)
-            ],
-            False,
-        )
+    first = base + (0 if include_self else 1)
+    width = n - first
+    if rows == 0 or width <= 0 or limit <= 0:
+        return _NO_INT, _NO_INT, _NO_FLOAT, False
+    work = np.array(block[:, first:], dtype=np.float64)
+    # Local row i may use local columns j >= i.
+    side = min(rows, width)
+    lower = np.tri(side, side, -1, dtype=bool)
+    work[:side, :side][lower] = -np.inf
+    work[side:] = -np.inf
     flat = work.ravel()
-    threshold = float(np.partition(flat, flat.size - limit)[flat.size - limit])
-    above = work > threshold
-    r, c = np.nonzero(above)
-    out = [
-        (int(base + i), int(j), float(work[i, j])) for i, j in zip(r, c)
-    ]
-    need = limit - len(out)
-    if need > 0:
-        tr, tc = np.nonzero(work == threshold)
-        for i, j in zip(tr[:need], tc[:need]):
-            out.append((int(base + i), int(j), threshold))
-    return out, True
+    valid = rows * width - side * (side - 1) // 2 - (rows - side) * width
+    if valid <= limit:
+        keep = np.ones(work.shape, dtype=bool)
+        keep[:side, :side][lower] = False
+        keep[side:] = False
+        index = np.flatnonzero(keep)
+        truncated = False
+    else:
+        cut = flat.size - limit
+        threshold = np.partition(flat, cut)[cut]
+        index = np.flatnonzero(flat > threshold)
+        ties = np.flatnonzero(flat == threshold)[: limit - index.size]
+        index = np.concatenate((index, ties))
+        truncated = True
+    i, j = np.divmod(index, width)
+    return base + i, first + j, flat[index], truncated
 
 
 def top_k_from_blocks(
@@ -116,71 +140,45 @@ def top_k_from_blocks(
     :func:`~repro.metrics.topk.top_k_pairs`: identical output (same
     deterministic tie order), but the selection runs one row block at a
     time — at most ``k`` candidates survive per block, and the final
-    k-way merge touches ``O(blocks · k)`` candidates — so the full
-    ``n × n`` matrix is never materialized.
+    merge touches ``O(blocks · k)`` candidates — so the full ``n × n``
+    matrix is never materialized.
     """
     if k < 0:
         raise DimensionError(f"k must be >= 0, got {k}")
     if k == 0:
         return []
-    candidates: List[ScoredPair] = []
-    for base, view in blocks:
-        candidates.extend(_block_candidates(view, base, k, include_self)[0])
-    best = heapq.nsmallest(k, candidates, key=lambda t: _key(t[0], t[1], t[2]))
-    return [(a, b, float(s)) for a, b, s in best]
+    parts = [
+        _block_candidates(view, base, k, include_self)[:3]
+        for base, view in blocks
+    ]
+    if not parts:
+        return []
+    a, b, s = (np.concatenate(column) for column in zip(*parts))
+    return _select(a, b, s, k)
 
 
-@dataclass
-class TopKStats:
-    """Lifetime counters of one :class:`ShardTopK` index."""
+class _ShardState:
+    """One shard's exact top-|tracked| pairs as parallel arrays.
 
-    queries: int = 0
-    heap_hits: int = 0
-    shard_queries: int = 0
-    shard_rescans: int = 0
-    patched_entries: int = 0
-    floor_invalidations: int = 0
-    full_invalidations: int = 0
-
-    def heap_hit_rate(self) -> float:
-        """Fraction of per-query shard reads served from the heaps.
-
-        Each query consults every shard; a shard counts as a hit when
-        its candidate heap was still valid (no re-scan needed).  1.0
-        means pure incremental maintenance; the complement is the
-        fraction of shard visits that paid a lazy re-scan.
-        """
-        if self.shard_queries == 0:
-            return 0.0
-        return 1.0 - self.shard_rescans / self.shard_queries
-
-    def clean_query_rate(self) -> float:
-        """Fraction of queries that re-scanned no shard at all."""
-        if self.queries == 0:
-            return 0.0
-        return self.heap_hits / self.queries
-
-
-class _ShardHeap:
-    """One shard's candidate set: tracked pairs + lazy-deletion heap.
-
-    ``entries`` maps each tracked canonical pair to its current score.
-    ``heap`` holds ``(score, -a, -b)`` records (min-heap top = worst
-    tracked pair under the ranking order); records go stale when a pair
-    is re-scored, and are dropped lazily when their score no longer
-    matches ``entries``.  ``floor`` is the key of the best pair ever
-    *discarded* from this shard — every untracked pair's key is ``>=``
-    ``floor`` — or ``None`` while nothing has been discarded (every pair
-    of the shard is tracked).
+    ``a``/``b``/``s`` hold the tracked canonical pairs and their scores
+    (widened to float64).  ``floor`` is the key of the best untracked
+    pair, or ``None`` while the shard tracks every pair it owns.
+    Invariant: every tracked key < ``floor`` <= every untracked key.
     """
 
-    __slots__ = ("entries", "heap", "floor", "dirty")
+    __slots__ = ("a", "b", "s", "floor")
 
-    def __init__(self) -> None:
-        self.entries: Dict[Pair, float] = {}
-        self.heap: List[Tuple[float, int, int]] = []
-        self.floor: Optional[PairKey] = None
-        self.dirty = True
+    def __init__(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        s: np.ndarray,
+        floor: Optional[PairKey],
+    ) -> None:
+        self.a = a
+        self.b = b
+        self.s = s
+        self.floor = floor
 
 
 class ShardTopK:
@@ -190,13 +188,15 @@ class ShardTopK:
     ----------
     store:
         The live sharded score store; the index attaches itself as the
-        store's top-k observer and is patched on every mutation.
+        store's top-k observer and is patched on every mutation.  Its
+        telemetry registry holds the index's ``repro_topk_*`` counters
+        (null instruments when telemetry is off).
     k:
-        Largest ranking size the index serves.
+        Default ranking size.
     capacity:
-        Candidates kept per shard (default ``max(2k, 16)``) — the slack
-        above ``k`` is what lets score *decreases* usually stay local
-        instead of forcing a shard re-scan.
+        Pairs tracked per shard (default ``max(2k, 16)``) and the largest
+        ranking the index serves.  The slack above ``k`` absorbs sunk
+        pairs before a query has to rescan a shard.
     """
 
     def __init__(
@@ -216,16 +216,39 @@ class ShardTopK:
             raise DimensionError(
                 f"capacity {self.capacity} must be >= k {self.k}"
             )
-        #: Monotone counter bumped whenever the candidate state moves —
-        #: the cheap "did any ranking possibly change since I last
+        #: Monotone counter bumped whenever a mutation may have changed
+        #: a ranking — the cheap "did anything move since I last
         #: looked?" signal the front door's top-k subscriptions poll
-        #: after each drain.  Read it *before* a query, and again after,
-        #: to absorb the bumps the query's own lazy re-scans produce.
+        #: after each drain.  Queries never bump it: a ranking is a
+        #: function of the tracked sets, which only mutations move.
         self.revision = 0
-        #: None means "everything dirty" (initial state / after a dense
-        #: mutation); rebuilt lazily at the next query.
-        self._shards: Optional[List[_ShardHeap]] = None
-        self.stats = TopKStats()
+        #: None means "every shard needs a scan" (first build, dense
+        #: mutation, node arrival); rebuilt at the next query.
+        self._shards: Optional[List[_ShardState]] = None
+        registry = store.telemetry.registry
+        self._queries = registry.counter(
+            "repro_topk_queries_total", help="Top-k index queries"
+        )
+        self._clean_queries = registry.counter(
+            "repro_topk_clean_queries_total",
+            help="Top-k queries answered without a shard rescan",
+        )
+        self._shard_reads = registry.counter(
+            "repro_topk_shard_reads_total",
+            help="Shards consulted by top-k queries",
+        )
+        self._rescans = registry.counter(
+            "repro_topk_shard_rescans_total",
+            help="Top-k shard rescans (builds and shards that ran short)",
+        )
+        self._untracked = registry.counter(
+            "repro_topk_untracked_pairs_total",
+            help="Tracked pairs that sank to their shard's floor",
+        )
+        self._promoted = registry.counter(
+            "repro_topk_promoted_pairs_total",
+            help="Untracked pairs promoted above their shard's floor",
+        )
         store.attach_topk(self)
 
     # -------------------------------------------------------------- #
@@ -233,208 +256,138 @@ class ShardTopK:
     # -------------------------------------------------------------- #
 
     def invalidate_all(self) -> None:
-        """Dense mutation / node arrival: every shard re-scans lazily."""
+        """Dense mutation / node arrival: every shard rescans lazily."""
         self._shards = None
         self.revision += 1
-        self.stats.full_invalidations += 1
 
     def on_add_node(self) -> None:
         """Node arrival adds a zero column pair to every shard."""
         self.invalidate_all()
+
+    def promotion_scores(self) -> Optional[List[float]]:
+        """Per-shard score that written entries are compared against.
+
+        ``None`` while every shard awaits a scan; otherwise each
+        shard's floor score, or ``+inf`` for a shard that tracks every
+        pair it owns.  An upper-triangle entry a plan leaves at ``>=``
+        this score may now beat the floor — a promotion hit.
+        """
+        if self._shards is None:
+            return None
+        return [
+            np.inf if state.floor is None else -state.floor[0]
+            for state in self._shards
+        ]
+
+    def on_plan(self, hits: Dict[int, Hits]) -> None:
+        """An :class:`UpdatePlan` was applied; merge its promotion hits.
+
+        ``hits`` maps every shard the plan wrote to the ``(a, b)`` arrays
+        of the upper-triangle entries the store found at or above that
+        shard's :meth:`promotion_scores` entry.  Only written shards can
+        hold moved tracked pairs, so each is refreshed and merged; the
+        index reads nothing else of the affected area.
+        """
+        if self._shards is None:
+            return
+        moved = False
+        for shard_id, found in hits.items():
+            moved |= self._patch(shard_id, found)
+        if moved:
+            self.revision += 1
 
     def on_entry(self, row: int, col: int) -> None:
         """One score was overwritten; patch its canonical pair."""
         if self._shards is None or row == col:
             return
         a, b = (row, col) if row < col else (col, row)
-        shard_id = a // self._store.shard_rows
-        if shard_id >= len(self._shards):
-            self.invalidate_all()
-            return
-        state = self._shards[shard_id]
-        if state.dirty:
-            return
-        value = self._store.entry(a, b)
-        pair = (a, b)
-        before = self.stats.patched_entries + self.stats.floor_invalidations
-        if pair in state.entries:
-            self._update_tracked(state, pair, value)
-        else:
-            self._insert(state, pair, value)
-        if before != self.stats.patched_entries + self.stats.floor_invalidations:
+        pair = (np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
+        if self._patch(a // self._store.shard_rows, [pair]):
             self.revision += 1
-
-    def on_plan(self, plan) -> None:
-        """An :class:`UpdatePlan` was applied; patch its affected pairs.
-
-        The plan touched ``rows_union × cols_union`` and the transpose,
-        so the canonical pairs that may have moved are exactly
-        ``{(min(i, j), max(i, j)) : i ∈ rows_union, j ∈ cols_union}``.
-        Each overlapping, non-dirty shard refreshes its tracked pairs in
-        the affected set and promotes untracked affected pairs that now
-        beat its floor.
-        """
-        if self._shards is None:
-            return
-        rows = plan.rows_union
-        cols = plan.cols_union
-        if rows.size == 0 or cols.size == 0:
-            return
-        shard_rows = self._store.shard_rows
-        row_set = set(int(i) for i in rows)
-        col_set = set(int(j) for j in cols)
-        first = int(min(rows[0], cols[0])) // shard_rows
-        last = min(
-            int(max(rows[-1], cols[-1])) // shard_rows,
-            len(self._shards) - 1,
-        )
-        for shard_id in range(first, last + 1):
-            state = self._shards[shard_id]
-            if state.dirty:
-                continue
-            before = (
-                self.stats.patched_entries + self.stats.floor_invalidations
-            )
-            self._patch_shard(state, shard_id, rows, cols, row_set, col_set)
-            after = (
-                self.stats.patched_entries + self.stats.floor_invalidations
-            )
-            if before != after:
-                self.revision += 1
 
     # -------------------------------------------------------------- #
     # Patching internals
     # -------------------------------------------------------------- #
 
-    def _patch_shard(
-        self,
-        state: _ShardHeap,
-        shard_id: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        row_set: set,
-        col_set: set,
-    ) -> None:
+    def _patch(self, shard_id: int, found: Hits) -> bool:
+        """Refresh, promote, untrack and trim one shard; True if it moved."""
+        state = self._shards[shard_id]
         base, block = self._store.shard_block(shard_id)
-        # 1) Tracked pairs inside the affected set: refresh from the
-        #    (already updated) store.  A pair falling to/under the floor
-        #    invalidates the shard — stop, the re-scan covers the rest.
-        for pair in list(state.entries):
-            a, b = pair
-            if (a in row_set and b in col_set) or (
-                a in col_set and b in row_set
-            ):
-                self._update_tracked(state, pair, float(block[a - base, b]))
-                if state.dirty:
-                    return
-        # 2) Untracked affected pairs now above the floor: promote them.
-        #    Two passes cover the scatter block and its transpose; pairs
-        #    hit by both are deduplicated by the tracked check.
-        span = block.shape[0]
-        floor_score = -state.floor[0] if state.floor is not None else None
-        for a_all, b_all in ((rows, cols), (cols, rows)):
-            lo = int(np.searchsorted(a_all, base))
-            hi = int(np.searchsorted(a_all, base + span))
-            a_part = a_all[lo:hi]
-            if a_part.size == 0 or b_all.size == 0:
-                continue
-            values = block[np.ix_(a_part - base, b_all)]
-            mask = b_all[None, :] > a_part[:, None]
-            if floor_score is not None:
-                mask &= values >= floor_score
-            for i, j in zip(*np.nonzero(mask)):
-                pair = (int(a_part[i]), int(b_all[j]))
-                if pair in state.entries:
-                    continue
-                self._insert(state, pair, float(values[i, j]))
+        a, b = state.a, state.b
+        s = block[a - base, b].astype(np.float64, copy=False)
+        moved = not np.array_equal(s, state.s)
+        tracked = a.size
+        if found:
+            # First occurrences of the pair codes, tracked pairs first:
+            # the survivors past ``tracked`` are the new, distinct hits.
+            width = self._store.num_nodes
+            codes = np.concatenate(
+                [a * width + b] + [ha * width + hb for ha, hb in found]
+            )
+            _, first = np.unique(codes, return_index=True)
+            fresh = codes[first[first >= tracked]]
+            if fresh.size:
+                ha, hb = np.divmod(fresh, width)
+                a = np.concatenate((a, ha))
+                b = np.concatenate((b, hb))
+                s = np.concatenate((s, block[ha - base, hb]))
+        if state.floor is not None:
+            floor_neg, floor_a, floor_b = state.floor
+            floor_score = -floor_neg
+            keep = (s > floor_score) | (
+                (s == floor_score)
+                & ((a < floor_a) | ((a == floor_a) & (b < floor_b)))
+            )
+            sunk = tracked - int(np.count_nonzero(keep[:tracked]))
+            promoted = int(np.count_nonzero(keep[tracked:]))
+            a, b, s = a[keep], b[keep], s[keep]
+        else:
+            sunk, promoted = 0, a.size - tracked
+        if a.size > self.capacity:
+            a, b, s, state.floor = _trim(a, b, s, self.capacity)
+        state.a, state.b, state.s = a, b, s
+        if sunk:
+            self._untracked.inc(sunk)
+        if promoted:
+            self._promoted.inc(promoted)
+        return moved or sunk > 0 or promoted > 0
 
-    def _update_tracked(
-        self, state: _ShardHeap, pair: Pair, value: float
-    ) -> None:
-        if state.entries[pair] == value:
-            return
-        key = _key(pair[0], pair[1], value)
-        if state.floor is not None and key >= state.floor:
-            # The pair sank into the discarded region: untracked pairs
-            # may now outrank it, so the shard must re-scan.
-            state.dirty = True
-            self.stats.floor_invalidations += 1
-            return
-        state.entries[pair] = value
-        heapq.heappush(state.heap, (value, -pair[0], -pair[1]))
-        self.stats.patched_entries += 1
-        self._maybe_compact(state)
-
-    def _insert(self, state: _ShardHeap, pair: Pair, value: float) -> None:
-        key = _key(pair[0], pair[1], value)
-        if state.floor is not None and key >= state.floor:
-            return  # not better than what was already discarded
-        state.entries[pair] = value
-        heapq.heappush(state.heap, (value, -pair[0], -pair[1]))
-        self.stats.patched_entries += 1
-        if len(state.entries) > self.capacity:
-            self._evict_worst(state)
-        self._maybe_compact(state)
-
-    def _evict_worst(self, state: _ShardHeap) -> None:
-        while True:
-            score, neg_a, neg_b = state.heap[0]
-            pair = (-neg_a, -neg_b)
-            if state.entries.get(pair) != score:
-                heapq.heappop(state.heap)  # stale record
-                continue
-            heapq.heappop(state.heap)
-            del state.entries[pair]
-            state.floor = _key(pair[0], pair[1], score)
-            return
-
-    def _maybe_compact(self, state: _ShardHeap) -> None:
-        if len(state.heap) > 4 * max(len(state.entries), 16):
-            state.heap = [
-                (score, -a, -b) for (a, b), score in state.entries.items()
-            ]
-            heapq.heapify(state.heap)
-
-    def _rescan(self, state: _ShardHeap, shard_id: int) -> None:
+    def _scan(self, shard_id: int) -> _ShardState:
+        """Rebuild one shard from its block: top-``capacity`` plus floor."""
         base, block = self._store.shard_block(shard_id)
-        candidates, truncated = _block_candidates(
-            block, base, self.capacity, include_self=False
-        )
-        state.entries = {(a, b): score for a, b, score in candidates}
-        state.heap = [(score, -a, -b) for a, b, score in candidates]
-        heapq.heapify(state.heap)
-        state.floor = (
-            max(_key(a, b, score) for a, b, score in candidates)
-            if truncated
-            else None
-        )
-        state.dirty = False
-        self.stats.shard_rescans += 1
-        self.revision += 1
+        a, b, s, _ = _block_candidates(block, base, self.capacity + 1)
+        if a.size <= self.capacity:
+            return _ShardState(a, b, s, None)
+        return _ShardState(*_trim(a, b, s, self.capacity))
 
     # -------------------------------------------------------------- #
     # Queries
     # -------------------------------------------------------------- #
 
     def dirty_shards(self) -> int:
-        """Shards whose heaps need a re-scan at the next query."""
-        if self._shards is None:
-            return self._store.num_shards
-        return sum(1 for state in self._shards if state.dirty)
+        """Shards that need a scan at the next query."""
+        return self._store.num_shards if self._shards is None else 0
 
-    def _materialize(self) -> None:
-        """Ensure the per-shard heap list matches the store's shards."""
-        count = self._store.num_shards
-        if self._shards is None or len(self._shards) != count:
-            self._shards = [_ShardHeap() for _ in range(count)]
+    def _merge(self, k: int) -> List[ScoredPair]:
+        shards = self._shards
+        if not shards:
+            return []
+        return _select(
+            np.concatenate([state.a for state in shards]),
+            np.concatenate([state.b for state in shards]),
+            np.concatenate([state.s for state in shards]),
+            k,
+        )
 
     def top_k(self, k: Optional[int] = None) -> List[ScoredPair]:
-        """The global top-``k`` pairs, k-way merged across shard heaps.
+        """The global top-``k`` pairs, merged across the shards' tracked sets.
 
         Bit-identical to ``top_k_pairs(store.to_array(), k)`` — same
         scores, same deterministic tie order — without materializing
-        ``S``.  Dirty shards are re-scanned first; a query that needed
-        no re-scan counts as a heap hit.
+        ``S``, for every ``k`` up to ``capacity``.  A shard is rescanned
+        only when its floor beats the merged k-th key (or fewer than
+        ``k`` pairs were merged): then untracked pairs could belong in
+        the answer.  A query that rescanned nothing counts as clean.
         """
         k = self.k if k is None else int(k)
         if k < 0:
@@ -444,28 +397,60 @@ class ShardTopK:
                 f"k={k} exceeds the index capacity {self.capacity}; "
                 f"build a larger ShardTopK"
             )
-        self.stats.queries += 1
+        self._queries.inc()
         if k == 0:
-            self.stats.heap_hits += 1
+            self._clean_queries.inc()
             return []
-        self._materialize()
-        self.stats.shard_queries += len(self._shards)
-        hit = True
-        for shard_id, state in enumerate(self._shards):
-            if state.dirty:
-                self._rescan(state, shard_id)
-                hit = False
-        if hit:
-            self.stats.heap_hits += 1
-        candidates = [
-            (a, b, score)
-            for state in self._shards
-            for (a, b), score in state.entries.items()
+        rescans = 0
+        if self._shards is None:
+            self._shards = [
+                self._scan(shard_id)
+                for shard_id in range(self._store.num_shards)
+            ]
+            rescans = len(self._shards)
+        self._shard_reads.inc(len(self._shards))
+        best = self._merge(k)
+        kth = _key(*best[-1]) if len(best) == k else None
+        short = [
+            shard_id
+            for shard_id, state in enumerate(self._shards)
+            if state.floor is not None and (kth is None or state.floor < kth)
         ]
-        best = heapq.nsmallest(
-            k, candidates, key=lambda t: _key(t[0], t[1], t[2])
-        )
-        return [(a, b, float(score)) for a, b, score in best]
+        if short:
+            for shard_id in short:
+                self._shards[shard_id] = self._scan(shard_id)
+            rescans += len(short)
+            best = self._merge(k)
+        if rescans:
+            self._rescans.inc(rescans)
+        else:
+            self._clean_queries.inc()
+        return best
+
+    def report(self) -> dict:
+        """The ``metrics_report()["topk"]`` section, read off the counters.
+
+        Counters are per telemetry registry, so they accumulate across
+        indexes that replace each other and read zero when telemetry is
+        off.  ``patched_entries`` counts promoted pairs and
+        ``floor_invalidations`` counts untracked (sunk) pairs.
+        """
+        queries = self._queries.value
+        reads = self._shard_reads.value
+        rescans = self._rescans.value
+        return {
+            "k": self.k,
+            "capacity": self.capacity,
+            "heap_hit_rate": 1.0 - rescans / reads if reads else 0.0,
+            "clean_query_rate": (
+                self._clean_queries.value / queries if queries else 0.0
+            ),
+            "queries": int(queries),
+            "shard_rescans": int(rescans),
+            "patched_entries": int(self._promoted.value),
+            "floor_invalidations": int(self._untracked.value),
+            "dirty_shards": self.dirty_shards(),
+        }
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ worthwhile:
   drains; release (explicit or expiry) feeds the copy-on-write
   refcounting.
 * :mod:`repro.frontdoor.subscriptions` — **top-k push subscriptions**:
-  after each drain the hub diffs the incremental shard-heap ranking
+  after each drain the hub diffs the incremental shard-local ranking
   against each subscriber's last-seen state and pushes only changed
   positions plus a SHA-1 digest of the full ranking, so clients verify
   exact reconstruction on every step.

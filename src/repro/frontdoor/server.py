@@ -7,7 +7,7 @@ One asyncio server, one listening socket, two protocols:
 ``GET /metrics``            service metrics + front-door gauges
 ``POST /query``             one :class:`QueryRequest` (JSON); batched
                             admission for ``similarity`` /
-                            ``single_source``, shard-heap path for
+                            ``single_source``, shard-local index for
                             ``top_k``, pinned-session routing via the
                             envelope's ``session`` field
 ``POST /session``           pin the current snapshot; returns the id

@@ -5,14 +5,14 @@ front door does not rebroadcast the full ranking on every drain — it
 pushes **only what changed**:
 
 * after each drain the hub recomputes the ranking through the engine's
-  incremental shard-heap path (bit-identical to a brute-force dense
+  incremental shard-local index (bit-identical to a brute-force dense
   scan, the repo's standing guarantee) and diffs it against what each
   subscriber last saw;
-* unchanged rankings push nothing at all, and drains that touched no
-  scores are skipped *without recomputing* via the top-k index's
+* unchanged rankings push nothing at all, and drains that moved no
+  tracked pair are skipped *without recomputing* via the top-k index's
   ``revision`` counter (read under the writer's apply lock, re-read
-  after the query so a lazy rescan's bump is absorbed rather than
-  re-triggering);
+  after the query so an index replaced by a larger ``k`` is absorbed
+  rather than re-triggering);
 * a changed ranking pushes ``{positions changed, new size, digest}``
   where the digest is SHA-1 over the canonical full ranking — the
   client patches its copy and verifies the digest, so a missed or
@@ -187,8 +187,8 @@ class TopKSubscriptions:
     def prime(self, subscriber: Subscriber) -> dict:
         """Compute the initial full-ranking message for a new subscriber."""
         with self._apply_lock():
-            index = self._service.engine.topk_index
             ranking = self._service.engine.top_k(subscriber.k)
+            index = self._service.engine.topk_index
             revision = index.revision if index is not None else None
             version = self._service.version
         subscriber.last_ranking = ranking
@@ -240,9 +240,11 @@ class TopKSubscriptions:
                         rankings[subscriber.k] = self._service.engine.top_k(
                             subscriber.k
                         )
-                # Re-read after the queries: a lazy shard rescan inside
-                # top_k bumps the counter, and absorbing that bump here
-                # keeps the next no-op drain skippable.
+                # Re-read after the queries: a k above the index's
+                # capacity replaces it with one at a higher revision,
+                # and absorbing that here keeps the next no-op drain
+                # skippable.
+                index = self._service.engine.topk_index
                 revision_after = (
                     index.revision if index is not None else None
                 )

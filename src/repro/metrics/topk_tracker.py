@@ -52,7 +52,7 @@ class TopKTracker:
         self._current: List[ScoredPair] = self._rank()
 
     def _rank(self) -> List[ScoredPair]:
-        """Current top-k via the engine's shard-heap path when available.
+        """Current top-k via the engine's shard-local index when available.
 
         :meth:`DynamicSimRank.top_k` serves from the incrementally
         maintained :class:`~repro.executor.topk_index.ShardTopK` (no

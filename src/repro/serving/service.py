@@ -646,12 +646,14 @@ class SimRankService:
         return self._engine.similarity(node_a, node_b)
 
     def top_k(self, k: int, include_self: bool = False):
-        """Top-``k`` pairs at the latest version via the shard-heap path.
+        """Top-``k`` pairs at the latest version via the shard-local index.
 
         Served by the engine's incremental
-        :class:`~repro.executor.topk_index.ShardTopK` (no dense ``S``
-        scan); in background mode the query takes the writer's apply
-        lock so it never interleaves with a drain.
+        :class:`~repro.executor.topk_index.ShardTopK`: a merge of each
+        shard's tracked best pairs, with no dense ``S`` scan and a shard
+        rescan only when a shard tracks too few pairs for ``k``.  In
+        background mode the query takes the writer's apply lock so it
+        never interleaves with a drain.
         """
         self._ensure_open()
         if self._writer is not None:
@@ -698,7 +700,7 @@ class SimRankService:
         The in-process twin of the front door's ``POST /query``: the
         same envelope in, the same envelope out, the same arithmetic
         (``similarity``/``single_pair``/``single_source`` read a pinned
-        snapshot; ``top_k`` rides the shard-heap path under the apply
+        snapshot; ``top_k`` rides the shard-local index under the apply
         lock).  Accepts a raw wire dict as a convenience.
         """
         if isinstance(request, dict):
@@ -772,17 +774,7 @@ class SimRankService:
             report["writer"] = self._writer.report()
         index = self._engine.topk_index
         if index is not None:
-            report["topk"] = {
-                "k": index.k,
-                "capacity": index.capacity,
-                "heap_hit_rate": index.stats.heap_hit_rate(),
-                "clean_query_rate": index.stats.clean_query_rate(),
-                "queries": index.stats.queries,
-                "shard_rescans": index.stats.shard_rescans,
-                "patched_entries": index.stats.patched_entries,
-                "floor_invalidations": index.stats.floor_invalidations,
-                "dirty_shards": index.dirty_shards(),
-            }
+            report["topk"] = index.report()
         report["durability"] = (
             self._durability.report()
             if self._durability is not None

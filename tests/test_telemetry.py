@@ -373,6 +373,44 @@ class TestServiceIntegration:
         finally:
             service.close()
 
+    def test_topk_report_renders_registry_counters(self, workload):
+        graph, scores = workload
+        service = SimRankService(
+            graph.copy(), CFG, initial_scores=scores.copy()
+        )
+        try:
+            service.top_k(3)
+            service.submit(EdgeUpdate.insert(0, 7))
+            service.drain()
+            service.top_k(3)
+            topk = service.metrics_report()["topk"]
+            assert set(topk) == {
+                "k",
+                "capacity",
+                "heap_hit_rate",
+                "clean_query_rate",
+                "queries",
+                "shard_rescans",
+                "patched_entries",
+                "floor_invalidations",
+                "dirty_shards",
+            }
+            registry = service.telemetry.registry
+
+            def count(name):
+                return int(registry.get(f"repro_topk_{name}_total").value)
+
+            assert topk["queries"] == count("queries") == 2
+            assert topk["shard_rescans"] == count("shard_rescans") >= 1
+            assert topk["patched_entries"] == count("promoted_pairs")
+            assert topk["floor_invalidations"] == count("untracked_pairs")
+            assert topk["clean_query_rate"] == count("clean_queries") / 2
+            scrape = render_prometheus(registry)
+            assert "repro_topk_queries_total 2" in scrape
+            validate_scrape(scrape)
+        finally:
+            service.close()
+
     def test_disabled_telemetry_via_config(self, workload):
         graph, scores = workload
         config = ServiceConfig(

@@ -1,22 +1,27 @@
 """Tests for repro.executor.topk_index (shard-local incremental top-k).
 
 The central property: after *arbitrary* update sequences, the
-incrementally patched shard-heap ranking is bit-identical — same pairs,
+incrementally patched shard-local ranking is bit-identical — same pairs,
 same scores, same deterministic tie order — to the brute-force
 :func:`repro.metrics.topk.top_k_pairs` pass over the dense matrix.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import DynamicSimRank, SimRankConfig
 from repro.exceptions import DimensionError
 from repro.executor import ScoreStore, ShardTopK, top_k_from_blocks
+from repro.frontdoor.subscriptions import TopKSubscriptions
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate
+from repro.incremental.plan import UpdatePlan
 from repro.metrics.topk import top_k_pairs
 from repro.metrics.topk_tracker import TopKTracker
 from repro.serving import SimRankService
+from repro.telemetry import Telemetry
 
 from _streams import random_update_stream as _random_stream
 
@@ -65,7 +70,9 @@ class TestIncrementalProperty:
     def test_matches_brute_force_after_arbitrary_updates(self, config):
         """The required property test: unit-update streams, many checks."""
         graph = erdos_renyi_digraph(60, 0.06, seed=7)
-        engine = DynamicSimRank(graph, config, shard_rows=16)
+        engine = DynamicSimRank(
+            graph, config, shard_rows=16, telemetry=Telemetry()
+        )
         assert engine.top_k(8) == top_k_pairs(engine.similarities(), 8)
         for i, update in enumerate(_random_stream(engine.graph, 90, seed=8)):
             engine.apply(update)
@@ -76,9 +83,9 @@ class TestIncrementalProperty:
         # After the stream the index must still agree, and must have
         # been exercised incrementally (not rebuilt per query).
         assert engine.top_k(8) == top_k_pairs(engine.similarities(), 8)
-        stats = engine.topk_index.stats
-        assert stats.queries >= 19
-        assert stats.patched_entries > 0
+        report = engine.topk_index.report()
+        assert report["queries"] >= 19
+        assert report["patched_entries"] > 0
 
     def test_matches_brute_force_through_consolidated_drains(self, config):
         graph = erdos_renyi_digraph(50, 0.07, seed=17)
@@ -93,19 +100,20 @@ class TestIncrementalProperty:
                 service.engine.similarities(), 10
             )
 
-    def test_deletion_heavy_stream_forces_floor_invalidation(self, config):
-        """Score decreases must trigger lazy re-scans, not wrong answers."""
+    def test_deletion_heavy_stream_untracks_sunk_pairs(self, config):
+        """Sunk pairs are untracked, answers stay exact."""
         rng = np.random.default_rng(27)
         graph = erdos_renyi_digraph(40, 0.15, seed=27)
-        engine = DynamicSimRank(graph, config, shard_rows=8)
+        engine = DynamicSimRank(
+            graph, config, shard_rows=8, telemetry=Telemetry()
+        )
         engine.top_k(5)
         edges = list(engine.graph.edges())
         rng.shuffle(edges)
         for source, target in edges[:30]:
             engine.apply(EdgeUpdate.delete(source, target))
             assert engine.top_k(5) == top_k_pairs(engine.similarities(), 5)
-        assert engine.topk_index.stats.floor_invalidations > 0
-        assert engine.topk_index.stats.shard_rescans > 0
+        assert engine.topk_index.report()["floor_invalidations"] > 0
 
     def test_k_growth_rebuilds_index(self, config):
         graph = erdos_renyi_digraph(30, 0.1, seed=37)
@@ -121,6 +129,35 @@ class TestIncrementalProperty:
             engine.similarities(), big_k
         )
         assert engine.topk_index is not first
+
+    def test_replacement_keeps_revision_monotone(self, config):
+        """A larger index continues the revision, so polls see the move."""
+        graph = erdos_renyi_digraph(40, 0.1, seed=107)
+        service = SimRankService(graph, config, shard_rows=8)
+        try:
+            hub = TopKSubscriptions(service, max_k=5)
+            subscriber = hub.add(3, queue=None)
+            hub.prime(subscriber)
+            first = service.engine.topk_index
+            primed = subscriber.last_ranking
+            for update in _random_stream(service.engine.graph, 200, seed=108):
+                service.submit_many([update])
+                service.drain()
+                if top_k_pairs(service.engine.similarities(), 3) != primed:
+                    break
+            else:
+                pytest.fail("the stream never moved the top-3")
+            before = first.revision
+            service.top_k(first.capacity + 1)  # replaces the index
+            assert service.engine.topk_index is not first
+            assert service.engine.topk_index.revision > before
+            messages = hub.poll()
+            assert [entry[0] for entry in messages] == [subscriber]
+            assert subscriber.last_ranking == top_k_pairs(
+                service.engine.similarities(), 3
+            )
+        finally:
+            service.close()
 
     def test_add_node_invalidates_then_agrees(self, config):
         graph = erdos_renyi_digraph(20, 0.15, seed=47)
@@ -146,6 +183,124 @@ class TestIncrementalProperty:
             engine.top_k(-1)
 
 
+PROPERTY_CONFIG = SimRankConfig(damping=0.6, iterations=8)
+STEPS = (
+    "insert", "delete", "delete", "add_node", "replace_dense", "entry", "plan",
+)
+
+
+def _assert_shard_invariant(index, store):
+    """Tracked keys < floor <= every untracked key, scores current."""
+    for shard_id, state in enumerate(index._shards):
+        base, block = store.shard_block(shard_id)
+        keys = {
+            (-float(block[i, j]), base + i, j)
+            for i in range(block.shape[0])
+            for j in range(base + i + 1, block.shape[1])
+        }
+        tracked = {
+            (-float(s), int(i), int(j))
+            for i, j, s in zip(state.a, state.b, state.s)
+        }
+        assert len(tracked) == state.a.size <= index.capacity
+        assert tracked <= keys  # every tracked score is current
+        untracked = keys - tracked
+        if state.floor is None:
+            assert not untracked
+            continue
+        assert all(key < state.floor for key in tracked)
+        assert state.floor <= min(untracked)
+
+
+def _eighths_plan(rng, n):
+    """A rank-one plan whose deltas are exact multiples of 1/8.
+
+    On eighths-valued scores every sum stays exact, so plans land
+    pairs exactly on a shard's floor score — the tie the promotion
+    compare must catch.
+    """
+    # Half the supports are a few scattered nodes: the np.ix_ path.
+    rows, cols = (
+        np.unique(rng.integers(n, size=int(rng.integers(1, top))))
+        for top in rng.choice([4, n + 1], size=2)
+    )
+    left = [(rows, rng.integers(-2, 3, size=rows.size) / 8.0)]
+    right = [(cols, np.ones(cols.size))]
+    return UpdatePlan(0, left, right, rows, cols, affected=None)
+
+
+@st.composite
+def _index_streams(draw):
+    return {
+        "n": draw(st.integers(6, 30)),
+        "density": draw(st.sampled_from([0.05, 0.12, 0.25, 0.5])),
+        "shard_rows": draw(st.sampled_from([1, 3, 7, 64])),
+        "dtype": draw(st.sampled_from(["float64", "float32"])),
+        "k": draw(st.integers(1, 6)),
+        "seed": draw(st.integers(0, 2**16)),
+        "steps": draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=12)),
+    }
+
+
+class TestIndexProperty:
+    """Random streams through the index against brute force."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_index_streams())
+    def test_random_streams_match_brute_force(self, stream):
+        rng = np.random.default_rng(stream["seed"])
+        graph = erdos_renyi_digraph(
+            stream["n"], stream["density"], seed=stream["seed"]
+        )
+        engine = DynamicSimRank(
+            graph,
+            PROPERTY_CONFIG,
+            shard_rows=stream["shard_rows"],
+            score_dtype=stream["dtype"],
+        )
+        store = engine.score_store
+        engine.top_k(stream["k"])
+        index = engine.topk_index
+        ranking = index.top_k(index.capacity)
+        for step in stream["steps"]:
+            n = engine.graph.num_nodes
+            revision = index.revision
+            edges = list(engine.graph.edges())
+            if step == "delete" and edges:
+                source, target = edges[int(rng.integers(len(edges)))]
+                engine.apply(EdgeUpdate.delete(source, target))
+            elif step in ("insert", "delete"):
+                source, target = (int(x) for x in rng.integers(n, size=2))
+                if source != target and not engine.graph.has_edge(
+                    source, target
+                ):
+                    engine.apply(EdgeUpdate.insert(source, target))
+            elif step == "add_node":
+                engine.add_node()
+            elif step == "replace_dense":
+                fresh = rng.integers(0, 8, size=(n, n)) / 8.0
+                store.replace_dense(np.maximum(fresh, fresh.T))
+            elif step == "plan":
+                store.apply_plan(_eighths_plan(rng, n))
+            else:
+                row, col = (int(x) for x in rng.integers(n, size=2))
+                store.set_entry(row, col, int(rng.integers(0, 8)) / 8.0)
+            if index._shards is not None:
+                _assert_shard_invariant(index, store)
+            scores = engine.similarities()
+            k = int(rng.integers(1, index.capacity + 1))
+            assert index.top_k(k) == top_k_pairs(scores, k)
+            _assert_shard_invariant(index, store)
+            previous, ranking = ranking, index.top_k(index.capacity)
+            assert ranking == top_k_pairs(scores, index.capacity)
+            if ranking != previous:
+                assert index.revision > revision
+
+
 class TestShardTopKUnit:
     def test_validation(self, config):
         graph = erdos_renyi_digraph(10, 0.2, seed=77)
@@ -160,17 +315,47 @@ class TestShardTopKUnit:
 
     def test_heap_hit_rate_counts_scanless_queries(self, config):
         graph = erdos_renyi_digraph(30, 0.1, seed=87)
-        engine = DynamicSimRank(graph, config, shard_rows=8)
+        telemetry = Telemetry()
+        engine = DynamicSimRank(
+            graph, config, shard_rows=8, telemetry=telemetry
+        )
         engine.top_k(5)  # build: miss
         engine.top_k(5)  # nothing changed: pure heap hit
-        stats = engine.topk_index.stats
-        assert stats.queries == 2
-        assert stats.heap_hits == 1
-        assert stats.clean_query_rate() == 0.5
+        report = engine.topk_index.report()
+        assert report["queries"] == 2
+        assert report["clean_query_rate"] == 0.5
         # Shard-level: first query re-scanned every shard (build), the
         # second touched none — exactly half the shard visits hit.
-        assert stats.shard_queries == 2 * engine.score_store.num_shards
-        assert stats.heap_hit_rate() == 0.5
+        shards = engine.score_store.num_shards
+        assert report["shard_rescans"] == shards
+        assert report["heap_hit_rate"] == 0.5
+        registry = telemetry.registry
+        assert registry.get("repro_topk_clean_queries_total").value == 1
+        assert registry.get("repro_topk_shard_reads_total").value == 2 * shards
+
+    def test_scatter_landing_on_the_floor_score_promotes(self):
+        """A pair raised exactly to the floor's score, ahead of the floor
+        pair in tie order, must be promoted by the np.ix_ path too."""
+        scores = np.zeros((12, 12))
+        big = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)] + [
+            (a, b) for a in range(7, 12) for b in range(a + 1, 12)
+        ]
+        for a, b in big:
+            scores[a, b] = 1.0
+        scores[5, 9] = scores[6, 10] = 0.5  # 16th tracked pair, floor
+        scores[0, 11] = 0.25
+        scores = np.maximum(scores, scores.T)
+        store = ScoreStore(scores, shard_rows=64)
+        index = ShardTopK(store, k=8)
+        assert index.top_k(16) == top_k_pairs(scores, 16)
+        assert index._shards[0].floor == (-0.5, 6, 10)
+        rows, cols = np.array([0]), np.array([1, 11])  # sparse span
+        left = [(rows, np.array([0.25]))]
+        right = [(cols, np.ones(2))]
+        plan = UpdatePlan(0, left, right, rows, cols, affected=None)
+        store.apply_plan(plan)
+        assert store.entry(0, 11) == 0.5
+        assert index.top_k(16) == top_k_pairs(store.to_array(), 16)
 
     def test_dense_rewrite_invalidates(self, config):
         graph = erdos_renyi_digraph(20, 0.1, seed=97)
@@ -203,15 +388,17 @@ class TestSnapshotTopK:
 class TestTrackerIntegration:
     def test_tracker_rides_the_shard_index(self, config):
         graph = erdos_renyi_digraph(30, 0.1, seed=5)
-        engine = DynamicSimRank(graph, config, shard_rows=8)
+        engine = DynamicSimRank(
+            graph, config, shard_rows=8, telemetry=Telemetry()
+        )
         tracker = TopKTracker(engine, k=5)
         assert engine.topk_index is not None  # built by the tracker
-        queries_before = engine.topk_index.stats.queries
+        queries_before = engine.topk_index.report()["queries"]
         for update in _random_stream(engine.graph, 15, seed=6):
             engine.apply(update)
             tracker.refresh()
         assert tracker.current() == top_k_pairs(engine.similarities(), 5)
-        assert engine.topk_index.stats.queries > queries_before
+        assert engine.topk_index.report()["queries"] > queries_before
 
     def test_tracker_falls_back_without_top_k(self):
         class DenseOnly:
