@@ -4,11 +4,14 @@ A checkpoint is the replay base the WAL's delta frames build on: the
 score shards exactly as the :class:`~repro.executor.score_store.ScoreStore`
 holds them (per-shard storage dtype preserved — a float32 shard is
 saved as float32 and restores bit-identically via the exact
-float32→float64→float32 round trip) plus the packed
-:class:`~repro.linalg.qstore.TransitionSnapshot` payload, from which
-both ``Q`` *and* the graph are rebuilt (row ``i`` of the backward CSR
-lists ``i``'s in-neighbors; ``TransitionStore.from_graph`` is
-deterministic, so the rebuilt ``Q`` is bit-identical too).
+float32→float64→float32 round trip) plus the packed CSR structure of
+``Q`` (:meth:`~repro.linalg.qstore.TransitionStore.export_packed`),
+from which both ``Q`` *and* the graph are rebuilt (row ``i`` of the
+backward CSR lists ``i``'s in-neighbors; ``TransitionStore.from_graph``
+is deterministic, so the rebuilt ``Q`` is bit-identical too).
+Checkpoints written before the store was one CSR also carry
+``col_indices``/``col_indptr``/``row_weight``; recovery never reads
+them.
 
 Publication is atomic at two levels: each checkpoint is written into a
 ``checkpoints/tmp-*`` scratch directory, fsynced, and ``os.rename``d

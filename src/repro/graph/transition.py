@@ -7,8 +7,8 @@ zero, so ``Q`` is row-substochastic in general.
 
 The incremental algorithms never rebuild ``Q`` from scratch: a unit update
 ``(i, j)`` only rewrites row ``j``.  The *engine's* hot path keeps ``Q``
-in a :class:`~repro.linalg.qstore.TransitionStore` (persistent dual
-CSR/CSC slabs with O(row) surgery and no scipy object churn);
+in a :class:`~repro.linalg.qstore.TransitionStore` (one packed CSR
+with copy-on-write row surgery);
 :func:`update_transition_matrix` remains the reference single-row rewrite
 on plain scipy CSR arrays — used by tests and ablations — and
 :func:`transition_row` builds one row directly from the graph.

@@ -11,8 +11,8 @@ The engine is now a thin **facade** over a three-layer architecture:
   mutated at this layer.
 * **executor** (:mod:`repro.executor.score_store`,
   :mod:`repro.linalg.qstore`) — the state owners.  ``Q`` lives in a
-  :class:`~repro.linalg.qstore.TransitionStore` (persistent dual
-  CSR/CSC slab store, O(row) surgery); ``S`` lives in a
+  :class:`~repro.linalg.qstore.TransitionStore` (one packed CSR,
+  copy-on-write row surgery); ``S`` lives in a
   :class:`~repro.executor.score_store.ScoreStore` (row-block shards,
   per-shard application of a plan's union-support GEMM, copy-on-write
   snapshots).  Dense per-update scratch comes from a pooled
@@ -28,10 +28,11 @@ configured algorithm (``"inc-sr"`` — Algorithm 2, pruned, default;
 ``"inc-usr"`` — Algorithm 1; ``"batch"`` — full recomputation),
 ``apply_consolidated`` groups a batch into per-target rank-one row
 updates, and every update is timed into :class:`UpdateStats`.  Per-update
-maintenance stays O(row) on ``Q`` and affected-area-sized on ``S`` —
-update cost tracks the affected area rather than the graph size (the
-paper's headline claim) — while the plan/apply split is what lets the
-serving layer keep readers on frozen versions for free.
+score work is affected-area-sized on ``S`` (``Q``'s O(nnz) row splice
+is small beside it) — update cost tracks the affected area rather than
+the graph size (the paper's headline claim) — while the plan/apply
+split is what lets the serving layer keep readers on frozen versions
+for free.
 """
 
 from __future__ import annotations
@@ -195,15 +196,15 @@ class DynamicSimRank:
     def transition_matrix(self) -> sp.csr_matrix:
         """The live backward transition matrix ``Q`` as scipy CSR.
 
-        A packed view served from the store's cache: repeated reads
-        between updates return the same object without copying; the view
-        is rebuilt lazily after a mutation.  Treat it as read-only.
+        The store's current CSR: repeated reads between updates return
+        the same object without copying, and a mutation publishes a new
+        one, leaving this one frozen.  Treat it as read-only.
         """
         return self._store.csr_matrix()
 
     @property
     def transition_store(self) -> TransitionStore:
-        """The live dual-layout ``Q`` store (the update hot path)."""
+        """The live packed-CSR ``Q`` store (the update hot path)."""
         return self._store
 
     @property
@@ -288,9 +289,9 @@ class DynamicSimRank:
         elif self._algorithm == "inc-sr":
             # Fast path: the kernel plans the factored delta from the
             # old state (Theorems 1-4), then the executor applies it —
-            # per-shard union-support GEMM on S, row-granular surgery
-            # on the dual Q store.  No copies, no format conversions,
-            # no array rebuilds.
+            # per-shard union-support GEMM on S, copy-on-write row
+            # surgery on the packed Q.  No S copies, no format
+            # conversions.
             from .gamma import compute_update_vectors
             from .plan import plan_rank_one
 
@@ -379,7 +380,7 @@ class DynamicSimRank:
             # diagnostics may alias pooled workspace).
             plans.append(plan)
             row_update.apply_to(self._graph)
-            # Row-granular surgery on the dual store (no CSR rebuild).
+            # Copy-on-write surgery of the target's Q row.
             self._store.set_row_from_graph(self._graph, row_update.target)
         elapsed = time.perf_counter() - started
         self._version += 1
@@ -520,10 +521,10 @@ class DynamicSimRank:
     def intermediate_bytes(self) -> int:
         """Rough bytes held by the engine beyond the S output (Fig. 3).
 
-        Counts the dual-layout ``Q`` store (both CSR and CSC slabs,
-        *including* their per-row slack and relocation holes) plus the
-        pooled per-update vector workspace; the ``n²`` score store is
-        excluded, mirroring the paper's "intermediate space" definition.
+        Counts the packed-CSR ``Q`` store (``indptr``, ``indices``,
+        ``data`` and ``row_weight``) plus the pooled per-update vector
+        workspace; the ``n²`` score store is excluded, mirroring the
+        paper's "intermediate space" definition.
         """
         return self._store.buffer_bytes() + self._workspace.nbytes()
 
@@ -531,7 +532,6 @@ class DynamicSimRank:
         """Layered memory accounting: Q store, workspace, score shards."""
         report = {
             "transition_store_bytes": self._store.buffer_bytes(),
-            "transition_slack_bytes": self._store.slack_bytes(),
             "workspace_bytes": self._workspace.nbytes(),
             "score_buffer_bytes": self._scores.buffer_bytes(),
             "score_logical_bytes": self._scores.nbytes(),

@@ -70,9 +70,9 @@ def _q_matvec(
     """``Q @ x`` routed into a pooled buffer when possible.
 
     A strided ``x`` (e.g. a matrix column) is staged into a contiguous
-    pooled buffer first: the store's mat-vec gathers ``x`` by fancy
-    index, and gathering from a 1-element-per-cache-line strided column
-    is several times slower than one sequential staging pass.
+    pooled buffer first: scipy's CSR product reads ``x`` at random
+    positions, which on a 1-element-per-cache-line strided column is
+    several times slower than one sequential staging pass.
     """
     if workspace is not None and hasattr(q_matrix, "matvec"):
         n = q_matrix.shape[0]

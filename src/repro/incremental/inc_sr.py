@@ -2,18 +2,17 @@
 
 Inc-SR is Inc-uSR restricted, at every step, to the affected areas of
 Theorem 4.  The pruned iteration itself lives in the kernel layer
-(:func:`repro.incremental.plan.plan_rank_one`): it realizes the pruning
-with *sparse vector* arithmetic over the CSC slabs of a
-:class:`~repro.linalg.qstore.TransitionStore` — the product ``Q·ξ_k`` is
-a gather over exactly the columns in ``supp(ξ_k)``, whose touched rows
-are precisely the out-neighbor closure ``A_k`` of Theorem 4's Eq. (40)
-— and returns an explicit :class:`~repro.incremental.plan.UpdatePlan`
-(factored low-rank delta + affected support sets) instead of mutating
-``S``.  This module is the dense-matrix convenience wrapper: it plans
-and then applies the plan to a plain ndarray, which is what the
-standalone-function API and the test-suite equivalence checks consume.
-A whole update costs ``O(nnz(Q[:, supp])·log + |A_k|·|B_k|)`` with no
-O(n) dense-vector pass at all.
+(:func:`repro.incremental.plan.plan_rank_one`): it advances the factor
+pair ``(ξ_k, η_k)`` as dense vectors through CSR products, and the
+nonzero supports it realizes are the out-neighbor closures ``A_k``/
+``B_k`` of Theorem 4's Eq. (40).  It returns an explicit
+:class:`~repro.incremental.plan.UpdatePlan` (factored low-rank delta +
+affected support sets) instead of mutating ``S``, so the score work is
+confined to ``|A_k|·|B_k|`` entries.  This module is the dense-matrix
+convenience wrapper: it plans and then applies the plan to a plain
+ndarray, which is what the standalone-function API and the test-suite
+equivalence checks consume.  A whole update costs
+``O(K·nnz(Q) + Σ_k |A_k|·|B_k|)``.
 
 The pruning is *lossless*: every skipped entry is provably zero
 (Theorem 4), so Inc-SR and Inc-uSR return identical matrices up to float
@@ -30,29 +29,15 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..config import SimRankConfig
 from ..graph.digraph import DynamicDiGraph
 from ..graph.updates import EdgeUpdate
-from ..linalg.qstore import TransitionStore
 from ..simrank.base import default_config
 from .gamma import UpdateVectors, compute_update_vectors
 from .inc_usr import UnitUpdateResult
 from .plan import apply_plan_dense, plan_rank_one
 from .workspace import UpdateWorkspace
-
-
-def _resolve_store(q_matrix, q_csc) -> TransitionStore:
-    """Accept a live :class:`TransitionStore` or build one from CSR.
-
-    ``q_csc`` (the scipy-era cache hint) still pays off here: it skips
-    the transpose pass when a throwaway store must be built for a
-    plain-CSR caller.
-    """
-    if isinstance(q_matrix, TransitionStore):
-        return q_matrix
-    return TransitionStore.from_csr(q_matrix, csc_hint=q_csc)
 
 
 def inc_sr_core(
@@ -63,7 +48,6 @@ def inc_sr_core(
     config: SimRankConfig,
     tolerance: float = 0.0,
     in_place: bool = False,
-    q_csc: Optional[sp.csc_matrix] = None,
     workspace: Optional[UpdateWorkspace] = None,
 ) -> UnitUpdateResult:
     """The pruned iteration (lines 13–20 of Algorithm 2), dense-applied.
@@ -72,21 +56,18 @@ def inc_sr_core(
     must already hold the Theorem 1–3 quantities for a rank-one update
     of row ``target`` (``vectors.u`` supported on ``{target}``).
     ``q_matrix`` may be a scipy CSR matrix or a live
-    :class:`TransitionStore`, whose CSC slabs are gathered directly.
-    With ``in_place=True`` the update is written directly into
-    ``s_matrix``; otherwise ``s_matrix`` is copied first.  For plain-CSR
-    callers ``q_csc`` may supply a cached CSC view, sparing the
-    throwaway store a transpose pass.  ``workspace`` is accepted for
-    interface symmetry; the kernel works on sparse supports and needs no
-    dense scratch.
+    :class:`~repro.linalg.qstore.TransitionStore`; the planner uses
+    either directly.  With ``in_place=True`` the update is written
+    directly into ``s_matrix``; otherwise ``s_matrix`` is copied first.
+    ``workspace`` is accepted for interface symmetry; the planner
+    allocates its own frontier history.
 
     This is equivalent to :func:`~repro.incremental.plan.plan_rank_one`
     followed by :func:`~repro.incremental.plan.apply_plan_dense`; the
     engine's sharded path applies the same plan through a
     :class:`~repro.executor.score_store.ScoreStore` instead.
     """
-    store = _resolve_store(q_matrix, q_csc)
-    plan = plan_rank_one(store, target, vectors, config, tolerance=tolerance)
+    plan = plan_rank_one(q_matrix, target, vectors, config, tolerance=tolerance)
     new_s = s_matrix if in_place else s_matrix.copy()
     apply_plan_dense(new_s, plan)
     return UnitUpdateResult(

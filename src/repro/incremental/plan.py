@@ -7,14 +7,17 @@ delta** instead of mutating ``S`` in place:
 
     ΔS = L·Rᵀ  scattered at  rows_union × cols_union,  plus its transpose,
 
-where the columns of ``L``/``R`` are the per-iteration affected-support
-factor pairs ``(ξ_k, η_k)`` of Algorithm 2 (each stored sparse).  This is
-the same shape as a factored ``R·C`` low-rank update of a weight matrix:
-the plan is tiny relative to ``S`` (its footprint tracks the affected
-area, not ``n²``), so it can be applied to a plain ndarray by the dense
-helper :func:`apply_plan_dense`, applied shard by shard by the
-row-sharded :class:`~repro.executor.score_store.ScoreStore`, or packed
-into a write-ahead-log frame (:class:`PackedPlanBatch`).
+where column ``k`` of the panels ``L``/``R`` is the factor pair
+``(ξ_k, η_k)`` of Algorithm 2 restricted to the affected supports.
+:func:`plan_rank_one` advances ``[ξ η]`` as one dense frontier per round
+(CSR products plus the one-entry Theorem-1 correction) and gathers the
+panels from the rounds it kept.  The plan is tiny relative to ``S`` (its
+footprint tracks the affected area, not ``n²``), so it can be applied to
+a plain ndarray by the dense helper :func:`apply_plan_dense`, applied
+shard by shard by the row-sharded
+:class:`~repro.executor.score_store.ScoreStore`, or packed into a
+write-ahead-log frame (:class:`PackedPlanBatch`), which stores each
+factor sparse.
 
 Separating *planning* (read-only on old state) from *application*
 (a scatter-add against the score store) is what enables the service
@@ -24,12 +27,13 @@ while the writer applies plans to private copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..config import SimRankConfig
+from ..linalg.qstore import TransitionStore
 from .affected import AffectedAreaStats
 from .gamma import UpdateVectors
 
@@ -39,57 +43,15 @@ _EMPTY_IDX = np.zeros(0, dtype=np.int64)
 _EMPTY_VAL = np.zeros(0, dtype=np.float64)
 
 
-def to_support(dense: np.ndarray, tolerance: float) -> SparseVector:
-    """Dense vector -> (indices, values) above the magnitude tolerance."""
-    indices = np.nonzero(np.abs(dense) > tolerance)[0]
-    return indices, dense[indices]
-
-
-def filter_support(
-    indices: np.ndarray, values: np.ndarray, tolerance: float
-) -> SparseVector:
-    """Drop sparse entries at or below the magnitude tolerance."""
-    keep = np.abs(values) > tolerance
-    if keep.all():
-        return indices, values
-    return indices[keep], values[keep]
-
-
-def add_entry(
-    indices: np.ndarray, values: np.ndarray, position: int, delta: float
-) -> SparseVector:
-    """Add ``delta`` at ``position`` of a sorted sparse vector."""
-    if delta == 0.0:
-        return indices, values
-    at = int(np.searchsorted(indices, position))
-    if at < indices.size and indices[at] == position:
-        values[at] += delta
-        return indices, values
-    return (
-        np.insert(indices, at, position),
-        np.insert(values, at, delta),
-    )
-
-
-def sorted_union(index_arrays) -> np.ndarray:
-    """Union of sorted index arrays (sort + run-length dedup beats hashing)."""
-    if len(index_arrays) == 1:
-        return index_arrays[0]
-    merged = np.concatenate(index_arrays)
-    merged.sort(kind="stable")
-    keep = np.empty(merged.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
-
-
-@dataclass
 class UpdatePlan:
     """A factored low-rank score delta plus its affected support sets.
 
     The plan is the kernel→executor contract: it fully determines the
     score change ``ΔS = Σ_k ξ_k·η_kᵀ + (Σ_k ξ_k·η_kᵀ)ᵀ`` without
-    referencing the score store it will be applied to.
+    referencing the score store it will be applied to.  A planned plan
+    (:meth:`from_panels`) carries the factors as two dense panels; a
+    plan rebuilt from the WAL, or built by hand, carries them sparse.
+    Either form yields the other on demand, bit for bit.
 
     Attributes
     ----------
@@ -97,8 +59,8 @@ class UpdatePlan:
         The updated ``Q`` row (the ``j`` of the paper's unit update).
     left_factors, right_factors:
         The per-iteration sparse factor pairs ``(ξ_k, η_k)``; equal
-        length.  An empty list encodes a no-op plan (e.g. a fully
-        pruned update).
+        length.  No factors encode a no-op plan (e.g. a fully pruned
+        update).
     rows_union, cols_union:
         Sorted unions of the left/right factor supports — exactly the
         rows/columns of ``S`` the plan will touch.
@@ -112,36 +74,77 @@ class UpdatePlan:
         case it is only valid until the next update is planned).
     """
 
-    target: int
-    left_factors: List[SparseVector]
-    right_factors: List[SparseVector]
-    rows_union: np.ndarray
-    cols_union: np.ndarray
-    affected: Optional[AffectedAreaStats]
-    vectors: Optional[UpdateVectors] = field(default=None, repr=False)
+    def __init__(
+        self,
+        target: int,
+        left_factors: Optional[List[SparseVector]],
+        right_factors: Optional[List[SparseVector]],
+        rows_union: np.ndarray,
+        cols_union: np.ndarray,
+        affected: Optional[AffectedAreaStats],
+        vectors: Optional[UpdateVectors] = None,
+    ) -> None:
+        self.target = target
+        self.rows_union = rows_union
+        self.cols_union = cols_union
+        self.affected = affected
+        self.vectors = vectors
+        self._factors = (
+            None if left_factors is None else (left_factors, right_factors)
+        )
+        self._panels: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @classmethod
+    def from_panels(
+        cls,
+        target: int,
+        rows_union: np.ndarray,
+        cols_union: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        affected: Optional[AffectedAreaStats],
+        vectors: Optional[UpdateVectors] = None,
+    ) -> "UpdatePlan":
+        """A plan whose factors are panel columns (see :meth:`panels`)."""
+        plan = cls(target, None, None, rows_union, cols_union, affected, vectors)
+        plan._panels = (left, right)
+        return plan
+
+    @property
+    def left_factors(self) -> List[SparseVector]:
+        return self._sparse_factors()[0]
+
+    @property
+    def right_factors(self) -> List[SparseVector]:
+        return self._sparse_factors()[1]
 
     @property
     def rank(self) -> int:
         """Number of factor pairs (the K of the truncated series)."""
-        return len(self.left_factors)
+        if self._panels is not None:
+            return self._panels[0].shape[1]
+        return len(self._factors[0])
 
     @property
     def is_noop(self) -> bool:
         """True when applying the plan would change nothing."""
-        return not self.left_factors
+        return self.rank == 0
 
     def support_size(self) -> int:
         """Entries of the (untransposed) scatter block, ``|rows|·|cols|``."""
         return int(self.rows_union.size) * int(self.cols_union.size)
 
     def panels(self, dtype=None) -> Tuple[np.ndarray, np.ndarray]:
-        """Densify the factors over the union supports: ``(L, R)``.
+        """The factors as dense panels over the union supports: ``(L, R)``.
 
         ``L`` is ``|rows_union| × rank`` and ``R`` is
-        ``|cols_union| × rank`` so the score block is one GEMM
-        ``L @ R.T``.  The score store re-spreads one panel over its
-        support's span so each pass's GEMM output can be added as
-        contiguous slices (see ``ScoreStore._add_product``).
+        ``|cols_union| × rank``, so the score block is one GEMM
+        ``L @ R.T``; column ``k`` of each is factor ``k`` with zeros off
+        its support.  A planned plan returns the panels the planner
+        gathered from its frontier history (treat them as read-only); a
+        sparse plan densifies its factors here.  Both are C-contiguous:
+        BLAS may round differently per operand layout, and a WAL-replayed
+        plan must feed the GEMM the live plan's operands bit for bit.
 
         ``dtype`` selects the panel (and hence GEMM) precision; the
         default is float64, which every apply path uses regardless of the
@@ -149,15 +152,15 @@ class UpdatePlan:
         scatter time, so the plan arithmetic stays bit-identical across
         dtypes.
         """
-        terms = len(self.left_factors)
-        panel_dtype = np.float64 if dtype is None else np.dtype(dtype)
-        left = np.zeros((self.rows_union.size, terms), dtype=panel_dtype)
-        right = np.zeros((self.cols_union.size, terms), dtype=panel_dtype)
-        for term, (idx, val) in enumerate(self.left_factors):
-            left[np.searchsorted(self.rows_union, idx), term] = val
-        for term, (idx, val) in enumerate(self.right_factors):
-            right[np.searchsorted(self.cols_union, idx), term] = val
-        return left, right
+        if self._panels is not None:
+            left, right = self._panels
+        else:
+            left_factors, right_factors = self._factors
+            left = _densify(left_factors, self.rows_union)
+            right = _densify(right_factors, self.cols_union)
+        if dtype is None:
+            return left, right
+        return left.astype(dtype), right.astype(dtype)
 
     def delta_matrix(self, num_nodes: int) -> np.ndarray:
         """Materialize the dense ``ΔS`` (tests / offline analysis only)."""
@@ -168,11 +171,37 @@ class UpdatePlan:
     def nbytes(self) -> int:
         """Approximate plan footprint (tracks the affected area)."""
         total = self.rows_union.nbytes + self.cols_union.nbytes
-        for idx, val in self.left_factors:
-            total += idx.nbytes + val.nbytes
-        for idx, val in self.right_factors:
+        if self._panels is not None:
+            return total + self._panels[0].nbytes + self._panels[1].nbytes
+        for idx, val in self.left_factors + self.right_factors:
             total += idx.nbytes + val.nbytes
         return total
+
+    def _sparse_factors(self) -> Tuple[List[SparseVector], List[SparseVector]]:
+        if self._factors is None:
+            left, right = self._panels
+            self._factors = (
+                _column_supports(left, self.rows_union),
+                _column_supports(right, self.cols_union),
+            )
+        return self._factors
+
+
+def _densify(factors: List[SparseVector], union: np.ndarray) -> np.ndarray:
+    """Sparse factors -> C-contiguous ``|union| × rank`` panel."""
+    panel = np.zeros((union.size, len(factors)))
+    for term, (idx, val) in enumerate(factors):
+        panel[np.searchsorted(union, idx), term] = val
+    return panel
+
+
+def _column_supports(panel: np.ndarray, union: np.ndarray) -> List[SparseVector]:
+    """Panel columns -> sparse factors over their nonzero entries."""
+    factors = []
+    for column in panel.T:
+        support = np.flatnonzero(column)
+        factors.append((union[support], column[support]))
+    return factors
 
 
 @dataclass
@@ -373,66 +402,67 @@ def plan_rank_one(
 ) -> UpdatePlan:
     """Plan the pruned Inc-SR iteration (lines 13–20 of Algorithm 2).
 
-    ``store`` is the **old** :class:`~repro.linalg.qstore.TransitionStore`
+    ``store`` is the **old** ``Q`` — a
+    :class:`~repro.linalg.qstore.TransitionStore` or any scipy CSR —
     and ``vectors`` the Theorem 1–3 quantities for a rank-one update of
     row ``target`` (``vectors.u`` supported on ``{target}``).  Pure
-    read-only planning: neither the store nor any score state is
-    touched, and the returned plan's factor supports are exactly the
-    realized affected areas of Theorem 4.
-    """
-    damping = config.damping
-    n = store.shape[0]
+    read-only planning: neither ``Q`` nor any score state is touched.
 
+    Each round advances the frontier ``[ξ η]`` densely: two CSR
+    products ``Q·ξ``, ``Q·η``, the Theorem-1 correction ``(vᵀ·x)·u_j``
+    on row ``target`` (``Q̃ = Q + u·vᵀ`` is never built), ``ξ`` scaled
+    by ``C``, and with a positive ``tolerance`` every entry at or below
+    it zeroed.  The rounds stay in a ``(K+1) × 2 × n`` history until the
+    first round with an empty ``ξ`` or ``η``; the plan's factor supports
+    are then exactly the realized affected areas of Theorem 4, and its
+    panels are the history gathered at their unions.
+    """
+    q_matrix = store.csr_matrix() if isinstance(store, TransitionStore) else store
+    n = q_matrix.shape[0]
+    damping = config.damping
     u_scale = float(vectors.u[target])  # the only nonzero of u
     v_dense = vectors.v
 
-    # ξ_0 = C·e_j, η_0 = γ (support = B_0 of Theorem 4).
-    xi_idx = np.asarray([target], dtype=np.int64)
-    xi_val = np.asarray([damping])
-    eta_idx, eta_val = to_support(vectors.gamma, tolerance)
+    # history[k] = [ξ_k, η_k]; ξ_0 = C·e_j, η_0 = γ (support B_0).
+    history = np.empty((config.iterations + 1, 2, n))
+    history[0, 0] = 0.0
+    history[0, 0, target] = damping
+    # Adding +0.0 turns γ's -0.0 entries into +0.0, so every zero a
+    # panel holds matches the zeros a WAL-replayed plan densifies.
+    np.add(vectors.gamma, 0.0, out=history[0, 1])
+    if tolerance > 0.0:
+        eta = history[0, 1]
+        eta[np.abs(eta) <= tolerance] = 0.0
 
     stats = AffectedAreaStats(num_nodes=n)
-    stats.record(xi_idx.size, eta_idx.size)
-
-    left: List[SparseVector] = []
-    right: List[SparseVector] = []
-    if xi_idx.size and eta_idx.size:
-        left.append((xi_idx, xi_val))
-        right.append((eta_idx, eta_val))
-
-    for _ in range(config.iterations):
-        if xi_idx.size == 0 or eta_idx.size == 0:
+    rank = 0
+    for k in range(config.iterations + 1):
+        if k:
+            frontier, previous = history[k], history[k - 1]
+            correction = (previous @ v_dense) * u_scale
+            frontier[0] = q_matrix @ previous[0]
+            frontier[1] = q_matrix @ previous[1]
+            frontier[:, target] += correction
+            frontier[0] *= damping
+            if tolerance > 0.0:
+                frontier[np.abs(frontier) <= tolerance] = 0.0
+        xi_size = np.count_nonzero(history[k, 0])
+        eta_size = np.count_nonzero(history[k, 1])
+        stats.record(xi_size, eta_size)
+        if not (xi_size and eta_size):
             break
-        # Q̃·x = Q·x + (vᵀ·x)·u without materializing Q̃ (Theorem 1);
-        # u's support is {j}, so the correction lands on one entry.
-        delta_xi = float(v_dense[xi_idx] @ xi_val) * u_scale
-        delta_eta = float(v_dense[eta_idx] @ eta_val) * u_scale
-        (xi_idx, xi_val), (eta_idx, eta_val) = store.gather_columns_pair(
-            xi_idx, xi_val, eta_idx, eta_val
-        )
-        xi_idx, xi_val = add_entry(xi_idx, xi_val, target, delta_xi)
-        xi_val *= damping
-        eta_idx, eta_val = add_entry(eta_idx, eta_val, target, delta_eta)
+        rank = k + 1
 
-        xi_idx, xi_val = filter_support(xi_idx, xi_val, tolerance)
-        eta_idx, eta_val = filter_support(eta_idx, eta_val, tolerance)
-        stats.record(xi_idx.size, eta_idx.size)
-        if xi_idx.size and eta_idx.size:
-            left.append((xi_idx, xi_val))
-            right.append((eta_idx, eta_val))
-
-    rows_union = (
-        sorted_union([idx for idx, _ in left]) if left else _EMPTY_IDX
-    )
-    cols_union = (
-        sorted_union([idx for idx, _ in right]) if right else _EMPTY_IDX
-    )
-    return UpdatePlan(
-        target=target,
-        left_factors=left,
-        right_factors=right,
-        rows_union=rows_union,
-        cols_union=cols_union,
+    factors = history[:rank]
+    supported = (factors != 0.0).any(axis=0)
+    rows_union = np.flatnonzero(supported[0])
+    cols_union = np.flatnonzero(supported[1])
+    return UpdatePlan.from_panels(
+        target,
+        rows_union,
+        cols_union,
+        np.ascontiguousarray(factors[:, 0][:, rows_union].T),
+        np.ascontiguousarray(factors[:, 1][:, cols_union].T),
         affected=stats,
         vectors=vectors,
     )

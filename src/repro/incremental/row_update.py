@@ -323,6 +323,6 @@ def apply_consolidated_batch(
             in_place=True,
         )
         row_update.apply_to(live_graph)
-        # Row-granular surgery on the dual store (no CSR rebuild).
+        # Copy-on-write surgery of the target's Q row.
         store.set_row_from_graph(live_graph, row_update.target)
     return scores, store.csr_matrix(), live_graph, len(row_updates)

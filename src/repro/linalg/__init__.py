@@ -6,8 +6,8 @@
   the rank-one specialization at the heart of the paper (Sec. V-A).
 * :mod:`repro.linalg.svd_tools` — truncated/lossless SVD utilities used by
   the Inc-SVD baseline and the Fig. 2b rank study.
-* :mod:`repro.linalg.qstore` — :class:`TransitionStore`, the persistent
-  dual CSR/CSC ``Q`` store behind the engine's zero-rebuild update path.
+* :mod:`repro.linalg.qstore` — :class:`TransitionStore`, the packed-CSR
+  ``Q`` store with copy-on-write row surgery behind the engine.
 """
 
 from .kron import unvec, vec, solve_sylvester_kron

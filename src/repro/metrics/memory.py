@@ -15,35 +15,33 @@ import tracemalloc
 from typing import Callable, Tuple, TypeVar
 
 from ..dtypes import resolve_dtype
-from ..linalg.qstore import DEFAULT_SLACK
 
 T = TypeVar("T")
 
 _FLOAT_BYTES = 8
 _INDEX_BYTES = 8
+#: The transition store's CSR index width (int32; see ``repro.linalg.qstore``).
+_CSR_INDEX_BYTES = 4
 
 
 def transition_store_bytes(num_nodes: int, num_edges: int) -> int:
-    """Working set of the dual CSR/CSC :class:`TransitionStore`.
+    """Working set of the packed-CSR :class:`TransitionStore`.
 
-    Both layouts hold the ``nnz`` entries plus
-    :data:`~repro.linalg.qstore.DEFAULT_SLACK` spare slots per segment
-    and three per-segment metadata vectors (start/length/capacity) —
-    the price of O(row) update surgery instead of O(nnz) rebuilds.  The
-    slabs are *structure-only* (indices, no values): every value of row
-    ``r`` is supplied by the single factored ``row_weight`` vector, so
-    the per-entry cost is one index, not index + float.
+    One CSR: ``indptr`` (``n + 1`` indices), ``indices`` (one per edge),
+    ``data`` (one float per edge) and the per-row ``row_weight``
+    vector.  Surgery builds new arrays instead of keeping spare slots,
+    so this is exact at every version.
     """
-    entries = (num_edges + DEFAULT_SLACK * num_nodes) * _INDEX_BYTES
-    metadata = 3 * num_nodes * _INDEX_BYTES
+    indptr = (num_nodes + 1) * _CSR_INDEX_BYTES
+    entries = num_edges * (_CSR_INDEX_BYTES + _FLOAT_BYTES)
     row_weights = num_nodes * _FLOAT_BYTES
-    return 2 * (entries + metadata) + row_weights
+    return indptr + entries + row_weights
 
 
 def inc_usr_intermediate_bytes(num_nodes: int, num_edges: int, iterations: int) -> int:
     """Working set of Algorithm 1 (Inc-uSR), excluding ``S`` itself.
 
-    Counts the dual-layout ``Q`` store, the six pooled workspace
+    Counts the packed-CSR ``Q`` store, the six pooled workspace
     vectors (u, v, w, γ, scratch, xcol — see
     :class:`~repro.incremental.workspace.UpdateWorkspace`), the factor
     stack of ``K + 1`` vector pairs, and — dominating everything — the
@@ -67,18 +65,22 @@ def inc_sr_intermediate_bytes(
 ) -> int:
     """Working set of Algorithm 2 (Inc-SR).
 
-    The factor stack shrinks from full ``n``-vectors to the affected
-    supports, plus one transient ``|A_k|x|B_k|`` outer-product block
-    (``average_area`` entries); the ΔS entries themselves are written
-    into the score matrix, which — like the paper's accounting — is
-    excluded as output space.
+    The planner advances ``[ξ_k η_k]`` as dense ``n``-vectors and keeps
+    all ``K + 1`` rounds (the frontier history); the plan it returns
+    holds the two dense factor panels over the affected supports
+    (``average_row_support`` rows per factor), and the apply adds one
+    transient ``|A_k|x|B_k|`` outer-product block (``average_area``
+    entries).  The ΔS entries themselves are written into the score
+    matrix, which — like the paper's accounting — is excluded as output
+    space.
     """
     q_bytes = transition_store_bytes(num_nodes, num_edges)
     scratch = 6 * num_nodes * _FLOAT_BYTES
+    history = 2 * (iterations + 1) * num_nodes * _FLOAT_BYTES
     support = int(average_row_support)
-    factor_stack = 2 * (iterations + 1) * support * (_FLOAT_BYTES + _INDEX_BYTES)
+    panels = 2 * (iterations + 1) * support * _FLOAT_BYTES
     transient_block = int(average_area) * _FLOAT_BYTES
-    return q_bytes + scratch + factor_stack + transient_block
+    return q_bytes + scratch + history + panels + transient_block
 
 
 def inc_svd_intermediate_bytes(num_nodes: int, rank: int) -> int:

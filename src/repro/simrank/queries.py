@@ -30,8 +30,8 @@ def _resolve_operator(graph_or_q):
     Objects exposing ``rmatvec`` (a live
     :class:`~repro.linalg.qstore.TransitionStore` or a frozen
     :class:`~repro.linalg.qstore.TransitionSnapshot`) are used directly
-    — their transpose products are served from the CSC slabs with no
-    conversion at all; anything else goes through :func:`resolve_q`.
+    — their transpose products run on a CSC view of the CSR arrays with
+    no conversion at all; anything else goes through :func:`resolve_q`.
     """
     if hasattr(graph_or_q, "rmatvec") and hasattr(graph_or_q, "shape"):
         return graph_or_q
@@ -42,7 +42,7 @@ def _walk_vectors(q_matrix, node: int, iterations: int) -> List[np.ndarray]:
     """The stack ``[(Qᵀ)^k e_node]`` for k = 0..iterations.
 
     The transpose products never build a transposed matrix: a store or
-    snapshot serves ``Qᵀ·x`` straight from its column layout, and for a
+    snapshot serves ``Qᵀ·x`` through a cached CSC view, and for a
     scipy CSR input ``q_matrix.T`` is an O(1) CSC view whose mat-vec is
     native — the old implementation paid an O(nnz) ``.tocsr()``
     conversion on *every* query.

@@ -30,6 +30,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import SimRankConfig
 from repro.durability import (
@@ -484,6 +485,51 @@ class TestServiceDurability:
             restarted.engine.similarities(), oracle[final]
         )
         assert restarted.durability.durable_version == final
+        restarted.close()
+
+    def test_checkpoint_with_legacy_q_keys_restores(
+        self, workload, tmp_path
+    ):
+        """Data dirs whose checkpoints still carry the CSC layout and
+        ``row_weight`` (written by older versions) stay readable."""
+        service, config, oracle = self._run(workload, tmp_path)
+        final = service.version
+        service.close()
+        root = os.path.join(str(tmp_path), "checkpoints")
+        rewritten = 0
+        for name in os.listdir(root):
+            path = os.path.join(root, name, "transitions.npz")
+            if not os.path.exists(path):
+                continue
+            with np.load(path) as archive:
+                packed = {key: archive[key] for key in archive.files}
+            n = int(packed["num_nodes"])
+            indptr = packed["indptr"].astype(np.int64)
+            indices = packed["indices"].astype(np.int64)
+            csc = sp.csr_matrix(
+                (np.ones(indices.size), indices, indptr), shape=(n, n)
+            ).tocsc()
+            degrees = np.diff(indptr)
+            packed.update(
+                indices=indices,
+                indptr=indptr,
+                col_indices=csc.indices.astype(np.int64),
+                col_indptr=csc.indptr.astype(np.int64),
+                row_weight=np.where(
+                    degrees > 0, 1.0 / np.maximum(degrees, 1), 0.0
+                ),
+            )
+            with open(path, "wb") as handle:
+                np.savez(handle, **packed)
+            rewritten += 1
+        assert rewritten
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        assert restarted.version == final
+        assert np.array_equal(
+            restarted.engine.similarities(), oracle[final]
+        )
         restarted.close()
 
     def test_background_writer_and_add_node_recover(

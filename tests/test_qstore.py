@@ -1,9 +1,9 @@
-"""Property tests for the dual-layout :class:`TransitionStore`.
+"""Property tests for the packed-CSR :class:`TransitionStore`.
 
 The store is the engine's hot-path representation of ``Q``; these tests
 drive it through randomized insert/delete/node-add sequences and assert
-that every view it exposes (CSR, CSC, in-degree cache, matvec, column
-gather) stays exactly equal to a freshly built
+that every view it exposes (CSR, CSC, in-degrees, matvec, rmatvec)
+stays exactly equal to a freshly built
 :func:`backward_transition_matrix` of the evolving graph.
 """
 
@@ -17,6 +17,7 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.transition import backward_transition_matrix
 from repro.linalg.qstore import TransitionStore
+from repro.metrics.memory import transition_store_bytes
 
 
 def _assert_matches_graph(store: TransitionStore, graph: DynamicDiGraph):
@@ -33,7 +34,7 @@ def _assert_matches_graph(store: TransitionStore, graph: DynamicDiGraph):
         store.in_degrees(),
         np.asarray([graph.in_degree(v) for v in range(n)]),
     )
-    # CSR/CSC caches must be canonical scipy objects.
+    # The CSR and its CSC conversion must be canonical scipy objects.
     csr = store.csr_matrix()
     assert csr.has_sorted_indices
     assert store.csc_matrix().has_sorted_indices
@@ -108,15 +109,51 @@ class TestRandomizedMaintenance:
             store.set_row(target, new_sources)
             _assert_matches_graph(store, graph)
 
-    def test_compact_preserves_content(self):
-        from repro.linalg.qstore import DEFAULT_SLACK
 
-        graph, store = _random_walk(7, steps=100, with_node_adds=False)
-        store.compact()
-        # Compaction restores the uniform per-segment slack policy: no
-        # relocation holes survive, only DEFAULT_SLACK slots per segment.
-        assert store.slack_bytes() <= 2 * DEFAULT_SLACK * graph.num_nodes * 8
-        _assert_matches_graph(store, graph)
+def _missing_edge(graph: DynamicDiGraph):
+    n = graph.num_nodes
+    return next(
+        (s, t)
+        for s in range(n)
+        for t in range(n)
+        if s != t and not graph.has_edge(s, t)
+    )
+
+
+class TestCopyOnWrite:
+    @pytest.mark.parametrize(
+        "mutation", ["insert", "remove", "set_row", "add_node"]
+    )
+    def test_earlier_views_stay_frozen(self, mutation):
+        graph = erdos_renyi_digraph(30, 0.15, seed=8)
+        store = TransitionStore.from_graph(graph)
+        csr = store.csr_matrix()
+        snapshot = store.snapshot()
+        frozen = [a.copy() for a in (csr.indptr, csr.indices, csr.data)]
+        x = np.random.default_rng(0).random(30)
+        products = (snapshot.matvec(x), snapshot.rmatvec(x))
+        version = store.version
+
+        source, target = next(iter(graph.edges()))
+        if mutation == "insert":
+            store.insert_edge(*_missing_edge(graph))
+        elif mutation == "remove":
+            store.remove_edge(source, target)
+        elif mutation == "set_row":
+            store.set_row(target, [s for s in (1, 2, 3) if s != target])
+        else:
+            store.add_node()
+
+        assert store.version == version + 1
+        assert store.csr_matrix() is not csr
+        assert snapshot.version == version and snapshot.csr_matrix() is csr
+        assert csr.shape == (30, 30)
+        for before, after in zip(frozen, (csr.indptr, csr.indices, csr.data)):
+            assert after.dtype == before.dtype
+            assert np.array_equal(after.view(np.uint8), before.view(np.uint8))
+        again = (snapshot.matvec(x), snapshot.rmatvec(x))
+        for a, b in zip(products, again):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestHotPathReads:
@@ -124,49 +161,29 @@ class TestHotPathReads:
         graph, store = _random_walk(11, steps=80, with_node_adds=False)
         expected = backward_transition_matrix(graph)
         x = np.random.default_rng(0).random(graph.num_nodes)
-        # Round-off-level agreement: the slab mat-vec reduces pairwise,
-        # scipy's C loop reduces sequentially, so the last bit may differ.
-        np.testing.assert_allclose(store.matvec(x), expected @ x, atol=1e-14)
-        np.testing.assert_allclose(store @ x, expected @ x, atol=1e-14)
+        np.testing.assert_array_equal(store.matvec(x), expected @ x)
+        np.testing.assert_array_equal(store @ x, expected @ x)
         out = np.empty(graph.num_nodes)
         assert store.matvec(x, out=out) is out
+
+    def test_products_bitwise_equal_scipy_on_high_degree_graph(self):
+        # Rows and columns with more than 8 entries are where a pairwise
+        # segment reduction would part from scipy's sequential sums.
+        graph = erdos_renyi_digraph(120, 0.2, seed=31)
+        assert max(graph.in_degree(v) for v in range(120)) > 8
+        store = TransitionStore.from_graph(graph)
+        expected = backward_transition_matrix(graph)
+        x = np.random.default_rng(5).random(graph.num_nodes)
+        np.testing.assert_array_equal(store.matvec(x), expected @ x)
+        np.testing.assert_array_equal(store.rmatvec(x), expected.T @ x)
+        out = np.empty(graph.num_nodes)
+        assert store.rmatvec(x, out=out) is out
 
     def test_matmul_matrix_operand_uses_csr(self):
         graph, store = _random_walk(12, steps=40, with_node_adds=False)
         expected = backward_transition_matrix(graph)
         dense = np.random.default_rng(1).random((graph.num_nodes, 3))
         np.testing.assert_allclose(store @ dense, expected @ dense)
-
-    def test_gather_columns_matches_dense(self):
-        graph, store = _random_walk(13, steps=80, with_node_adds=False)
-        n = graph.num_nodes
-        expected = backward_transition_matrix(graph)
-        rng = np.random.default_rng(2)
-        for support in (1, 4, n // 2, n):
-            indices = np.sort(rng.choice(n, size=support, replace=False))
-            values = rng.random(support)
-            sparse_x = np.zeros(n)
-            sparse_x[indices] = values
-            rows, sums = store.gather_columns(indices, values)
-            dense = np.zeros(n)
-            dense[rows] = sums
-            np.testing.assert_allclose(dense, expected @ sparse_x)
-            assert np.all(np.diff(rows) > 0)  # sorted unique
-
-    def test_gather_pair_equals_two_gathers(self):
-        graph, store = _random_walk(14, steps=80, with_node_adds=False)
-        n = graph.num_nodes
-        rng = np.random.default_rng(3)
-        idx_a = np.sort(rng.choice(n, size=5, replace=False))
-        idx_b = np.sort(rng.choice(n, size=n // 2, replace=False))
-        val_a, val_b = rng.random(5), rng.random(n // 2)
-        (ra, sa), (rb, sb) = store.gather_columns_pair(idx_a, val_a, idx_b, val_b)
-        ra2, sa2 = store.gather_columns(idx_a, val_a)
-        rb2, sb2 = store.gather_columns(idx_b, val_b)
-        np.testing.assert_array_equal(ra, ra2)
-        np.testing.assert_array_equal(rb, rb2)
-        np.testing.assert_array_equal(sa, sa2)
-        np.testing.assert_array_equal(sb, sb2)
 
     def test_row_and_column_views(self):
         graph = DynamicDiGraph.from_edges(4, [(0, 2), (1, 2), (3, 2), (2, 0)])
@@ -216,11 +233,8 @@ class TestConstructionAndInterop:
         x = np.ones(5)
         np.testing.assert_array_equal(store.matvec(x), np.zeros(5))
 
-    def test_byte_accounting_positive_and_tracks_slack(self):
+    def test_byte_accounting_matches_model(self):
         graph, store = _random_walk(17, steps=60, with_node_adds=False)
-        from repro.linalg.qstore import DEFAULT_SLACK
-
-        assert store.buffer_bytes() > 0
-        assert 0 <= store.slack_bytes() < store.buffer_bytes()
-        store.compact()
-        assert store.slack_bytes() <= 2 * DEFAULT_SLACK * graph.num_nodes * 8
+        assert store.buffer_bytes() == transition_store_bytes(
+            graph.num_nodes, graph.num_edges
+        )
