@@ -26,9 +26,9 @@ covering ``shard_rows`` consecutive rows — which buys three things:
   one shard per shard actually diverged, not O(n²) per version.
 
 The store also quacks like the score matrix for the kernel's read
-patterns (``store[:, j]``, ``store[i, j]``, ``store @ v``,
-``store.matvec``), so the Theorem 1–3 precomputation runs against it
-unchanged.
+patterns (``store[:, j]``, ``store[i, j]`` and the column-sparse
+``store.column_matvec``), so the Theorem 1–3 precomputation runs
+against it unchanged.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ DEFAULT_RECENT_WINDOW = 256
 #: and rises 8% at 2 and 33% at 1.5; the 6 dblp passes above 4 scatter
 #: 1.4x faster than they tile.
 SPARSE_SPAN_RATIO = 4
+
+
+#: Bucket bounds of the per-applied-plan member count and rank
+#: histograms (counts, not seconds).
+PLAN_MEMBER_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
+PLAN_RANK_BUCKETS = (4, 8, 16, 32, 64, 128, 256, 512)
 
 
 def window_summary_ms(samples) -> dict:
@@ -275,6 +281,19 @@ class ScoreStore:
             "repro_executor_apply_plan_seconds",
             help="Per-plan apply wall time (panels, GEMMs and adds)",
         )
+        #: How much each applied plan carries: a drain applies its row
+        #: groups' plans fused into one (see
+        #: :func:`~repro.incremental.plan.fuse_plans`).
+        self._members_hist = registry.histogram(
+            "repro_executor_plan_members",
+            buckets=PLAN_MEMBER_BUCKETS,
+            help="Member plans fused into each applied plan",
+        )
+        self._rank_hist = registry.histogram(
+            "repro_executor_plan_rank",
+            buckets=PLAN_RANK_BUCKETS,
+            help="Rank (factor pairs) of each applied plan",
+        )
         #: Plan passes by apply strategy (see :meth:`_add_product`).
         self._slice_passes = registry.counter(
             "repro_executor_apply_slice_passes_total",
@@ -431,24 +450,28 @@ class ScoreStore:
             ]
         return out
 
-    def matvec(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dense ``S @ x``, one GEMV per shard."""
+    def column_matvec(
+        self,
+        cols: np.ndarray,
+        weights: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Column-sparse ``S[:, cols] @ weights``, one gather per shard.
+
+        The planner's ``S·v`` for a ``v`` supported on ``cols``: it reads
+        ``|cols|`` columns instead of the whole ``n × n`` matrix.
+        """
         if out is None:
             out = np.empty(
-                self._n, dtype=np.result_type(self._read_dtype(), x.dtype)
+                self._n, dtype=np.result_type(self._read_dtype(), weights.dtype)
             )
         for shard in self._shards:
             np.dot(
-                self._live(shard),
-                x,
+                shard.buffer[: shard.rows, cols],
+                weights,
                 out=out[shard.base : shard.base + shard.rows],
             )
         return out
-
-    def __matmul__(self, x):
-        if isinstance(x, np.ndarray) and x.ndim == 1:
-            return self.matvec(x)
-        return self.to_array() @ x
 
     def __getitem__(self, key):
         """Score-matrix duck typing for the kernel's read patterns.
@@ -494,14 +517,19 @@ class ScoreStore:
     def apply_plan(self, plan) -> None:
         """Apply a kernel :class:`UpdatePlan`: ``ΔS = L·Rᵀ`` plus transpose.
 
-        Densifies the plan's factors once and adds the block and its
-        transpose as two passes of :meth:`_add_product`.  Only shards
-        overlapping the supports are touched — and only those pay a
-        copy-on-write clone.  With a top-k index attached, the same
-        passes collect its promotion hits, which the index then merges.
+        The plan may be one row group's or a whole drain's fusion of
+        them (:func:`~repro.incremental.plan.fuse_plans`); either way it
+        is one factored delta.  Densifies the plan's factors once and
+        adds the block and its transpose as two passes of
+        :meth:`_add_product`.  Only shards overlapping the supports are
+        touched — and only those pay a copy-on-write clone.  With a
+        top-k index attached, the same passes collect its promotion
+        hits, which the index then merges once per plan.
         """
         if plan.is_noop:
             return
+        self._members_hist.observe(len(plan.members) or 1)
+        self._rank_hist.observe(plan.rank)
         self._shard_timing = {}
         topk = self._topk
         promotion = topk.promotion_scores() if topk is not None else None
@@ -558,7 +586,10 @@ class ScoreStore:
     ) -> None:
         """``S[rows × cols] += left @ right.T`` with both supports sorted.
 
-        Two strategies, both bit-identical to the ``np.ix_`` scatter of
+        ``left``/``right`` are the plan's panels, so for a fused plan the
+        one GEMM carries every member's factors: the rank is the
+        members' summed rank and the supports their unions.  Two
+        strategies, both bit-identical to the ``np.ix_`` scatter of
         the support block ``left @ right.T`` (each entry is the same
         length-``rank`` dot product):
 

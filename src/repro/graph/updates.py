@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from ..exceptions import GraphError
+from ..exceptions import EdgeExistsError, EdgeNotFoundError, GraphError
 from .digraph import DynamicDiGraph
 
 
@@ -127,13 +127,24 @@ class UpdateBatch:
 
         Raises :class:`~repro.exceptions.GraphError` on the first update
         that would fail (inserting an existing edge, deleting a missing
-        edge, or referencing an unknown node).
+        edge, or referencing an unknown node).  Edges the batch toggles
+        are tracked in a small dict; every other edge is read from
+        ``graph``, so the cost is O(len(batch)), not a graph copy.
         """
-        scratch = graph.copy()
-        try:
-            self.apply_to(scratch)
-        except GraphError as exc:
-            raise GraphError(f"batch not applicable: {exc}") from exc
+        present: Dict[Tuple[int, int], bool] = {}
+        for update in self._updates:
+            edge = update.edge
+            try:
+                exists = present.get(edge)
+                if exists is None:
+                    exists = graph.has_edge(*edge)
+                if update.is_insert and exists:
+                    raise EdgeExistsError(*edge)
+                if not update.is_insert and not exists:
+                    raise EdgeNotFoundError(*edge)
+            except GraphError as exc:
+                raise GraphError(f"batch not applicable: {exc}") from exc
+            present[edge] = update.is_insert
 
     def __repr__(self) -> str:
         return (

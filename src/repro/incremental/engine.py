@@ -343,48 +343,67 @@ class DynamicSimRank:
         return stats
 
     def apply_consolidated(self, batch: UpdateBatch) -> int:
-        """Apply a batch as per-target consolidated row updates.
+        """Apply a batch as per-target row groups fused into one plan.
 
-        Groups the batch by target node (cancelling inverse pairs) and
-        processes each group as a *single* generalized rank-one update —
-        see :mod:`repro.incremental.row_update`.  Returns the number of
-        row groups processed.  Only available with the ``inc-sr``
-        algorithm (the pruned kernel is reused for each group).  Each
-        group is planned from the live state and applied through the
-        sharded score store, so the whole batch performs only
-        row-granular surgery.
+        Groups the batch by target node (cancelling inverse pairs); each
+        group is a *single* generalized rank-one update — see
+        :mod:`repro.incremental.row_update`.  Returns the number of row
+        groups.  Only available with the ``inc-sr`` algorithm.
+
+        Every group is planned first, in ascending target order: against
+        ``Q`` after the earlier groups' copy-on-write row surgery, and
+        against ``S`` plus the earlier groups' pending deltas (a
+        :class:`~repro.incremental.row_update.PendingScores` view; the
+        planner's one read of ``S`` is a column-sparse ``S·v``).  The
+        groups' plans are then fused into one plan of their summed rank
+        (:func:`~repro.incremental.plan.fuse_plans`) and applied through
+        one :meth:`ScoreStore.apply_plan`: one GEMM, one pass of slice
+        adds and one top-k patch per drain.  The sum is the same delta
+        as applying the groups one at a time, but not bit for bit (the
+        rounding order differs); replaying the fused plan from the WAL
+        is bitwise.
         """
         if self._algorithm != "inc-sr":
             raise ConfigError(
                 "apply_consolidated requires the 'inc-sr' algorithm, "
                 f"engine uses {self._algorithm!r}"
             )
-        from .row_update import consolidate_batch, plan_composite_row_update
+        from .plan import fuse_plans
+        from .row_update import (
+            PendingScores,
+            consolidate_batch,
+            plan_composite_row_update,
+        )
 
         started = time.perf_counter()
         self._last_drain = None
         row_updates = consolidate_batch(batch, self._graph)
-        plans = []
+        pending = PendingScores(self._scores)
         for row_update in row_updates:
-            plan = plan_composite_row_update(
-                self._graph,
-                self._store,
-                self._scores,
-                row_update,
-                self._config,
-                workspace=self._workspace,
+            pending.add(
+                plan_composite_row_update(
+                    self._graph,
+                    self._store,
+                    pending,
+                    row_update,
+                    self._config,
+                    workspace=self._workspace,
+                )
             )
-            self._scores.apply_plan(plan)
-            # Kept for the durability layer, which frames them into the
-            # WAL (plan factors are fresh arrays — only the dropped
-            # diagnostics may alias pooled workspace).
-            plans.append(plan)
             row_update.apply_to(self._graph)
             # Copy-on-write surgery of the target's Q row.
             self._store.set_row_from_graph(self._graph, row_update.target)
+        fused = fuse_plans(pending.plans)
+        if fused is not None:
+            self._scores.apply_plan(fused)
         elapsed = time.perf_counter() - started
         self._version += 1
-        self._last_drain = (tuple(row_updates), tuple(plans))
+        # Kept for the durability layer, which frames the drain's one
+        # plan into the WAL (plan factors are fresh arrays — only the
+        # dropped diagnostics may alias pooled workspace).
+        self._last_drain = (
+            tuple(row_updates), () if fused is None else (fused,)
+        )
         for update in batch:
             self._history.append(
                 UpdateStats(

@@ -17,7 +17,8 @@ a plain ndarray by the dense helper :func:`apply_plan_dense`, applied
 shard by shard by the row-sharded
 :class:`~repro.executor.score_store.ScoreStore`, or packed into a
 write-ahead-log frame (:class:`PackedPlanBatch`), which stores each
-factor sparse.
+factor sparse.  Plans sum as factored deltas: :func:`fuse_plans` joins
+a drain's row-group plans into one plan of their summed rank.
 
 Separating *planning* (read-only on old state) from *application*
 (a scatter-add against the score store) is what enables the service
@@ -28,7 +29,7 @@ while the writer applies plans to private copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +57,8 @@ class UpdatePlan:
     Attributes
     ----------
     target:
-        The updated ``Q`` row (the ``j`` of the paper's unit update).
+        The updated ``Q`` row (the ``j`` of the paper's unit update); a
+        fused plan carries its first member's.
     left_factors, right_factors:
         The per-iteration sparse factor pairs ``(ξ_k, η_k)``; equal
         length.  No factors encode a no-op plan (e.g. a fully pruned
@@ -72,6 +74,9 @@ class UpdatePlan:
         The Theorem 1–3 precomputation the plan was built from (kept
         for diagnostics; may alias pooled workspace buffers, in which
         case it is only valid until the next update is planned).
+    members:
+        The plans a fused plan sums (see :func:`fuse_plans`); empty for
+        a plan planned, rebuilt from the WAL, or built by hand.
     """
 
     def __init__(
@@ -83,12 +88,14 @@ class UpdatePlan:
         cols_union: np.ndarray,
         affected: Optional[AffectedAreaStats],
         vectors: Optional[UpdateVectors] = None,
+        members: Tuple["UpdatePlan", ...] = (),
     ) -> None:
         self.target = target
         self.rows_union = rows_union
         self.cols_union = cols_union
         self.affected = affected
         self.vectors = vectors
+        self.members = members
         self._factors = (
             None if left_factors is None else (left_factors, right_factors)
         )
@@ -104,9 +111,13 @@ class UpdatePlan:
         right: np.ndarray,
         affected: Optional[AffectedAreaStats],
         vectors: Optional[UpdateVectors] = None,
+        members: Tuple["UpdatePlan", ...] = (),
     ) -> "UpdatePlan":
         """A plan whose factors are panel columns (see :meth:`panels`)."""
-        plan = cls(target, None, None, rows_union, cols_union, affected, vectors)
+        plan = cls(
+            target, None, None, rows_union, cols_union, affected, vectors,
+            members,
+        )
         plan._panels = (left, right)
         return plan
 
@@ -178,7 +189,18 @@ class UpdatePlan:
         return total
 
     def _sparse_factors(self) -> Tuple[List[SparseVector], List[SparseVector]]:
-        if self._factors is None:
+        if self._factors is None and self.members:
+            # A fused panel column is one member's column scattered into
+            # the union with zeros elsewhere: its nonzeros are exactly
+            # that member's sparse factor.
+            left: List[SparseVector] = []
+            right: List[SparseVector] = []
+            for member in self.members:
+                member_left, member_right = member._sparse_factors()
+                left += member_left
+                right += member_right
+            self._factors = (left, right)
+        elif self._factors is None:
             left, right = self._panels
             self._factors = (
                 _column_supports(left, self.rows_union),
@@ -344,11 +366,13 @@ class PackedPlanBatch:
 class PlanBatch:
     """An ordered sequence of :class:`UpdatePlan` objects — one drain.
 
-    Each plan was made against the scores left by the previous one, so
-    replaying a batch means applying its plans **in order** with the
-    per-plan union-support GEMM + scatter arithmetic.  The durability
-    layer packs one batch per drain into a WAL frame
-    (:meth:`packed`) and replays it the same way on recovery.
+    A drain applies one plan, the fusion of its row groups' plans (see
+    :func:`fuse_plans`), so its batch holds that one plan.  A batch of
+    several plans (as drains once applied them, one per row group) is
+    replayed by applying its plans **in order**, each made against the
+    scores the previous one left.  The durability layer packs one batch
+    per drain into a WAL frame (:meth:`packed`) and replays it the same
+    way on recovery.
     """
 
     plans: List[UpdatePlan]
@@ -391,6 +415,64 @@ class PlanBatch:
                 else _EMPTY_VAL
             ),
         )
+
+
+def _union(supports: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted union of non-empty sorted supports, and each node's slot in it.
+
+    One boolean mask over the index range: cheaper than sorting the
+    concatenation, and its running count maps a node to its union row.
+    """
+    mask = np.zeros(max(int(support[-1]) for support in supports) + 1, bool)
+    for support in supports:
+        mask[support] = True
+    return np.flatnonzero(mask), np.cumsum(mask) - 1
+
+
+def fuse_plans(plans: Sequence[UpdatePlan]) -> Optional[UpdatePlan]:
+    """One plan whose delta is the sum of ``plans``' deltas.
+
+    A drain's row groups each plan a factored ``ΔS_i = L_i·R_iᵀ`` (plus
+    transpose); their sum is one factored delta of rank ``Σ K_i`` over
+    the union supports, so the drain applies as **one** GEMM and one
+    pass of slice adds.  The fused panels place the members' panels
+    side by side, each member's rows (columns) scattered into the union
+    rows (columns) with zeros elsewhere; ``affected`` joins the members'
+    Theorem-4 records, and the sparse factors (the WAL encoding) are
+    the members' factors concatenated.  No-op plans are dropped: with
+    one plan left it is returned as is, with none the result is None.
+    """
+    members = tuple(plan for plan in plans if not plan.is_noop)
+    if len(members) <= 1:
+        return members[0] if members else None
+    rows_union, row_at = _union([member.rows_union for member in members])
+    cols_union, col_at = _union([member.cols_union for member in members])
+    rank = sum(member.rank for member in members)
+    left = np.zeros((rows_union.size, rank))
+    right = np.zeros((cols_union.size, rank))
+    affected = None
+    at = 0
+    for member in members:
+        member_left, member_right = member.panels()
+        span = slice(at, at + member.rank)
+        left[row_at[member.rows_union], span] = member_left
+        right[col_at[member.cols_union], span] = member_right
+        at += member.rank
+        if member.affected is not None:
+            affected = (
+                member.affected
+                if affected is None
+                else affected.merged_with(member.affected)
+            )
+    return UpdatePlan.from_panels(
+        members[0].target,
+        rows_union,
+        cols_union,
+        left,
+        right,
+        affected,
+        members=members,
+    )
 
 
 def plan_rank_one(

@@ -14,12 +14,22 @@ and costs one Sylvester-series run instead of one per edge.
 
 :func:`consolidate_batch` groups an update batch by target node (after
 cancelling insert/delete pairs that annihilate), and
-:func:`apply_row_update` runs the pruned Inc-SR core on the composite
-rank-one change.  The result is bit-compatible with processing the
-group's unit updates sequentially only in the limit ``K → ∞``; at finite
-``K`` both are within the same truncation bound of the exact fixed
-point (asserted by the tests), while the consolidated path does
-``(group size)×`` less work.
+:func:`plan_composite_row_update` plans each group's composite rank-one
+change with the pruned Inc-SR planner.  The result is bit-compatible
+with processing the group's unit updates sequentially only in the limit
+``K → ∞``; at finite ``K`` both are within the same truncation bound of
+the exact fixed point (asserted by the tests), while the consolidated
+path does ``(group size)×`` less work.
+
+A drain plans its groups one after another, each against ``Q`` after
+the earlier groups' row surgery and against ``S`` plus the earlier
+groups' pending deltas (:class:`PendingScores`), and then applies all
+of them as one fused plan
+(:func:`~repro.incremental.plan.fuse_plans`).  The group's one read of
+``S``, ``z = S·v``, is column-sparse: ``v`` is supported on the old and
+new in-neighbours of the target only.  :func:`apply_row_update` and
+:func:`apply_consolidated_batch` keep the older in-place Inc-SR core as
+a reference.
 """
 
 from __future__ import annotations
@@ -150,6 +160,76 @@ def row_rank_one_vectors(
     return u_vector, new_row - old_row
 
 
+def column_matvec(
+    scores, cols: np.ndarray, weights: np.ndarray, out: np.ndarray = None
+) -> np.ndarray:
+    """``S[:, cols] @ weights`` for a dense ``S`` or any score source.
+
+    Score stores (and :class:`PendingScores`) gather their columns
+    themselves (``column_matvec``); a plain ndarray is sliced here.
+    """
+    if hasattr(scores, "column_matvec"):
+        return scores.column_matvec(cols, weights, out=out)
+    return np.dot(scores[:, cols], weights, out=out)
+
+
+def _add_pending(z_vector, rows, left, cols_union, right, cols, weights):
+    """``z[rows] += left @ (right[cols ∩ cols_union]ᵀ · weights)``.
+
+    One pass of a pending plan's ``(L·Rᵀ)[:, cols] · weights``: the
+    ``|cols ∩ cols_union|`` panel rows it reads are found by one
+    ``searchsorted`` in the sorted union.
+    """
+    at = np.searchsorted(cols_union, cols)
+    hit = at < cols_union.size
+    hit[hit] = cols_union[at[hit]] == cols[hit]
+    if hit.any():
+        z_vector[rows] += left @ (weights[hit] @ right[at[hit]])
+
+
+class PendingScores:
+    """``S`` plus the deltas of plans planned but not yet applied.
+
+    A drain plans every row group before it applies any: group ``i+1``
+    must see ``S + Σ_{p ≤ i} ΔS_p``, and its only read of ``S`` is the
+    column-sparse ``S·v`` of :func:`general_update_vectors`.  This view
+    answers that read as ``S[:, supp v]·v`` plus, per pending plan, the
+    two small panel products ``L·(Rᵀ·v)`` and ``R·(Lᵀ·v)`` restricted to
+    ``supp v`` — ``ΔS_p`` is never materialized.
+    """
+
+    def __init__(self, scores) -> None:
+        self.scores = scores
+        #: The non-empty plans pending, in planning order.
+        self.plans = []
+
+    @property
+    def shape(self):
+        return self.scores.shape
+
+    def add(self, plan) -> None:
+        """Make ``plan``'s delta visible to later reads."""
+        if not plan.is_noop:
+            self.plans.append(plan)
+
+    def column_matvec(
+        self, cols: np.ndarray, weights: np.ndarray, out: np.ndarray = None
+    ) -> np.ndarray:
+        """``(S + Σ ΔS_p)[:, cols] @ weights``."""
+        z_vector = column_matvec(self.scores, cols, weights, out=out)
+        for plan in self.plans:
+            left, right = plan.panels()
+            _add_pending(
+                z_vector, plan.rows_union, left, plan.cols_union, right,
+                cols, weights,
+            )
+            _add_pending(
+                z_vector, plan.cols_union, right, plan.rows_union, left,
+                cols, weights,
+            )
+        return z_vector
+
+
 def general_update_vectors(
     q_matrix,
     s_matrix: np.ndarray,
@@ -164,25 +244,27 @@ def general_update_vectors(
     Computes ``z = S·v``, ``y = Q·z``, ``λ = vᵀ·z`` and folds
     ``w = y + (λ/2)·u`` into the γ vector consumed by the Inc-SR core.
     This is the generic path the degree-specialized closed forms of
-    Eqs. (27)–(28) shortcut.  ``q_matrix`` may be CSR or a
+    Eqs. (27)–(28) shortcut.  ``S·v`` is column-sparse,
+    ``S[:, supp v] @ v[supp v]`` (see :func:`column_matvec`): a row
+    change's ``v`` lives on the target's old and new in-neighbours, a
+    handful of columns, so the dense ``n × n`` GEMV is never run.
+    ``s_matrix`` may be dense, a score store or a
+    :class:`PendingScores` view; ``q_matrix`` may be CSR or a
     :class:`TransitionStore`; a ``workspace`` pools the dense scratch.
     """
+    n = s_matrix.shape[0]
+    support = np.flatnonzero(v_vector)
+    z_vector = column_matvec(
+        s_matrix,
+        support,
+        v_vector[support],
+        out=None if workspace is None else workspace.vector("scratch", n),
+    )
     if workspace is None:
-        z_vector = s_matrix @ v_vector
         y_vector = q_matrix @ z_vector
         lam = float(v_vector @ z_vector)
         gamma = y_vector + 0.5 * lam * u_vector
     else:
-        n = s_matrix.shape[0]
-        if hasattr(s_matrix, "matvec"):
-            # Sharded score stores run the GEMV shard by shard.
-            z_vector = s_matrix.matvec(
-                v_vector, out=workspace.vector("scratch", n)
-            )
-        else:
-            z_vector = np.dot(
-                s_matrix, v_vector, out=workspace.vector("scratch", n)
-            )
         if hasattr(q_matrix, "matvec"):
             y_vector = q_matrix.matvec(z_vector, out=workspace.vector("w", n))
         else:
@@ -214,8 +296,9 @@ def plan_composite_row_update(
     The consolidated-batch analogue of
     :func:`repro.incremental.plan.plan_unit_update`: reads the old
     ``(graph, Q, S)`` state only and returns the factored low-rank plan
-    for the whole row group.  ``scores`` may be dense or a sharded
-    score store (anything supporting ``[:, i]`` reads and ``matvec``).
+    for the whole row group.  ``scores`` may be dense, a sharded score
+    store or a :class:`PendingScores` view (a drain's earlier groups
+    pending); it is read once, through :func:`column_matvec`.
     """
     from .plan import plan_rank_one
 
@@ -293,7 +376,11 @@ def apply_consolidated_batch(
 
     Returns ``(new_s, new_q, new_graph, num_row_updates)``.  Each row
     group is one rank-one Sylvester run, so a batch with ``g`` distinct
-    targets costs ``g`` runs instead of ``len(batch)``.
+    targets costs ``g`` runs instead of ``len(batch)``.  The groups are
+    applied one at a time, each against the scores the previous one
+    left — the sequential reference that the engine's fused drains
+    (:meth:`~repro.incremental.engine.DynamicSimRank.apply_consolidated`)
+    match within rounding.
 
     By default nothing is mutated (the graph and scores are copied and a
     private :class:`TransitionStore` is built from ``q_matrix``).  The

@@ -56,12 +56,16 @@ class TestReads:
         with pytest.raises(TypeError):
             store[1:3, 2]
 
-    def test_matvec_matches_dense(self):
+    def test_column_matvec_matches_dense(self):
         scores = _random_scores(11)
         store = ScoreStore(scores, shard_rows=4)
-        x = np.random.default_rng(1).random(11)
-        np.testing.assert_array_equal(store.matvec(x), scores @ x)
-        np.testing.assert_array_equal(store @ x, scores @ x)
+        cols = np.array([1, 4, 9])
+        weights = np.random.default_rng(1).random(3)
+        out = np.empty(11)
+        assert store.column_matvec(cols, weights, out=out) is out
+        np.testing.assert_allclose(
+            out, scores[:, cols] @ weights, rtol=1e-15, atol=0
+        )
 
     def test_column_into_out_buffer(self):
         scores = _random_scores(7)

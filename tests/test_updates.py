@@ -84,6 +84,54 @@ class TestUpdateBatch:
         batch.validate_against(diamond_graph)
         assert not diamond_graph.has_edge(3, 0)
 
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            [EdgeUpdate.insert(3, 0), EdgeUpdate.insert(0, 1)],
+            [EdgeUpdate.delete(1, 3), EdgeUpdate.delete(3, 0)],
+            [EdgeUpdate.insert(3, 0), EdgeUpdate.insert(0, 9)],
+            [EdgeUpdate.delete(7, 1)],
+            [EdgeUpdate.insert(1, 2), EdgeUpdate.delete(1, 2),
+             EdgeUpdate.delete(1, 2)],
+            [EdgeUpdate.delete(0, 1), EdgeUpdate.insert(0, 1),
+             EdgeUpdate.insert(0, 1)],
+        ],
+        ids=["insert-existing", "delete-missing", "unknown-target",
+             "unknown-source", "insert-then-delete-twice",
+             "delete-then-insert-twice"],
+    )
+    def test_validate_messages_match_sequential_application(
+        self, diamond_graph, updates
+    ):
+        batch = UpdateBatch(updates)
+        scratch = diamond_graph.copy()
+        with pytest.raises(GraphError) as applied:
+            batch.apply_to(scratch)
+        with pytest.raises(GraphError) as validated:
+            batch.validate_against(diamond_graph)
+        assert str(validated.value) == f"batch not applicable: {applied.value}"
+        assert type(validated.value.__cause__) is type(applied.value)
+
+    def test_validate_accepts_toggles(self, diamond_graph):
+        UpdateBatch(
+            [EdgeUpdate.insert(1, 2), EdgeUpdate.delete(1, 2),
+             EdgeUpdate.insert(1, 2), EdgeUpdate.delete(0, 1),
+             EdgeUpdate.insert(0, 1)]
+        ).validate_against(diamond_graph)
+
+    def test_validate_never_copies_the_graph(self, diamond_graph, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("validate_against copied the graph")
+
+        monkeypatch.setattr(DynamicDiGraph, "copy", refuse)
+        UpdateBatch(
+            [EdgeUpdate.insert(3, 0), EdgeUpdate.delete(3, 0)]
+        ).validate_against(diamond_graph)
+        with pytest.raises(GraphError, match="already exists"):
+            UpdateBatch([EdgeUpdate.insert(0, 1)]).validate_against(
+                diamond_graph
+            )
+
     def test_indexing(self):
         updates = [EdgeUpdate.insert(0, 1), EdgeUpdate.delete(1, 2)]
         batch = UpdateBatch(updates)
