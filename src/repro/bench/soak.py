@@ -6,9 +6,9 @@ arrival, through durable :class:`~repro.serving.SimRankService` drains
 of eight updates, once into a float64 score store and once into a
 float32 one.  Halfway through, both services are closed and reopened
 from their data dirs, and the recovered scores must equal the live ones
-bit for bit.  Every ``--interval`` updates, each store is compared with
-a :func:`~repro.simrank.matrix.matrix_simrank` recompute of the current
-graph and the max ``|drift|`` is printed.
+bit for bit.  Every tenth of the run (at least one drain), each store is
+compared with a :func:`~repro.simrank.matrix.matrix_simrank` recompute
+of the current graph, and the max ``|drift|`` is printed.
 
 A drain applies its row groups as one fused plan, which rounds
 differently from applying them one at a time, so bit-identity with
@@ -26,11 +26,10 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from ..config import SimRankConfig
 from ..graph.digraph import DynamicDiGraph
 from ..graph.updates import EdgeUpdate
 from ..simrank.base import default_config
@@ -42,6 +41,7 @@ DRIFT_FACTOR = 10.0
 #: A store's last interval may drift this many times its first at most.
 GROWTH_FACTOR = 10.0
 BATCH = 8
+NODES = 50
 #: A node arrives once every this many drains.
 ADD_NODE_EVERY = 40
 DELETE_SHARE = 0.4
@@ -107,25 +107,17 @@ def _batches(mirror: DynamicDiGraph, rng: random.Random) -> Iterator[list]:
         yield batch
 
 
-def run_soak(
-    updates: int = 2000,
-    seed: int = 1,
-    nodes: int = 50,
-    interval: Optional[int] = None,
-    config: SimRankConfig = None,
-    data_dir: Optional[str] = None,
-    echo=None,
-) -> SoakResult:
+def run_soak(updates: int = 2000, seed: int = 1, echo=None) -> SoakResult:
     """Run the soak; ``echo`` (e.g. ``print``) receives one line per interval."""
     from ..serving import DurabilityConfig, SimRankService
 
-    cfg = default_config(config)
-    interval = interval or max(BATCH, updates // 10)
+    cfg = default_config()
+    interval = max(BATCH, updates // 10)
     rng = random.Random(seed)
-    base = _initial_graph(nodes, rng)
+    base = _initial_graph(NODES, rng)
     mirror = base.copy()
     result = SoakResult(bound=truncation_error_bound(cfg))
-    with tempfile.TemporaryDirectory(dir=data_dir) as root:
+    with tempfile.TemporaryDirectory() as root:
 
         def open_service(dtype):
             return SimRankService(
@@ -205,19 +197,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--updates", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--nodes", type=int, default=50)
-    parser.add_argument(
-        "--interval", type=int, default=None,
-        help="updates between recompute comparisons (default updates/10)",
-    )
     args = parser.parse_args(argv)
-    result = run_soak(
-        updates=args.updates,
-        seed=args.seed,
-        nodes=args.nodes,
-        interval=args.interval,
-        echo=print,
-    )
+    result = run_soak(updates=args.updates, seed=args.seed, echo=print)
     problems = result.check()
     print(
         f"truncation bound {result.bound:.3e}; drift limit "

@@ -19,7 +19,7 @@ from repro.bench.soak import (
 
 
 def test_drift_stays_bounded_over_two_thousand_updates():
-    result = run_soak(updates=2000, seed=1, nodes=50)
+    result = run_soak(updates=2000, seed=1)
     assert result.check() == []
     limit = DRIFT_FACTOR * result.bound
     assert set(result.drift) == set(DTYPES)
@@ -41,7 +41,7 @@ def test_check_flags_drift_growth_and_failures():
 
 
 def test_cli_exit_code_and_lines(capsys):
-    assert main(["--updates", "48", "--interval", "24", "--nodes", "20"]) == 0
+    assert main(["--updates", "48"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("updates     24  n=20  float64 ")
+    assert out[0].startswith("updates      8  n=50  float64 ")
     assert out[-1] == "OK"
