@@ -165,13 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DRAINS",
         help="checkpoint every N WAL'd drains (--data-dir only)",
     )
-    serve.add_argument(
-        "--admission-window",
-        type=float,
-        default=None,
-        help="front-door admission window in seconds (--http only); "
-        "overrides the config file's frontdoor section",
-    )
 
     return parser
 
@@ -283,17 +276,13 @@ def _build_service(args: argparse.Namespace, graph):
 def _serve_http(service, args: argparse.Namespace) -> int:
     """Run the network front door until interrupted (``serve --http``)."""
     import asyncio
+    from dataclasses import replace
 
     from .frontdoor import FrontDoor
     from .serving.config import FrontDoorConfig
 
     base = service.service_config.frontdoor or FrontDoorConfig()
-    overrides = {"port": args.http}
-    if args.admission_window is not None:
-        overrides["admission_window"] = args.admission_window
-    fd_config = FrontDoorConfig(
-        **{**base.to_dict(), **overrides}
-    )
+    fd_config = replace(base, port=args.http)
 
     async def run():
         door = FrontDoor(service, fd_config)

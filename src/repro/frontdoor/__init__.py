@@ -5,10 +5,11 @@ same API on a socket, with three pieces of machinery the wire makes
 worthwhile:
 
 * :mod:`repro.frontdoor.admission` — **batched query admission**:
-  concurrent ``similarity``/``single_source`` queries arriving inside
-  one admission window execute as a single snapshot-pinned vectorized
-  pass (stacked walk matrices, per-shard score gathers), bit-identical
-  per query to unbatched execution.
+  concurrent ``similarity``/``single_source`` queries execute by group
+  commit — a query that finds the batcher idle runs at once, and
+  whatever arrives meanwhile runs as the next snapshot-pinned
+  vectorized pass (stacked walk matrices, per-shard score gathers),
+  bit-identical per query to unbatched execution.
 * :mod:`repro.frontdoor.sessions` — **pinned-snapshot sessions**: a
   client pins one :class:`~repro.serving.snapshot.SnapshotView` under
   a TTL'd id and reads a bit-stable version across any number of

@@ -1,12 +1,14 @@
 """Batched query admission: one snapshot, one BLAS pass, many answers.
 
 Under concurrent load the front door does not execute similarity and
-single-source queries one at a time.  The first query to arrive opens
-an **admission window** (:class:`FrontDoorConfig.admission_window`
-seconds); every compatible query that arrives inside the window joins
-the same batch.  When the window closes (or the batch hits its size
-cap) the whole batch pins **one** snapshot view and executes as one
-vectorized pass:
+single-source queries one at a time.  Admission is **group commit**, as
+a database WAL commits: at most one batch is in flight.  A query that
+finds the batcher idle executes at once; queries that arrive while a
+batch executes park, and when that batch settles everything parked
+(up to :attr:`FrontDoorConfig.admission_max_batch`) becomes the next
+batch.  Batches grow with concurrency and cost nothing without it —
+there is no timer.  Each batch pins **one** snapshot view and executes
+as one vectorized pass:
 
 * ``similarity`` — the requested ``(a, b)`` pairs are gathered from
   the frozen score shards with one fancy-indexing read per touched
@@ -25,8 +27,8 @@ checked by the benchmark, so batching is a pure latency/throughput
 optimization — answers never change by admission accident.
 
 Demultiplexing tags each :class:`QueryResult` with ``batched=True``
-and the batch size, so the wire exposes how much coalescing the window
-achieved (the benchmark's tuning axis).
+and the batch size, so the wire exposes how much coalescing the load
+produced.
 """
 
 from __future__ import annotations
@@ -42,12 +44,17 @@ from ..serving.envelopes import QueryRequest, QueryResult
 from ..simrank.queries import single_source_simrank
 from ..telemetry import NULL_TELEMETRY, GaugeGroup
 
+#: Bucket bounds of the per-batch query count histogram (counts, not
+#: seconds); the top bound is the default ``admission_max_batch``.
+ADMISSION_BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
 
 def batched_similarity(view, pairs: Sequence[tuple]) -> List[float]:
     """Gather frozen scores for many ``(a, b)`` pairs, one read per shard.
 
     Bit-identical to per-pair :meth:`SnapshotView.similarity`: both are
-    pure reads of the same frozen shard entries.
+    pure reads of the same canonical ``(min(a, b), max(a, b))`` frozen
+    shard entry.
     """
     n = view.num_nodes
     for a, b in pairs:
@@ -56,7 +63,7 @@ def batched_similarity(view, pairs: Sequence[tuple]) -> List[float]:
         if not (0 <= b < n):
             raise NodeNotFoundError(b)
     return view.scores.gather(
-        [a for a, _ in pairs], [b for _, b in pairs]
+        [min(a, b) for a, b in pairs], [max(a, b) for a, b in pairs]
     )
 
 
@@ -156,21 +163,22 @@ def execute_batch(view, requests: Sequence[QueryRequest]) -> List[QueryResult]:
 
 
 class AdmissionBatcher:
-    """The async admission window in front of the batched executors.
+    """Group-commit admission in front of the batched executors.
 
-    ``await run(request)`` parks the caller on a future; the first
-    arrival schedules a flush ``window`` seconds out, a full batch
-    flushes immediately, and the flush executes the whole batch against
-    one freshly pinned snapshot **in the executor thread pool** so the
-    event loop keeps admitting during the BLAS pass.  With
-    ``window == 0`` batching is disabled and every query runs alone
-    (still off-loop).
+    At most one batch is in flight.  ``await run(request)`` executes at
+    once when the batcher is idle (a batch of one, no future, no task);
+    while a batch executes, callers park on futures.  When a batch
+    settles — answered or failed wholesale — whatever has parked, up to
+    ``max_batch`` queries, becomes the next batch as one task, so a
+    failed batch still hands over.  Every batch pins one freshly taken
+    snapshot and runs **in the executor thread pool** (via
+    ``run_blocking``), so the event loop keeps admitting during the BLAS
+    pass.
     """
 
     def __init__(
         self,
         pin_view,
-        window: float,
         max_batch: int,
         run_blocking,
         telemetry=None,
@@ -178,92 +186,86 @@ class AdmissionBatcher:
         if telemetry is None:
             telemetry = NULL_TELEMETRY
         self._pin_view = pin_view
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self._run_blocking = run_blocking
         self._pending: List[tuple] = []
-        self._flush_handle = None
-        self.batches = 0
-        self.batched_queries = 0
+        self._busy = False
+        #: The settle task of the batch in flight, if parked queries
+        #: formed it (the event loop holds tasks only weakly).
+        self._task = None
         self.max_batch_seen = 0
         self._telemetry = telemetry
-        self._execute_hist = telemetry.registry.histogram(
+        registry = telemetry.registry
+        self._execute_hist = registry.histogram(
             "repro_admission_execute_seconds",
             help="Batched admission execute time (pin + vectorized pass)",
         )
-        gauges = GaugeGroup(telemetry.registry, "repro_admission")
-        gauges.expose("window_seconds", lambda: self.window)
-        gauges.expose("max_batch", lambda: self.max_batch)
-        gauges.expose("batches", lambda: self.batches)
-        gauges.expose("batched_queries", lambda: self.batched_queries)
-        gauges.expose(
-            "mean_batch_size",
-            lambda: (
-                self.batched_queries / self.batches if self.batches else 0.0
-            ),
+        self._batch_hist = registry.histogram(
+            "repro_admission_batch_size",
+            buckets=ADMISSION_BATCH_BUCKETS,
+            help="Queries per executed admission batch",
         )
+        gauges = GaugeGroup(registry, "repro_admission")
+        gauges.expose("max_batch", lambda: self.max_batch)
         gauges.expose("max_batch_seen", lambda: self.max_batch_seen)
         self._gauges = gauges
 
     async def run(self, request: QueryRequest) -> QueryResult:
         loop = asyncio.get_running_loop()
-        if self.window <= 0 or self.max_batch <= 1:
-            results = await self._execute([request])
-            return self._unwrap(results[0])
-        future = loop.create_future()
-        self._pending.append((request, future, loop.time()))
-        if len(self._pending) >= self.max_batch:
-            self._cancel_timer()
-            self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.window, self._flush)
-        return self._unwrap(await future)
+        if self._busy:
+            future = loop.create_future()
+            self._pending.append((request, future, loop.time()))
+            return self._unwrap(await future)
+        self._busy = True
+        try:
+            results = await self._execute([(request, None, loop.time())])
+        finally:
+            self._hand_over()
+        return self._unwrap(results[0])
 
-    def _cancel_timer(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-
-    def _flush(self) -> None:
-        self._flush_handle = None
-        if not self._pending:
+    def _hand_over(self) -> None:
+        """Start the next batch from whatever parked, or go idle."""
+        batch = self._pending[: self.max_batch]
+        if not batch:
+            self._busy = False
+            self._task = None
             return
-        batch, self._pending = self._pending, []
-        asyncio.get_running_loop().create_task(self._settle(batch))
+        del self._pending[: self.max_batch]
+        self._task = asyncio.get_running_loop().create_task(
+            self._settle(batch)
+        )
 
     async def _settle(self, batch: List[tuple]) -> None:
-        requests = [request for request, _, _ in batch]
-        now = asyncio.get_running_loop().time()
-        tracer = self._telemetry.tracer
-        for request, _, enqueued in batch:
-            tracer.record(
-                "admission.wait",
-                request.trace_id,
-                now - enqueued,
-                batch_size=len(batch),
-            )
         try:
-            results = await self._execute(requests)
+            results = await self._execute(batch)
         except BaseException as exc:  # pin/execute failed wholesale
             for _, future, _ in batch:
                 if not future.done():
                     future.set_exception(exc)
+            if not isinstance(exc, Exception):
+                raise  # cancellation or interpreter exit
             return
-        self.batches += 1
-        self.batched_queries += len(batch)
-        if len(batch) > self.max_batch_seen:
-            self.max_batch_seen = len(batch)
+        finally:
+            self._hand_over()
         for (_, future, _), result in zip(batch, results):
             if not future.done():
                 future.set_result(result)
 
-    async def _execute(self, requests: List[QueryRequest]):
+    async def _execute(self, batch: List[tuple]):
+        requests = [request for request, _, _ in batch]
+        size = len(requests)
         tracer = self._telemetry.tracer
-        traced = [
-            request.trace_id
-            for request in requests
-            if tracer.sampled(request.trace_id)
-        ]
+        now = asyncio.get_running_loop().time()
+        traced = []
+        for request, _, enqueued in batch:
+            if tracer.sampled(request.trace_id):
+                traced.append(request.trace_id)
+                tracer.record(
+                    "admission.wait",
+                    request.trace_id,
+                    now - enqueued,
+                    batch_size=size,
+                )
 
         def work():
             pin_started = time.perf_counter()
@@ -273,6 +275,9 @@ class AdmissionBatcher:
             results = execute_batch(view, requests)
             exec_elapsed = time.perf_counter() - exec_started
             self._execute_hist.observe(pin_elapsed + exec_elapsed)
+            self._batch_hist.observe(size)
+            if size > self.max_batch_seen:
+                self.max_batch_seen = size
             # The whole batch shares one pin and one vectorized pass, so
             # every traced member gets the same span timings tagged with
             # the fan-in it rode along with.
@@ -281,14 +286,14 @@ class AdmissionBatcher:
                     "admission.pin",
                     trace_id,
                     pin_elapsed,
-                    batch_size=len(requests),
+                    batch_size=size,
                     version=view.version,
                 )
                 tracer.record(
                     "admission.execute",
                     trace_id,
                     exec_elapsed,
-                    batch_size=len(requests),
+                    batch_size=size,
                 )
             return results
 
@@ -301,8 +306,7 @@ class AdmissionBatcher:
         return result
 
     def drain(self) -> None:
-        """Fail every parked query (service shutting down)."""
-        self._cancel_timer()
+        """Cancel every parked query (service shutting down)."""
         pending, self._pending = self._pending, []
         for _, future, _ in pending:
             if not future.done():
@@ -311,8 +315,15 @@ class AdmissionBatcher:
     def report(self) -> dict:
         """Admission counters for the metrics endpoint.
 
-        Rendered through the :class:`GaugeGroup`, so the same readers
-        back this dict and the registry's Prometheus gauges — key names
-        are the historical ones.
+        ``batches``, ``batched_queries`` and ``mean_batch_size`` are
+        read off the ``repro_admission_batch_size`` histogram (its
+        count and sum), so they read zero when telemetry is off.
         """
-        return self._gauges.report()
+        batches = self._batch_hist.count
+        queries = int(self._batch_hist.sum)
+        return {
+            **self._gauges.report(),
+            "batches": batches,
+            "batched_queries": queries,
+            "mean_batch_size": queries / batches if batches else 0.0,
+        }

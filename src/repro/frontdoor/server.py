@@ -118,7 +118,6 @@ class FrontDoor:
         )
         self.batcher = AdmissionBatcher(
             pin_view=service.snapshot,
-            window=config.admission_window,
             max_batch=config.admission_max_batch,
             run_blocking=self._run_blocking,
             telemetry=self.telemetry,

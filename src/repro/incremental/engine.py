@@ -222,7 +222,14 @@ class DynamicSimRank:
         return self._scores.to_array()
 
     def similarity(self, node_a: int, node_b: int) -> float:
-        """The SimRank score of one node pair."""
+        """The SimRank score of one node pair.
+
+        Reads the canonical ``(min, max)`` entry: the stored ``S`` is
+        symmetric only up to round-off, and this makes
+        ``similarity(a, b) == similarity(b, a)`` bitwise.
+        """
+        if node_a > node_b:
+            node_a, node_b = node_b, node_a
         return self._scores.entry(node_a, node_b)
 
     @property

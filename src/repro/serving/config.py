@@ -22,7 +22,7 @@ is the single typed source of truth for all of it:
   one.
 
 :class:`FrontDoorConfig` nests the network-layer knobs (bind address,
-admission window, session TTL) so one file configures the whole stack,
+admission batch cap, session TTL) so one file configures the whole stack,
 service plus front door.
 """
 
@@ -50,10 +50,6 @@ WRITER_MODES = ("sync", "background")
 #: :class:`~repro.tuning.precision.PrecisionPlan`).
 PRECISION_MODES = ("float64", "float32", "auto")
 
-#: Default admission window: how long the front door holds the first
-#: query of a batch open for concurrent arrivals to join (seconds).
-DEFAULT_ADMISSION_WINDOW = 0.002
-
 #: Default idle TTL of a pinned-snapshot session (seconds).
 DEFAULT_SESSION_TTL = 30.0
 
@@ -72,9 +68,9 @@ class TelemetryConfig:
     enabled:
         ``False`` swaps every instrument for the shared no-op
         singletons — tracing, histograms, and flight recording all cost
-        one empty method call.  The front-door stats keep their own
-        attribute counters, so the JSON ``/metrics`` report is
-        unchanged either way.
+        one empty method call.  The JSON ``/metrics`` report keeps its
+        keys either way; values read off registry instruments (top-k
+        counters, admission batch counts) read zero while disabled.
     trace_sample_rate:
         Fraction of *minted* trace ids that record spans (deterministic
         on the id, so all layers agree).  Explicit
@@ -146,15 +142,11 @@ class FrontDoorConfig:
     host, port:
         Bind address.  Port 0 picks an ephemeral port (the bound port
         is reported once the server starts).
-    admission_window:
-        Seconds the admission batcher holds the first queued query so
-        concurrent arrivals can join the same snapshot-pinned batched
-        execution.  0 disables batching (every query executes alone).
-        Larger windows raise batch sizes (fewer BLAS calls under load)
-        at the cost of adding up to one window to p99.
     admission_max_batch:
-        Hard cap on queries per admission batch; a full batch flushes
-        immediately instead of waiting out the window.
+        Hard cap on queries per admission batch.  Admission is group
+        commit with no timer: an idle batcher executes a query at once,
+        and the queries that park while a batch executes form the next
+        batch, at most this many at a time.
     session_ttl:
         Default idle seconds before a pinned-snapshot session is
         released (each request on the session refreshes the clock).
@@ -167,7 +159,6 @@ class FrontDoorConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    admission_window: float = DEFAULT_ADMISSION_WINDOW
     admission_max_batch: int = 256
     session_ttl: float = DEFAULT_SESSION_TTL
     max_sessions: int = 1024
@@ -181,10 +172,6 @@ class FrontDoorConfig:
         _require(
             0 <= int(self.port) <= 65535,
             f"frontdoor port must be in [0, 65535]: {self.port!r}",
-        )
-        _require(
-            self.admission_window >= 0,
-            f"admission_window must be >= 0: {self.admission_window!r}",
         )
         _require(
             int(self.admission_max_batch) >= 1,

@@ -72,7 +72,14 @@ class SnapshotView:
     # -------------------------------------------------------------- #
 
     def similarity(self, node_a: int, node_b: int) -> float:
-        """The frozen SimRank score of one node pair."""
+        """The frozen SimRank score of one node pair.
+
+        Reads the canonical ``(min, max)`` entry, so the answer is
+        bitwise symmetric in its arguments (see
+        :meth:`DynamicSimRank.similarity`).
+        """
+        if node_a > node_b:
+            node_a, node_b = node_b, node_a
         return self._scores.entry(node_a, node_b)
 
     def similarities(self) -> np.ndarray:

@@ -131,6 +131,21 @@ class TestCommands:
         assert "--workers" in captured.err
         assert "still serves the frozen version" not in captured.out
 
+    def test_serve_admission_window_is_gone(
+        self, edges_file, updates_file, capsys
+    ):
+        """Admission is group commit with no timer: the old window flag
+        is a usage error, not a silently ignored knob."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "serve", edges_file, updates_file,
+                    "--http", "0", "--admission-window", "0",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--admission-window" in capsys.readouterr().err
+
     def test_serve_config_checks_root_flags(
         self, edges_file, updates_file, tmp_path, capsys
     ):

@@ -130,7 +130,7 @@ class TestServiceConfig:
         config = ServiceConfig(
             damping=0.7,
             writer="background",
-            frontdoor=FrontDoorConfig(admission_window=0.01),
+            frontdoor=FrontDoorConfig(admission_max_batch=16),
         )
         path = tmp_path / "service.json"
         config.save(path)
@@ -148,13 +148,18 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             ServiceConfig(writer="turbo")
         with pytest.raises(ConfigError):
-            FrontDoorConfig(admission_window=-1.0)
+            FrontDoorConfig(admission_max_batch=0)
         with pytest.raises(ConfigError):
             FrontDoorConfig(subscription_max_k=0)
         # Configs saved before the executor knobs were removed must
         # fail loudly, naming the keys, not quietly serve in-process.
         with pytest.raises(ConfigError, match="executor.*workers"):
             ServiceConfig.from_dict({"executor": "process", "workers": 2})
+        # Likewise a front door saved with the removed admission timer.
+        with pytest.raises(ConfigError, match="admission_window"):
+            ServiceConfig.from_dict(
+                {"frontdoor": {"admission_window": 0.002}}
+            )
 
 
 # ------------------------------------------------------------------ #
@@ -217,7 +222,7 @@ class TestAdmission:
             service.close()
 
     def test_wire_batching_is_bit_identical(self, workload):
-        """Concurrent clients through the admission window get exactly
+        """Concurrent clients through group-commit admission get exactly
         the solo answers — while a background writer drains."""
         service = _service(workload, writer="background")
         graph, _, updates = workload
@@ -779,7 +784,6 @@ class TestTelemetryWire:
                 assert status == 200
                 frontdoor = report["frontdoor"]
                 assert set(frontdoor["admission"]) == {
-                    "window_seconds",
                     "max_batch",
                     "batches",
                     "batched_queries",

@@ -138,7 +138,8 @@ class TestThreadedStress:
                         raise AssertionError("torn read: asymmetric matrix")
                     a = int(rng.integers(view.num_nodes))
                     b = int(rng.integers(view.num_nodes))
-                    if view.similarity(a, b) != pinned[a, b]:
+                    # Pair reads serve the canonical (min, max) entry.
+                    if view.similarity(a, b) != pinned[min(a, b), max(a, b)]:
                         raise AssertionError("torn read: entry vs matrix")
                     # Bit-stability: the pin never moves, even after the
                     # writer has advanced past it.
