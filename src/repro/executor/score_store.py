@@ -12,9 +12,9 @@ covering ``shard_rows`` consecutive rows — which buys three things:
   overlapping its union supports.  Each of its two passes (block and
   transpose) is one GEMM over the column *span* of the supports, added
   as contiguous slices, one per run of consecutive rows — no
-  per-element fancy indexing except for sparse spans.  The result is
-  bit-identical to the dense reference: each score entry still gets
-  exactly one add of the same product;
+  per-element fancy indexing except for sparse spans.  Each score
+  entry still gets exactly one add of the same dot product as in the
+  dense reference (bitwise on planner plans; see :meth:`_add_product`);
 * **independent growth**: node arrival grows at most the tail shard's
   rows and each shard's column capacity (amortized by doubling), never
   reallocating ``S`` wholesale; and
@@ -555,7 +555,8 @@ class ScoreStore:
             plan.rows_union, plan.cols_union, left, right, promotion, hits
         )
         self._add_product(
-            plan.cols_union, plan.rows_union, right, left, promotion, hits
+            plan.cols_union, plan.rows_union, right, left, promotion, hits,
+            transpose=True,
         )
 
     def _row_segments(self, rows: np.ndarray):
@@ -583,31 +584,38 @@ class ScoreStore:
         right: np.ndarray,
         promotion: Optional[List[float]],
         hits: Dict[int, list],
+        transpose: bool = False,
     ) -> None:
         """``S[rows × cols] += left @ right.T`` with both supports sorted.
 
         ``left``/``right`` are the plan's panels, so for a fused plan the
         one GEMM carries every member's factors: the rank is the
         members' summed rank and the supports their unions.  Two
-        strategies, both bit-identical to the ``np.ix_`` scatter of
-        the support block ``left @ right.T`` (each entry is the same
-        length-``rank`` dot product):
+        strategies, each adding every entry once as a
+        length-``rank`` dot product, like the dense reference
+        :func:`~repro.incremental.plan.apply_plan_dense`:
 
         * *slice runs* — ``right`` is densified over the column span
           ``[cols[0], cols[-1]]`` with zero rows off the support, so one
           GEMM gives a ``|rows| × span`` tile whose padding is exact
           zeros; each maximal run of consecutive rows, split at shard
-          boundaries, is then one contiguous slice add;
+          boundaries, is then one contiguous slice add.  The padded GEMM
+          matched the reference bitwise on planner plans, but BLAS may
+          block a larger GEMM differently and round some entries apart;
         * *fancy* — the ``np.ix_`` scatter of the support block, when
           the span is more than :data:`SPARSE_SPAN_RATIO` times the
           column count and the padded tile would cost more than it
-          saves.
+          saves.  On the ``transpose`` pass (``left``/``right`` swapped)
+          the block is ``(right @ left.T).T``, the transpose of the
+          first pass's product as the dense reference adds it: BLAS
+          does not always round ``R @ Lᵀ`` and ``(L @ Rᵀ)ᵀ`` alike.
 
         With ``promotion`` (the top-k index's score per shard, or None
         without an index to feed), every region just written is compared
         against its shard's score and the upper-triangle entries ``>=``
         it are appended to ``hits[shard_id]`` as ``(a, b)`` arrays; every
-        written shard gets a ``hits`` entry, even an empty one.  Comparing right after each add catches every entry at its
+        written shard gets a ``hits`` entry, even an empty one.
+        Comparing right after each add catches every entry at its
         final value: the pass that writes an entry last compares it last.
         """
         if rows.size == 0 or cols.size == 0:
@@ -625,7 +633,10 @@ class ScoreStore:
                 right = dense
             window = slice(col0, col0 + span)
             run_starts = np.flatnonzero(np.diff(rows) != 1) + 1
-        tile = left @ right.T
+        if sparse and transpose:
+            tile = (right @ left.T).T
+        else:
+            tile = left @ right.T
         for shard_id, lo, hi in self._row_segments(rows):
             started = time.perf_counter()
             shard = self._shards[shard_id]

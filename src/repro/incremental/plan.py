@@ -586,8 +586,10 @@ def apply_plan_dense(s_matrix: np.ndarray, plan: UpdatePlan) -> np.ndarray:
     (block and transpose).  The sharded
     :class:`~repro.executor.score_store.ScoreStore` computes the same
     products over the supports' spans and adds them as contiguous
-    slices; every entry gets the same single add, so both executors
-    are bit-identical.
+    slices; every entry gets one add of the same dot product.  Its
+    ``np.ix_`` passes are bit-identical to this one; its zero-padded
+    span GEMMs matched it on planner plans, but BLAS may round a
+    larger padded GEMM apart from the unpadded one.
     """
     if plan.is_noop:
         return s_matrix

@@ -629,6 +629,43 @@ class TestProtocol:
             == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
         )
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 400 Bad Request\r\ncontent-length: 0\r\n\r\n",
+            b"HTTP/1.1 101 Switching Protocols\r\n"
+            b"Sec-WebSocket-Accept: wrong\r\n\r\n",
+        ],
+        ids=["refused", "key-mismatch"],
+    )
+    def test_failed_handshake_closes_the_socket(self, monkeypatch, reply):
+        opened = []
+        open_connection = asyncio.open_connection
+
+        async def recording_open(*args, **kwargs):
+            reader, writer = await open_connection(*args, **kwargs)
+            opened.append(writer)
+            return reader, writer
+
+        async def handler(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(reply)
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+
+        async def body():
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                with pytest.raises(ProtocolError):
+                    await ws_connect("127.0.0.1", port, "/ws/topk?k=5")
+
+        monkeypatch.setattr(asyncio, "open_connection", recording_open)
+        asyncio.run(body())
+        (writer,) = opened
+        assert writer.is_closing()
+
     def test_malformed_http_is_400_not_a_crash(self, workload):
         service = _service(workload)
 

@@ -324,6 +324,27 @@ class TestApplyStrategies:
         assert f"{FANCY_PASSES} {fancy}" in scrape
         assert f"{SLICE_PASSES} {2 - fancy}" in scrape
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fancy_transpose_pass_matches_dense_reference(self, seed):
+        """A GEMM large enough for BLAS to round ``R @ Lᵀ`` apart from
+        ``(L @ Rᵀ)ᵀ``: only the transpose pass scatters through
+        ``np.ix_`` (span 6.6x its columns), and it must add the
+        transpose of the reference's block."""
+        n = 2000
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(n, 300, replace=False))
+        cols = np.arange(100, 1100)
+        left = rng.random((rows.size, 16))
+        right = rng.random((cols.size, 16))
+        plan = UpdatePlan.from_panels(0, rows, cols, left, right, None)
+        telemetry = Telemetry()
+        store = ScoreStore(np.zeros((n, n)), telemetry=telemetry)
+        store.apply_plan(plan)
+        assert telemetry.registry.get(FANCY_PASSES).value == 1
+        assert telemetry.registry.get(SLICE_PASSES).value == 1
+        expected = apply_plan_dense(np.zeros((n, n)), plan)
+        np.testing.assert_array_equal(store.to_array(), expected)
+
     def test_strategy_counters_are_null_without_telemetry(self):
         store = ScoreStore(_random_scores(8), telemetry=NULL_TELEMETRY)
         assert isinstance(store._slice_passes, NullCounter)
