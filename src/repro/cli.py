@@ -12,7 +12,7 @@ Commands
     ``+ source target`` or ``- source target`` per line.
 ``similar <edges.txt> <node> [-k 10]``
     Top-k most similar nodes to one node (single-source query).
-``serve <edges.txt> <updates.txt> [-k 10] [--writer background] [--precision float32|auto] [--config service.json] [--http PORT] [--data-dir DIR]``
+``serve <edges.txt> <updates.txt> [-k 10] [--writer background] [--precision float64|float32] [--config service.json] [--http PORT] [--data-dir DIR]``
     Serving-layer demo: precompute scores, pin a read snapshot, queue
     the updates through the coalescing scheduler, drain them (inline,
     or via the background writer thread with ``--writer background``),
@@ -119,11 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--precision",
-        choices=("float64", "float32", "auto"),
+        choices=("float64", "float32"),
         default="float64",
-        help="score-store storage precision: float64 (bit-identity "
-        "reference), float32 (half the score memory), or auto (run the "
-        "accuracy-gated precision autotuner before serving)",
+        help="score-store storage dtype: float64 (bit-identity "
+        "reference) or float32 (half the score memory)",
     )
     serve.add_argument(
         "--http",
@@ -318,17 +317,9 @@ def command_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     if args.precision != "float64":
-        store = service.engine.score_store
-        plan = service.precision_plan
-        detail = (
-            f" (autotuned plan: store {plan.store_dtype}, "
-            f"{len(plan.demoted_shards())} shard overrides)"
-            if plan is not None
-            else ""
-        )
         print(
             f"precision {args.precision}: score store dtype "
-            f"{store.dtype.name}{detail}"
+            f"{service.engine.score_store.dtype.name}"
         )
 
     if args.http is not None:

@@ -1,10 +1,9 @@
 """Single source of truth for the score-matrix storage dtype.
 
-Every layer that materializes score values — the
-:class:`~repro.executor.score_store.ScoreStore` shards, checkpoints and
-the precision tuner — asks this module which float dtypes are legal
-score *storage* types and what the default is, so a precision change is
-a parameter, not a multi-file edit.
+A :class:`~repro.executor.score_store.ScoreStore` holds every shard in
+one storage dtype, float64 (the default) or float32.  The store, the
+engine, the service config and the memory model all resolve that dtype
+here.
 
 Two invariants the rest of the stack relies on:
 
@@ -12,14 +11,14 @@ Two invariants the rest of the stack relies on:
   explicit dtype anywhere, every code path must produce bit-identical
   results to the pre-dtype-seam implementation.
 * Plan *values* are always float64 (the packed WAL format bit-copies
-  them through int64 words); reduced precision applies to shard
-  **storage**, where the scatter-add casts on store.  That keeps live
-  apply and WAL replay bit-identical at any storage dtype.
+  them through int64 words); float32 applies to score **storage**,
+  where the scatter-add casts on store.  That keeps live apply and WAL
+  replay bit-identical at either storage dtype.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,16 +27,13 @@ from .exceptions import ConfigError
 __all__ = [
     "DEFAULT_FLOAT_DTYPE",
     "SUPPORTED_FLOAT_DTYPES",
-    "dtype_name",
     "resolve_dtype",
 ]
 
 #: The bit-identity reference dtype; every layer defaults to this.
 DEFAULT_FLOAT_DTYPE = np.dtype(np.float64)
 
-#: Score storage dtypes the stack accepts end to end.  The mapping is
-#: ordered widest-first so reports list the reference dtype first; a
-#: quantized cold tier would register here.
+#: Score storage dtypes the stack accepts end to end.
 SUPPORTED_FLOAT_DTYPES = {
     "float64": np.dtype(np.float64),
     "float32": np.dtype(np.float32),
@@ -73,7 +69,3 @@ def resolve_dtype(dtype: DTypeLike = None) -> np.dtype:
         )
     return resolved
 
-
-def dtype_name(dtype: DTypeLike) -> str:
-    """The canonical serializable name (``"float64"``/``"float32"``)."""
-    return resolve_dtype(dtype).name

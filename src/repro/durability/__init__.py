@@ -7,8 +7,8 @@ Three pieces, one data directory:
   ``PackedPlanBatch`` words plus its consolidated row updates, framed
   with length + CRC32, with configurable fsync and rotation).
 * :mod:`repro.durability.checkpoint` — atomic base checkpoints: the
-  score shards dtype-exact, the packed ``Q`` snapshot, an optional
-  SVD-truncated factor history, published by manifest rename.
+  score shards dtype-exact and the packed ``Q`` snapshot, published by
+  manifest rename.
 * :mod:`repro.durability.manager` — the orchestration: recovery on
   startup (bit-identical to the last acked drain), per-drain appends
   on the ack path, periodic checkpoints with retention, and
@@ -25,7 +25,6 @@ from .checkpoint import (
     list_checkpoints,
     load_checkpoint,
     read_manifest,
-    summarize_history,
     write_checkpoint,
     write_manifest,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "list_checkpoints",
     "load_checkpoint",
     "read_manifest",
-    "summarize_history",
     "write_checkpoint",
     "write_manifest",
 ]

@@ -6,8 +6,7 @@ One :class:`DurabilityManager` owns one data directory::
       wal.lock                  # pid of the single live writer
       MANIFEST                  # atomic pointer to retained checkpoints
       wal/wal-<seq>-v<start>.log
-      checkpoints/ckpt-<version>/{meta.json, scores.npz,
-                                  transitions.npz[, history.npz]}
+      checkpoints/ckpt-<version>/{meta.json, scores.npz, transitions.npz}
 
 Lifecycle (driven by :class:`~repro.serving.service.SimRankService`):
 
@@ -41,6 +40,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..dtypes import DEFAULT_FLOAT_DTYPE
 from ..exceptions import ConfigError, HistoryUnavailableError
 from ..executor.score_store import ScoreStore
 from ..graph import DynamicDiGraph
@@ -51,7 +51,6 @@ from .checkpoint import (
     graph_from_packed,
     load_checkpoint,
     read_manifest,
-    summarize_history,
     write_checkpoint,
     write_manifest,
 )
@@ -79,9 +78,7 @@ class RecoveredState:
 
     version: int
     graph: DynamicDiGraph
-    #: Dense scores at the store's widest dtype (float64 promotion of a
-    #: float32 shard is exact, and the engine's re-sharding cast back is
-    #: the exact inverse — the round trip preserves every bit).
+    #: Dense scores in the checkpointed store's dtype.
     scores: np.ndarray
     meta: dict
 
@@ -287,11 +284,6 @@ class DurabilityManager:
         if self._closed:
             return False
         version = int(engine.version)
-        history = None
-        if self.config.svd_history:
-            history = self._summarize_interval(
-                version, int(engine.score_store.num_nodes)
-            )
         try:
             with self._mutex:
                 write_checkpoint(
@@ -301,7 +293,6 @@ class DurabilityManager:
                     transition_store=engine.transition_store,
                     damping=self._damping or engine.config.damping,
                     iterations=self._iterations or engine.config.iterations,
-                    history=history,
                 )
                 retained = [v for v in self._retained if v != version]
                 retained.append(version)
@@ -327,34 +318,6 @@ class DurabilityManager:
         self._c_checkpoints.inc()
         self._set_flight_context()
         return True
-
-    def _summarize_interval(
-        self, version: int, num_nodes: int
-    ) -> Optional[dict]:
-        since = (
-            self._last_checkpoint_version
-            if self._last_checkpoint_version is not None
-            else -1
-        )
-        try:
-            batches = [
-                frame.packed
-                for frame in self._wal.frames(
-                    after_version=since, through_version=version
-                )
-                if frame.kind == KIND_BATCH and frame.packed is not None
-            ]
-            if not batches:
-                return None
-            return summarize_history(
-                batches,
-                num_nodes,
-                max_rank=self.config.svd_max_rank,
-                threshold=self.config.svd_threshold,
-            )
-        except Exception as exc:  # noqa: BLE001 - history is optional
-            self._record_error("history", exc)
-            return None
 
     def _remove_checkpoint(self, version: int) -> None:
         from .checkpoint import _remove_tree
@@ -456,26 +419,24 @@ class DurabilityManager:
         )
 
     def _store_from_checkpoint(self, data) -> ScoreStore:
-        """Rebuild a shard-exact ScoreStore from saved blocks.
+        """Rebuild a ScoreStore from saved blocks, in their own dtype.
 
-        The dense staging array is float64 (promotion is exact), the
-        store is built float64, then each shard is demoted back to its
-        saved dtype — a value cast of values that *were* that dtype,
-        so every bit survives.  Replayed plans then scatter with the
-        same per-shard cast points as the live drains did.
+        Replayed plans then scatter with the same cast points as the
+        live drains did.  A legacy checkpoint whose blocks mix float32
+        and float64 (its ``shard_dtypes`` meta is ignored) restores
+        into float64, which holds every float32 value exactly.
         """
         n = int(data.meta["num_nodes"])
         shard_rows = int(data.meta["shard_rows"])
-        dense = np.empty((n, n), dtype=np.float64)
+        dtype = (
+            np.result_type(*data.shards) if data.shards else DEFAULT_FLOAT_DTYPE
+        )
+        dense = np.empty((n, n), dtype=dtype)
         base = 0
         for block in data.shards:
             dense[base : base + block.shape[0], :] = block
             base += block.shape[0]
-        store = ScoreStore(dense, shard_rows=shard_rows, dtype="float64")
-        for index, name in enumerate(data.meta.get("shard_dtypes", [])):
-            if name != "float64":
-                store.set_shard_dtype(index, name)
-        return store
+        return ScoreStore(dense, shard_rows=shard_rows, dtype=dtype)
 
     # -------------------------------------------------------------- #
     # Observability / lifecycle

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dtypes import DEFAULT_FLOAT_DTYPE, resolve_dtype
+from ..dtypes import resolve_dtype
 from ..exceptions import DimensionError
 
 #: Default rows per shard.  Small enough that copy-on-write divergence
@@ -84,10 +84,6 @@ def window_summary_ms(samples) -> dict:
         "p95": _at(0.95),
         "p99": _at(0.99),
     }
-
-#: Backwards-compatible alias; the definition lives in
-#: :mod:`repro.dtypes` (one source of truth for the dtype seam).
-_FLOAT_DTYPE = DEFAULT_FLOAT_DTYPE
 
 
 @dataclass
@@ -162,7 +158,7 @@ class ScoreSnapshot:
     to the state at pin time, forever.
     """
 
-    __slots__ = ("num_nodes", "version", "shard_rows", "_views")
+    __slots__ = ("num_nodes", "version", "shard_rows", "dtype", "_views")
 
     def __init__(
         self,
@@ -170,10 +166,13 @@ class ScoreSnapshot:
         version: int,
         shard_rows: int,
         views: Sequence[np.ndarray],
+        dtype: np.dtype,
     ) -> None:
         self.num_nodes = int(num_nodes)
         self.version = int(version)
         self.shard_rows = int(shard_rows)
+        #: The store's storage dtype, which every frozen view shares.
+        self.dtype = np.dtype(dtype)
         self._views = tuple(views)
 
     @property
@@ -185,18 +184,8 @@ class ScoreSnapshot:
         view = self._views[row // self.shard_rows]
         return float(view[row % self.shard_rows, col])
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Widest shard dtype — what dense reads materialize into."""
-        if not self._views:
-            return DEFAULT_FLOAT_DTYPE
-        dtypes = {view.dtype for view in self._views}
-        if len(dtypes) == 1:
-            return dtypes.pop()
-        return np.result_type(*dtypes)
-
     def row(self, row: int) -> np.ndarray:
-        """A copy of frozen row ``row`` (in the shard's own dtype)."""
+        """A copy of frozen row ``row``."""
         view = self._views[row // self.shard_rows]
         return np.array(view[row % self.shard_rows])
 
@@ -234,7 +223,7 @@ class ScoreSnapshot:
     def to_array(self) -> np.ndarray:
         """Materialize the full frozen matrix (a fresh copy)."""
         if not self._views:
-            return np.zeros((0, 0), dtype=DEFAULT_FLOAT_DTYPE)
+            return np.zeros((0, 0), dtype=self.dtype)
         return np.concatenate(self._views, axis=0)
 
     def iter_blocks(self):
@@ -372,22 +361,8 @@ class ScoreStore:
 
     @property
     def dtype(self) -> np.dtype:
-        """The store's default storage dtype (new shards allocate in it)."""
+        """The storage dtype of every shard (float64 or float32)."""
         return self._dtype
-
-    def _read_dtype(self) -> np.dtype:
-        """Widest shard dtype — the dtype dense reads materialize into.
-
-        Uniform stores read in their own dtype; a mixed store (some
-        shards demoted by a precision plan) promotes reads so no score
-        loses precision on the way out.
-        """
-        if not self._shards:
-            return self._dtype
-        dtypes = {shard.buffer.dtype for shard in self._shards}
-        if len(dtypes) == 1:
-            return dtypes.pop()
-        return np.result_type(*dtypes)
 
     def _live(self, shard: _Shard) -> np.ndarray:
         """The shard's live ``rows × n`` window (read-only by contract)."""
@@ -436,14 +411,14 @@ class ScoreStore:
         """A copy of row ``row`` (into ``out`` when given)."""
         shard = self._shards[row // self._shard_rows]
         if out is None:
-            out = np.empty(self._n, dtype=shard.buffer.dtype)
+            out = np.empty(self._n, dtype=self._dtype)
         np.copyto(out, shard.buffer[row - shard.base, : self._n])
         return out
 
     def column(self, col: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """A copy of column ``col`` — a contiguous gather across shards."""
         if out is None:
-            out = np.empty(self._n, dtype=self._read_dtype())
+            out = np.empty(self._n, dtype=self._dtype)
         for shard in self._shards:
             out[shard.base : shard.base + shard.rows] = shard.buffer[
                 : shard.rows, col
@@ -463,7 +438,7 @@ class ScoreStore:
         """
         if out is None:
             out = np.empty(
-                self._n, dtype=np.result_type(self._read_dtype(), weights.dtype)
+                self._n, dtype=np.result_type(self._dtype, weights.dtype)
             )
         for shard in self._shards:
             np.dot(
@@ -601,7 +576,10 @@ class ScoreStore:
           zeros; each maximal run of consecutive rows, split at shard
           boundaries, is then one contiguous slice add.  The padded GEMM
           matched the reference bitwise on planner plans, but BLAS may
-          block a larger GEMM differently and round some entries apart;
+          block a larger GEMM differently: an entry can then round
+          apart from the reference by a few ulps, never by more than
+          ``2·k·eps`` times the entry of ``|L|·|R|ᵀ`` plus its
+          transpose (``k`` the rank);
         * *fancy* — the ``np.ix_`` scatter of the support block, when
           the span is more than :data:`SPARSE_SPAN_RATIO` times the
           column count and the padded tile would cost more than it
@@ -697,8 +675,7 @@ class ScoreStore:
     def replace_dense(self, scores: np.ndarray) -> None:
         """Overwrite all scores (batch recomputation path).
 
-        The assignment casts into each shard's own dtype, so demoted
-        shards stay demoted across a rewrite.
+        The assignment casts into the store's dtype.
         """
         scores = np.asarray(scores)
         if scores.shape != self.shape:
@@ -739,7 +716,7 @@ class ScoreStore:
             if self._n > shard.buffer.shape[1]:
                 grown = np.zeros(
                     (shard.buffer.shape[0], max(2 * shard.buffer.shape[1], self._n)),
-                    dtype=shard.buffer.dtype,
+                    dtype=self._dtype,
                 )
                 grown[:, : shard.buffer.shape[1]] = shard.buffer
                 shard.buffer = grown
@@ -751,7 +728,7 @@ class ScoreStore:
                     self._shard_rows, max(2 * tail.buffer.shape[0], 1)
                 )
                 grown = np.zeros(
-                    (rows_cap, tail.buffer.shape[1]), dtype=tail.buffer.dtype
+                    (rows_cap, tail.buffer.shape[1]), dtype=self._dtype
                 )
                 grown[: tail.rows] = tail.buffer[: tail.rows]
                 tail.buffer = grown
@@ -784,98 +761,40 @@ class ScoreStore:
             view = self._live(shard)
             view.flags.writeable = False
             views.append(view)
-        return ScoreSnapshot(self._n, self.version, self._shard_rows, views)
+        return ScoreSnapshot(
+            self._n, self.version, self._shard_rows, views, self._dtype
+        )
 
     # -------------------------------------------------------------- #
     # Accounting
     # -------------------------------------------------------------- #
 
     def nbytes(self) -> int:
-        """Logical bytes of the live ``n × n`` scores.
-
-        Dtype-aware: each shard is charged its *own* itemsize, so a
-        store with demoted float32 shards reports the memory it
-        actually holds, not the float64 estimate.
-        """
-        return sum(
-            shard.rows * self._n * shard.buffer.dtype.itemsize
-            for shard in self._shards
-        )
+        """Logical bytes of the live ``n × n`` scores at storage itemsize."""
+        return self._n * self._n * self._dtype.itemsize
 
     def buffer_bytes(self) -> int:
         """Allocated bytes across all shard buffers (slack included)."""
         return sum(shard.buffer.nbytes for shard in self._shards)
 
     def shard_report(self) -> List[dict]:
-        """Per-shard accounting (rows, allocation, dtype, sharing state)."""
+        """Per-shard accounting (rows, allocation, sharing state)."""
         return [
             {
                 "base": shard.base,
                 "rows": shard.rows,
                 "buffer_bytes": shard.buffer.nbytes,
-                "dtype": shard.buffer.dtype.name,
                 "shared": shard.shared,
             }
             for shard in self._shards
         ]
 
-    def shard_dtypes(self) -> List[str]:
-        """Each shard's storage dtype name, in shard order."""
-        return [shard.buffer.dtype.name for shard in self._shards]
-
     def dtype_report(self) -> dict:
-        """Dtype-aware accounting for the observability surface.
-
-        ``score_dtype_bytes`` is the live-score footprint at actual
-        per-shard itemsize; ``shards_by_dtype`` counts shards per
-        storage dtype (all under one key until a precision plan demotes
-        a subset).
-        """
-        counts: Dict[str, int] = {}
-        for shard in self._shards:
-            name = shard.buffer.dtype.name
-            counts[name] = counts.get(name, 0) + 1
+        """Storage dtype and live-score bytes for the observability surface."""
         return {
             "score_dtype": self._dtype.name,
             "score_dtype_bytes": self.nbytes(),
-            "shards_by_dtype": counts,
         }
-
-    # -------------------------------------------------------------- #
-    # Precision
-    # -------------------------------------------------------------- #
-
-    def set_shard_dtype(self, index: int, dtype) -> bool:
-        """Convert one shard's storage to ``dtype`` (the demotion seam).
-
-        Returns True when the shard actually changed.  Conversion
-        allocates a fresh private buffer (so pinned snapshots keep
-        their frozen views untouched) and counts as a mutation: a
-        float64→float32 demotion rounds the stored scores.
-        """
-        target = resolve_dtype(dtype)
-        shard = self._shards[index]
-        if shard.buffer.dtype == target:
-            return False
-        shard.buffer = np.array(shard.buffer, dtype=target, order="C")
-        shard.shared = False  # fresh allocation, provably private
-        self.version += 1
-        if self._topk is not None:
-            self._topk.invalidate_all()
-        return True
-
-    def set_dtype(self, dtype) -> int:
-        """Convert every shard (and the store default) to ``dtype``.
-
-        Returns the number of shards converted.
-        """
-        target = resolve_dtype(dtype)
-        self._dtype = target
-        return sum(
-            1
-            for index in range(len(self._shards))
-            if self.set_shard_dtype(index, target)
-        )
 
     def shared_shard_count(self) -> int:
         """Shards currently marked copy-on-write (pinned by snapshots)."""

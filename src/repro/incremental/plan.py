@@ -589,7 +589,9 @@ def apply_plan_dense(s_matrix: np.ndarray, plan: UpdatePlan) -> np.ndarray:
     slices; every entry gets one add of the same dot product.  Its
     ``np.ix_`` passes are bit-identical to this one; its zero-padded
     span GEMMs matched it on planner plans, but BLAS may round a
-    larger padded GEMM apart from the unpadded one.
+    larger padded GEMM apart from the unpadded one, within
+    ``2·k·eps·(|L|·|R|ᵀ + its transpose)`` per entry for a rank-``k``
+    plan.
     """
     if plan.is_noop:
         return s_matrix

@@ -26,12 +26,11 @@ backpressure counters, top-k ``heap_hit_rate``) are reported by
 from .error import frobenius_error, max_abs_error, mean_abs_error
 from .memory import score_store_bytes, snapshot_overhead_bytes
 from .ndcg import ndcg_at_k, ndcg_of_pairs
-from .topk import top_k_overlap, top_k_pairs
+from .topk import top_k_pairs
 from .topk_tracker import TopKChurn, TopKTracker
 
 __all__ = [
     "top_k_pairs",
-    "top_k_overlap",
     "TopKTracker",
     "TopKChurn",
     "score_store_bytes",

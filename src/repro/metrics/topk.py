@@ -51,28 +51,6 @@ def top_k_pairs(
     ]
 
 
-def top_k_overlap(
-    approximate: np.ndarray,
-    baseline: np.ndarray,
-    k: int,
-    include_self: bool = False,
-) -> float:
-    """Fraction of the baseline's top-``k`` pairs the approximation keeps.
-
-    Set overlap over canonical ``(a, b)`` pair identities (scores are
-    ignored — only membership matters), so a reduced-precision matrix
-    that reorders pairs *within* the top-k still scores 1.0.  Returns
-    1.0 when the baseline has no ranked pairs at all.
-    """
-    baseline_pairs = {(a, b) for a, b, _ in top_k_pairs(baseline, k, include_self)}
-    if not baseline_pairs:
-        return 1.0
-    approx_pairs = {
-        (a, b) for a, b, _ in top_k_pairs(approximate, k, include_self)
-    }
-    return len(baseline_pairs & approx_pairs) / len(baseline_pairs)
-
-
 def pair_rank_scores(
     s_matrix: np.ndarray, pairs: List[Tuple[int, int]]
 ) -> np.ndarray:

@@ -44,11 +44,9 @@ from .writer import (
 #: dedicated :class:`~repro.serving.writer.BackgroundWriter` thread).
 WRITER_MODES = ("sync", "background")
 
-#: Score-store precision modes: ``float64`` (the bit-identity
-#: reference, default), ``float32`` (uniform demotion, caller-asserted
-#: accuracy), or ``auto`` (consume — or search for — an accuracy-gated
-#: :class:`~repro.tuning.precision.PrecisionPlan`).
-PRECISION_MODES = ("float64", "float32", "auto")
+#: Score-store storage dtypes: ``float64`` (the bit-identity reference,
+#: default) or ``float32`` (half the score memory).
+PRECISION_MODES = ("float64", "float32")
 
 #: Default idle TTL of a pinned-snapshot session (seconds).
 DEFAULT_SESSION_TTL = 30.0
@@ -237,12 +235,6 @@ class DurabilityConfig:
     retain_checkpoints:
         Checkpoints (and the WAL segments bridging them) kept for
         time-travel reads; older versions are pruned.
-    svd_history:
-        Write a git_theta-style SVD-truncated summary of each
-        checkpoint interval's factor history (``history.npz``).
-    svd_max_rank, svd_threshold:
-        Truncation knobs for that summary: hard rank cap, and the
-        relative singular-value floor below which components drop.
     """
 
     data_dir: str = ""
@@ -251,9 +243,6 @@ class DurabilityConfig:
     checkpoint_interval: int = 64
     rotate_bytes: int = 4 * 1024 * 1024
     retain_checkpoints: int = 2
-    svd_history: bool = False
-    svd_max_rank: int = 32
-    svd_threshold: float = 1e-11
 
     def __post_init__(self) -> None:
         _require(
@@ -283,18 +272,6 @@ class DurabilityConfig:
             int(self.retain_checkpoints) >= 1,
             f"retain_checkpoints must be >= 1: "
             f"{self.retain_checkpoints!r}",
-        )
-        _require(
-            isinstance(self.svd_history, bool),
-            f"svd_history must be a bool: {self.svd_history!r}",
-        )
-        _require(
-            int(self.svd_max_rank) >= 1,
-            f"svd_max_rank must be >= 1: {self.svd_max_rank!r}",
-        )
-        _require(
-            0 < float(self.svd_threshold) < 1,
-            f"svd_threshold must be in (0, 1): {self.svd_threshold!r}",
         )
 
     def to_dict(self) -> dict:
@@ -337,10 +314,6 @@ class ServiceConfig:
     max_pending: int = DEFAULT_MAX_PENDING
     backpressure: str = "block"
     precision: str = "float64"
-    #: A :class:`~repro.tuning.precision.PrecisionPlan`, its
-    #: ``to_dict()`` payload, or a path to a saved plan file; only read
-    #: when ``precision="auto"``.
-    precision_plan: object = None
     frontdoor: Optional[FrontDoorConfig] = field(default=None)
     telemetry: Optional[TelemetryConfig] = field(default=None)
     durability: Optional[DurabilityConfig] = field(default=None)
@@ -396,14 +369,6 @@ class ServiceConfig:
                 "durability must be None or a DurabilityConfig, got "
                 f"{type(self.durability).__name__}"
             )
-        if (
-            self.precision_plan is not None
-            and self.precision != "auto"
-        ):
-            raise ConfigError(
-                "precision_plan is only consumed with precision='auto' "
-                f"(got precision={self.precision!r})"
-            )
 
     # -------------------------------------------------------------- #
     # Derived views
@@ -424,12 +389,7 @@ class ServiceConfig:
     # -------------------------------------------------------------- #
 
     def to_dict(self) -> dict:
-        """JSON-safe payload (the exact :meth:`from_dict` input).
-
-        A live :class:`~repro.tuning.precision.PrecisionPlan` in
-        ``precision_plan`` is flattened to its ``to_dict()`` payload so
-        the round trip stays self-contained.
-        """
+        """JSON-safe payload (the exact :meth:`from_dict` input)."""
         payload = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
@@ -438,10 +398,6 @@ class ServiceConfig:
                 and value is not None
             ):
                 value = value.to_dict()
-            elif spec.name == "precision_plan" and value is not None:
-                to_dict = getattr(value, "to_dict", None)
-                if callable(to_dict):
-                    value = to_dict()
             payload[spec.name] = value
         return payload
 

@@ -101,21 +101,12 @@ class SimRankService:
         ``"sync"`` (caller-driven drains) or ``"background"`` (start a
         :class:`BackgroundWriter` immediately).
     drain_interval, max_pending, backpressure:
-        Background-writer tuning; ignored in sync mode (start one later
+        Background-writer knobs; ignored in sync mode (start one later
         with :meth:`start_background_writer`).
     precision:
-        One of :data:`PRECISION_MODES` (default ``"float64"``).
-        ``"float32"`` stores the score shards uniformly at float32
-        (planning/GEMM arithmetic stays float64; only storage is
-        demoted).
-        ``"auto"`` consumes ``precision_plan`` — or, when none is
-        given, runs a small seeded
-        :class:`~repro.tuning.precision.PrecisionAutotuner` calibration
-        against a float64 reference leg before serving starts.
-    precision_plan:
-        A :class:`~repro.tuning.precision.PrecisionPlan`, its
-        ``to_dict()`` payload, or a path to a saved plan file.  Only
-        read when ``precision="auto"``.
+        The score store's storage dtype, one of :data:`PRECISION_MODES`
+        (default ``"float64"``).  ``"float32"`` halves the score memory;
+        planning and GEMM arithmetic stay float64.
     durability:
         A data-dir path, a
         :class:`~repro.serving.config.DurabilityConfig`, or its
@@ -139,7 +130,6 @@ class SimRankService:
         max_pending=_UNSET,
         backpressure=_UNSET,
         precision=_UNSET,
-        precision_plan=_UNSET,
         durability=_UNSET,
     ) -> None:
         if durability is not _UNSET:
@@ -151,7 +141,6 @@ class SimRankService:
             "max_pending": max_pending,
             "backpressure": backpressure,
             "precision": precision,
-            "precision_plan": precision_plan,
             "durability": durability,
         }
         overrides = {
@@ -159,9 +148,6 @@ class SimRankService:
             for name, value in legacy.items()
             if value is not _UNSET
         }
-        if overrides.get("precision", "") is None:
-            # Historical callers passed precision=None for "the default".
-            del overrides["precision"]
         cfg = resolve_service_config(config, overrides)
         self._config = cfg
         #: The service's telemetry spine, shared by every layer below
@@ -181,7 +167,6 @@ class SimRankService:
         self._origin_traces: list = []
         simrank_config = cfg.simrank_config()
         self._precision = cfg.precision
-        self._precision_plan = None
         self._closed = False
         self._close_lock = threading.RLock()
         self._drain_listeners: list = []
@@ -203,19 +188,6 @@ class SimRankService:
                 if recovered is not None:
                     graph = recovered.graph
                     initial_scores = recovered.scores
-            score_dtype = (
-                self._precision if self._precision != "auto" else None
-            )
-            if self._precision == "auto":
-                plan, initial_scores = self._resolve_precision_plan(
-                    cfg.precision_plan,
-                    graph,
-                    simrank_config,
-                    initial_scores,
-                    cfg.shard_rows,
-                )
-                self._precision_plan = plan
-                score_dtype = plan.store_dtype
             engine_kwargs = {}
             if cfg.shard_rows is not None:
                 engine_kwargs["shard_rows"] = cfg.shard_rows
@@ -224,15 +196,10 @@ class SimRankService:
                 simrank_config,
                 algorithm="inc-sr",
                 initial_scores=initial_scores,
-                score_dtype=score_dtype,
+                score_dtype=self._precision,
                 telemetry=self.telemetry,
                 **engine_kwargs,
             )
-            if (
-                self._precision_plan is not None
-                and not self._precision_plan.uniform
-            ):
-                self._precision_plan.apply_to(self._engine.score_store)
             if self._durability is not None:
                 if recovered is not None:
                     self._engine.restore_version(recovered.version)
@@ -250,44 +217,6 @@ class SimRankService:
                 max_pending=cfg.max_pending,
                 policy=cfg.backpressure,
             )
-
-    @staticmethod
-    def _resolve_precision_plan(
-        precision_plan, graph, config, initial_scores, shard_rows
-    ):
-        """Coerce ``precision_plan`` to a plan, autotuning when absent.
-
-        Returns ``(plan, initial_scores)`` — the autotuner computes the
-        initial batch scores when the caller did not supply them, and
-        handing them back avoids recomputing the same matrix for the
-        engine.
-        """
-        from ..tuning.precision import (
-            PrecisionAutotuner,
-            PrecisionPlan,
-        )
-
-        if precision_plan is not None:
-            if isinstance(precision_plan, PrecisionPlan):
-                return precision_plan, initial_scores
-            if isinstance(precision_plan, dict):
-                return PrecisionPlan.from_dict(precision_plan), initial_scores
-            if isinstance(precision_plan, str):
-                return PrecisionPlan.load(precision_plan), initial_scores
-            raise ConfigError(
-                "precision_plan must be a PrecisionPlan, a dict, or a "
-                f"path, got {type(precision_plan).__name__}"
-            )
-        tuner_kwargs = {}
-        if shard_rows is not None:
-            tuner_kwargs["shard_rows"] = shard_rows
-        tuner = PrecisionAutotuner(
-            graph,
-            config=config,
-            initial_scores=initial_scores,
-            **tuner_kwargs,
-        )
-        return tuner.run(), tuner.initial_scores
 
     # -------------------------------------------------------------- #
     # Writer lifecycle
@@ -432,18 +361,8 @@ class SimRankService:
 
     @property
     def precision(self) -> str:
-        """The configured precision mode (:data:`PRECISION_MODES`)."""
+        """The score store's storage dtype name (:data:`PRECISION_MODES`)."""
         return self._precision
-
-    @property
-    def precision_plan(self):
-        """The consumed/derived precision plan (``auto`` mode), or None.
-
-        Serializable: ``plan.save(path)`` then
-        ``SimRankService(..., precision="auto", precision_plan=path)``
-        restores the exact same dtype layout after a restart.
-        """
-        return self._precision_plan
 
     @property
     def version(self) -> int:
@@ -762,14 +681,7 @@ class SimRankService:
         else:
             report["executor"] = self._engine.score_store.apply_report()
             report["executor"].update(self._engine.score_store.dtype_report())
-        report["precision"] = {
-            "mode": self._precision,
-            "plan": (
-                self._precision_plan.to_dict()
-                if self._precision_plan is not None
-                else None
-            ),
-        }
+        report["precision"] = {"mode": self._precision}
         if self._writer is not None:
             report["writer"] = self._writer.report()
         index = self._engine.topk_index

@@ -146,6 +146,24 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "--admission-window" in capsys.readouterr().err
 
+    def test_serve_precision_auto_is_gone(
+        self, edges_file, updates_file, capsys
+    ):
+        """The precision autotuner is gone: ``--precision`` takes a
+        storage dtype only."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", edges_file, updates_file, "--precision", "auto"])
+        assert excinfo.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+    def test_serve_float32(self, edges_file, updates_file, capsys):
+        assert main(
+            ["serve", edges_file, updates_file, "--precision", "float32"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "precision float32: score store dtype float32" in out
+        assert "still serves the frozen version: yes" in out
+
     def test_serve_config_checks_root_flags(
         self, edges_file, updates_file, tmp_path, capsys
     ):

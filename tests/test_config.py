@@ -1,5 +1,6 @@
 """Tests for repro.config."""
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -8,7 +9,18 @@ from repro.config import (
     SimRankConfig,
     iterations_for_accuracy,
 )
+from repro.dtypes import DEFAULT_FLOAT_DTYPE, resolve_dtype
 from repro.exceptions import ConfigError
+
+
+class TestResolveDtype:
+    def test_resolve_dtype_names_and_default(self):
+        assert resolve_dtype(None) == DEFAULT_FLOAT_DTYPE == np.float64
+        assert resolve_dtype("float32") == np.dtype(np.float32)
+        assert resolve_dtype(np.float64) == np.dtype(np.float64)
+        for unsupported in ("float16", np.int8):
+            with pytest.raises(ConfigError):
+                resolve_dtype(unsupported)
 
 
 class TestSimRankConfig:

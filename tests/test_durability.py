@@ -44,7 +44,6 @@ from repro.durability import (
     list_checkpoints,
     load_checkpoint,
     read_manifest,
-    summarize_history,
     write_checkpoint,
     write_manifest,
 )
@@ -340,7 +339,7 @@ class TestCheckpoints:
         )
         data = load_checkpoint(path)
         assert data.version == 0
-        assert data.meta["shard_dtypes"] == ["float32"] * len(data.shards)
+        assert "shard_dtypes" not in data.meta
         assert all(block.dtype == np.float32 for block in data.shards)
         dense = np.vstack(data.shards)
         assert np.array_equal(
@@ -377,32 +376,44 @@ class TestCheckpoints:
         with pytest.raises(CorruptLogError):
             read_manifest(str(tmp_path))
 
-    def test_svd_history_reconstructs_interval_delta(self, workload):
-        graph, scores, batches = workload
-        engine = DynamicSimRank(
-            graph.copy(), CFG, algorithm="inc-sr",
-            initial_scores=scores.copy(),
+    def test_legacy_mixed_dtype_checkpoint_restores_float64(
+        self, workload, tmp_path
+    ):
+        """A checkpoint from the per-shard-dtype era (one float32 block,
+        the rest float64, ``shard_dtypes`` in meta) restores into
+        float64, equal to the saved blocks exactly."""
+        engine = self._engine(workload, shard_rows=8)
+        path = write_checkpoint(
+            str(tmp_path),
+            version=0,
+            score_store=engine.score_store,
+            transition_store=engine.transition_store,
+            damping=CFG.damping,
+            iterations=CFG.iterations,
         )
-        before = engine.similarities().copy()
-        packed_batches = []
-        for batch in batches[:3]:
-            engine.apply_consolidated(UpdateBatch(batch))
-            _ru, plans = engine.take_last_drain()
-            packed_batches.append(PlanBatch(list(plans)).packed())
-        after = engine.similarities().copy()
-        n = graph.num_nodes
-        history = summarize_history(
-            packed_batches, n, max_rank=64, threshold=1e-13
-        )
-        assert history is not None
-        assert history["left"].shape[1] == history["rank"]
-        assert history["rank"] <= min(64, history["raw_rank"])
-        delta = np.zeros((n, n))
-        support = history["support"]
-        delta[np.ix_(support, support)] = history["left"] @ history["right"]
-        # The factored interval delta IS the score movement (plans are
-        # exact); truncation at 1e-13 keeps it to numerical noise.
-        assert np.allclose(delta, after - before, atol=1e-9)
+        data = load_checkpoint(path)
+        blocks = [data.shards[0].astype(np.float32), *data.shards[1:]]
+        with open(os.path.join(path, "scores.npz"), "wb") as handle:
+            np.savez(
+                handle,
+                **{f"shard_{i:05d}": block for i, block in enumerate(blocks)},
+            )
+        meta = dict(data.meta)
+        meta["shard_dtypes"] = [block.dtype.name for block in blocks]
+        with open(os.path.join(path, "meta.json"), "w") as handle:
+            json.dump(meta, handle)
+        write_manifest(str(tmp_path), [0])
+        expected = np.vstack([block.astype(np.float64) for block in blocks])
+        manager = DurabilityManager(DurabilityConfig(data_dir=str(tmp_path)))
+        try:
+            recovered = manager.recover()
+            view = manager.view_at(0, CFG)
+        finally:
+            manager.close()
+        assert recovered.scores.dtype == np.float64
+        assert np.array_equal(recovered.scores, expected)
+        assert view.similarities().dtype == np.float64
+        assert np.array_equal(view.similarities(), expected)
 
 
 # ------------------------------------------------------------------ #
@@ -429,6 +440,14 @@ class TestDurabilityConfig:
             DurabilityConfig(data_dir="/tmp/x", checkpoint_interval=0)
         with pytest.raises(ConfigError):
             DurabilityConfig.from_dict({"data_dir": "/tmp/x", "nope": 1})
+        # Configs saved with the removed SVD-history knobs fail loudly.
+        for key, value in (
+            ("svd_history", True),
+            ("svd_max_rank", 32),
+            ("svd_threshold", 1e-11),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                DurabilityConfig.from_dict({"data_dir": "/tmp/x", key: value})
 
     def test_service_kwarg_coercion(self, workload, tmp_path):
         graph, scores, _ = workload
@@ -523,6 +542,39 @@ class TestServiceDurability:
                 np.savez(handle, **packed)
             rewritten += 1
         assert rewritten
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        assert restarted.version == final
+        assert np.array_equal(
+            restarted.engine.similarities(), oracle[final]
+        )
+        restarted.close()
+
+    def test_checkpoint_with_legacy_history_restores(
+        self, workload, tmp_path
+    ):
+        """Checkpoints written with the removed SVD-history option carry
+        ``history.npz`` and ``has_history``; restore ignores both."""
+        service, config, oracle = self._run(workload, tmp_path)
+        final = service.version
+        service.close()
+        root = os.path.join(str(tmp_path), "checkpoints")
+        for name in os.listdir(root):
+            meta_path = os.path.join(root, name, "meta.json")
+            with open(meta_path) as handle:
+                meta = json.load(handle)
+            meta["has_history"] = True
+            with open(meta_path, "w") as handle:
+                json.dump(meta, handle)
+            with open(os.path.join(root, name, "history.npz"), "wb") as handle:
+                np.savez(
+                    handle,
+                    support=np.arange(3),
+                    left=np.ones((3, 1)),
+                    right=np.ones((1, 3)),
+                    rank=np.int64(1),
+                )
         restarted = SimRankService(
             erdos_renyi_digraph(2, 0.5, seed=1), durability=config
         )

@@ -7,6 +7,7 @@ from repro import DynamicSimRank, SimRankConfig
 from repro.exceptions import ConfigError, GraphError
 from repro.graph.generators import (
     erdos_renyi_digraph,
+    preferential_attachment_digraph,
     random_deletions,
     random_insertions,
 )
@@ -14,6 +15,8 @@ from repro.graph.transition import verify_transition_matrix
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.simrank.exact import exact_simrank, truncation_error_bound
 from repro.simrank.matrix import matrix_simrank
+
+from _streams import random_update_stream
 
 
 class TestConstruction:
@@ -142,6 +145,36 @@ class TestHistoryAndStats:
     def test_intermediate_bytes_positive(self, cyclic_graph, config):
         engine = DynamicSimRank(cyclic_graph, config)
         assert engine.intermediate_bytes() > 0
+
+
+class TestStorageDtype:
+    @pytest.fixture(scope="class")
+    def workload(self):
+        graph = preferential_attachment_digraph(48, out_degree=3, seed=9)
+        config = SimRankConfig(damping=0.6, iterations=8)
+        scores = matrix_simrank(graph, config)
+        return graph, config, scores, random_update_stream(graph, 12, seed=21)
+
+    @staticmethod
+    def _replay(workload, **engine_kwargs):
+        graph, config, scores, updates = workload
+        engine = DynamicSimRank(
+            graph, config, initial_scores=scores.copy(), **engine_kwargs
+        )
+        engine.apply(UpdateBatch(list(updates)))
+        return engine.similarities()
+
+    def test_float64_default_is_bit_identical_to_explicit(self, workload):
+        default = self._replay(workload)
+        explicit = self._replay(workload, score_dtype="float64")
+        assert default.dtype == np.float64
+        assert np.array_equal(default, explicit)
+
+    def test_float32_storage_tracks_float64_closely(self, workload):
+        f64 = self._replay(workload)
+        f32 = self._replay(workload, score_dtype="float32")
+        assert f32.dtype == np.float32
+        np.testing.assert_allclose(f32, f64, atol=1e-5)
 
 
 class TestLongStream:

@@ -160,6 +160,13 @@ class TestServiceConfig:
             ServiceConfig.from_dict(
                 {"frontdoor": {"admission_window": 0.002}}
             )
+        # And configs saved with the removed precision autotuner.
+        with pytest.raises(ConfigError, match="precision_plan"):
+            ServiceConfig.from_dict(
+                {"precision": "float64", "precision_plan": None}
+            )
+        with pytest.raises(ConfigError, match="auto"):
+            ServiceConfig.from_dict({"precision": "auto"})
 
 
 # ------------------------------------------------------------------ #

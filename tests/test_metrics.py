@@ -12,6 +12,8 @@ from repro.metrics.memory import (
     inc_svd_intermediate_bytes,
     inc_usr_intermediate_bytes,
     measure_peak_bytes,
+    score_store_bytes,
+    snapshot_overhead_bytes,
 )
 from repro.metrics.ndcg import dcg, ndcg_at_k, ndcg_of_pairs
 from repro.metrics.topk import pair_rank_scores, top_k_pairs
@@ -114,6 +116,32 @@ class TestNDCG:
         assert perfect == pytest.approx(1.0)
         assert inverted < perfect
 
+    def test_metrics_are_deterministic(self):
+        rng = np.random.default_rng(5)
+        base = symmetric(rng.random((40, 40)))
+        approx = base + 1e-3 * symmetric(rng.random((40, 40)))
+        assert ndcg_at_k(approx, base, 25) == ndcg_at_k(
+            approx.copy(), base.copy(), 25
+        )
+
+    def test_stable_under_float32_epsilon(self):
+        """Storage rounding at ~1e-7 relative error barely moves NDCG."""
+        rng = np.random.default_rng(8)
+        base = symmetric(rng.random((40, 40)))
+        approx = base.astype(np.float32).astype(np.float64)
+        assert ndcg_at_k(approx, base, 50) >= 0.999
+
+    def test_tie_handling_does_not_punish_reordering(self):
+        """Exactly tied baseline scores are interchangeable under NDCG."""
+        base = np.zeros((6, 6))
+        base[0, 1] = base[1, 0] = 0.5
+        base[2, 3] = base[3, 2] = 0.5
+        base[4, 5] = base[5, 4] = 0.1
+        approx = base.copy()
+        # Swap the two tied pairs' order with an epsilon nudge.
+        approx[0, 1] = approx[1, 0] = 0.5 - 1e-12
+        assert ndcg_at_k(approx, base, 3) == pytest.approx(1.0, abs=1e-9)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             ndcg_at_k(np.eye(3), np.eye(4), k=2)
@@ -162,6 +190,13 @@ class TestMemoryAccounting:
         r25 = inc_svd_intermediate_bytes(n, 25)
         # The r^4 Kronecker system should make r=25 dramatically larger.
         assert r25 > 10 * r5
+
+    def test_memory_model_tracks_dtype(self):
+        assert score_store_bytes(100) == 100 * 100 * 8
+        assert score_store_bytes(100, dtype="float32") == 100 * 100 * 4
+        f64 = snapshot_overhead_bytes(2, 16, 64)
+        f32 = snapshot_overhead_bytes(2, 16, 64, dtype="float32")
+        assert f32 * 2 == f64
 
     def test_batch_includes_dense_temp(self):
         assert batch_intermediate_bytes(100, 500) > 100 * 100 * 8

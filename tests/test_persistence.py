@@ -26,6 +26,16 @@ class TestSaveLoad:
                 restored.similarities(), engine.similarities()
             )
 
+    def test_engine_save_load_round_trips_dtype(self, random_graph, tmp_path):
+        config = SimRankConfig(damping=0.6, iterations=8)
+        engine = DynamicSimRank(random_graph, config, score_dtype="float32")
+        engine.apply(EdgeUpdate.insert(4, 2))
+        path = str(tmp_path / "session.npz")
+        engine.save(path)
+        restored = DynamicSimRank.load(path)
+        assert restored.score_dtype == np.float32
+        assert np.array_equal(restored.similarities(), engine.similarities())
+
     def test_restored_session_keeps_updating(self, cyclic_graph, tmp_path):
         config = SimRankConfig(damping=0.6, iterations=25)
         engine = DynamicSimRank(cyclic_graph, config)

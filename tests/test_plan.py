@@ -67,6 +67,19 @@ class TestPlanShape:
             np.testing.assert_array_equal(left[positions, term], val)
 
 
+    def test_panels_dtype_seam(self, planned_state, config):
+        graph, store, scores = planned_state
+        plan = plan_unit_update(
+            store, scores, EdgeUpdate.insert(1, 20), graph, config
+        )
+        left64, right64 = plan.panels()
+        left32, right32 = plan.panels(dtype="float32")
+        assert left64.dtype == right64.dtype == np.float64
+        assert left32.dtype == right32.dtype == np.float32
+        np.testing.assert_allclose(left32, left64, rtol=1e-6)
+        np.testing.assert_allclose(right32, right64, rtol=1e-6)
+
+
 class TestPlanEquivalence:
     @pytest.mark.parametrize(
         "update",

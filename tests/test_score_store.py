@@ -191,6 +191,14 @@ class TestCopyOnWrite:
         store.set_entry(1, 1, 9.0)
         np.testing.assert_array_equal(first.to_array(), second.to_array())
 
+    def test_snapshot_preserves_store_dtype(self):
+        store = ScoreStore(_random_scores(12), shard_rows=4, dtype="float32")
+        snap = store.snapshot()
+        assert snap.dtype == np.float32
+        assert snap.to_array().dtype == np.float32
+        assert snap.column(3).dtype == np.float32
+        np.testing.assert_array_equal(snap.to_array(), store.to_array())
+
     def test_snapshot_versions_diverge(self):
         store = ScoreStore(_random_scores(6), shard_rows=2)
         old = store.snapshot()
@@ -209,6 +217,22 @@ class TestAccounting:
         report = store.shard_report()
         assert len(report) == store.num_shards == 3
         assert {entry["base"] for entry in report} == {0, 4, 8}
+
+    def test_score_store_dtype_and_accounting(self):
+        scores = _random_scores(10)
+        f64 = ScoreStore(scores, shard_rows=4)
+        f32 = ScoreStore(scores, shard_rows=4, dtype="float32")
+        assert (f64.dtype, f32.dtype) == (np.float64, np.float32)
+        assert f32.nbytes() * 2 == f64.nbytes()
+        assert f32.row(5).dtype == f32.column(5).dtype == np.float32
+        assert f32.dtype_report() == {
+            "score_dtype": "float32",
+            "score_dtype_bytes": 10 * 10 * 4,
+        }
+        # Node arrival grows the store in its own dtype.
+        f32.add_node()
+        assert f32.to_array().dtype == np.float32
+        assert f32.nbytes() == 11 * 11 * 4
 
 
 def _plan(rows, cols, rank, seed):
@@ -266,7 +290,9 @@ def _apply_cases(draw):
 
 
 class TestApplyStrategies:
-    """Every apply strategy is bit-identical to the dense reference."""
+    """The apply strategies against the dense reference: bitwise on
+    small plans and ``np.ix_`` passes, within a rounding bound on large
+    zero-padded span tiles."""
 
     @settings(
         max_examples=200,
@@ -344,6 +370,29 @@ class TestApplyStrategies:
         assert telemetry.registry.get(SLICE_PASSES).value == 1
         expected = apply_plan_dense(np.zeros((n, n)), plan)
         np.testing.assert_array_equal(store.to_array(), expected)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_span_tile_within_rounding_bound(self, seed):
+        """A large zero-padded span GEMM may round apart from the
+        reference's unpadded one (most seeds here differ by up to a few
+        ulps), but never by more than the dot-product bound
+        ``2·k·eps·(|L|·|R|ᵀ + its transpose)`` per entry."""
+        n, rank = 2000, 15
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(np.arange(1000, 2000), 500, replace=False))
+        cols = np.sort(rng.choice(np.arange(1400), 1000, replace=False))
+        left = rng.random((rows.size, rank))
+        right = rng.random((cols.size, rank))
+        plan = UpdatePlan.from_panels(0, rows, cols, left, right, None)
+        store = ScoreStore(np.zeros((n, n)))
+        store.apply_plan(plan)
+        expected = apply_plan_dense(np.zeros((n, n)), plan)
+        scale = np.zeros((n, n))
+        block = np.abs(left) @ np.abs(right).T
+        scale[np.ix_(rows, cols)] += block
+        scale[np.ix_(cols, rows)] += block.T
+        bound = 2 * rank * np.finfo(np.float64).eps * scale
+        assert np.all(np.abs(store.to_array() - expected) <= bound)
 
     def test_strategy_counters_are_null_without_telemetry(self):
         store = ScoreStore(_random_scores(8), telemetry=NULL_TELEMETRY)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import DynamicSimRank, SimRankConfig
+from repro.exceptions import ConfigError
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.serving import SimRankService, UpdateScheduler
@@ -283,6 +284,31 @@ class TestService:
         ):
             assert key in report
         assert report["score_shared_shards"] == 3
+
+
+    def test_float32_service_serves_and_reports(self):
+        config = SimRankConfig(damping=0.6, iterations=8)
+        graph = erdos_renyi_digraph(24, 0.1, seed=6)
+        service = SimRankService(
+            graph, config, shard_rows=8, precision="float32"
+        )
+        try:
+            assert service.precision == "float32"
+            service.submit_many(_random_stream(graph, 4, seed=3))
+            service.drain()
+            report = service.metrics_report()
+            assert report["executor"]["score_dtype"] == "float32"
+            assert report["executor"]["score_dtype_bytes"] == 24 * 24 * 4
+            assert report["precision"] == {"mode": "float32"}
+            assert service.top_k(5)
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("precision", ["float16", "auto"])
+    def test_rejects_unknown_mode(self, precision):
+        graph = erdos_renyi_digraph(8, 0.2, seed=1)
+        with pytest.raises(ConfigError, match=precision):
+            SimRankService(graph, precision=precision)
 
 
 class TestTargetIndex:

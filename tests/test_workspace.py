@@ -53,6 +53,13 @@ class TestUpdateWorkspace:
         assert workspace.nbytes() > 0
 
 
+    def test_dtype_seam(self):
+        assert UpdateWorkspace(8).dtype == np.float64
+        workspace = UpdateWorkspace(8, dtype="float32")
+        assert workspace.dtype == np.float32
+        assert workspace.zeros("u", 8).dtype == np.float32
+
+
 class TestWorkspacePathEquivalence:
     """Store+workspace hot path == scipy cold path up to round-off."""
 
