@@ -116,6 +116,12 @@ class TestNDCG:
         assert perfect == pytest.approx(1.0)
         assert inverted < perfect
 
+    def test_identical_inputs_are_perfect(self):
+        rng = np.random.default_rng(3)
+        scores = symmetric(rng.random((40, 40)))
+        np.fill_diagonal(scores, 1.0)
+        assert ndcg_at_k(scores, scores, 50) == pytest.approx(1.0)
+
     def test_metrics_are_deterministic(self):
         rng = np.random.default_rng(5)
         base = symmetric(rng.random((40, 40)))
