@@ -345,16 +345,16 @@ def command_serve(args: argparse.Namespace) -> int:
             f"(policy={args.backpressure})"
         )
         service.flush()
-        stats = service.scheduler.stats
-        groups = writer.stats.row_groups
+        stats = writer.report()
+        scheduler = service.scheduler.report()
         print(
-            f"background writer drained {writer.stats.drained_updates} net "
-            f"updates as {groups} consolidated row updates over "
-            f"{writer.stats.drains} drain(s) "
-            f"(coalescing ratio {stats.coalescing_ratio():.2f}, "
-            f"{stats.cancelled_pairs} inverse pairs cancelled, "
-            f"max queue depth {writer.stats.max_queue_depth}) "
-            f"in {writer.stats.apply_seconds * 1e3:.1f} ms"
+            f"background writer drained {stats['drained_updates']} net "
+            f"updates as {stats['row_groups']} consolidated row updates "
+            f"over {stats['drains']} drain(s) "
+            f"(coalescing ratio {scheduler['coalescing_ratio']:.2f}, "
+            f"{scheduler['cancelled_pairs']} inverse pairs cancelled, "
+            f"max queue depth {stats['max_queue_depth']}) "
+            f"in {service.engine.total_update_seconds() * 1e3:.1f} ms"
         )
         service.stop_background_writer()
     else:
@@ -365,12 +365,12 @@ def command_serve(args: argparse.Namespace) -> int:
             f"coalescing)"
         )
         groups = service.drain()
-        stats = service.scheduler.stats
+        stats = service.scheduler.report()
         print(
-            f"writer drained {stats.drained_updates} net updates as {groups} "
-            f"consolidated row updates "
-            f"(coalescing ratio {stats.coalescing_ratio():.2f}, "
-            f"{stats.cancelled_pairs} inverse pairs cancelled) "
+            f"writer drained {stats['drained_updates']} net updates as "
+            f"{groups} consolidated row updates "
+            f"(coalescing ratio {stats['coalescing_ratio']:.2f}, "
+            f"{stats['cancelled_pairs']} inverse pairs cancelled) "
             f"in {service.engine.total_update_seconds() * 1e3:.1f} ms"
         )
 

@@ -34,8 +34,6 @@ against it unchanged.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +45,6 @@ from ..exceptions import DimensionError
 #: and per-shard growth stay cheap, large enough that few row runs of a
 #: plan are split at shard boundaries.
 DEFAULT_SHARD_ROWS = 512
-
-#: Samples kept in the bounded recent window of per-plan apply seconds.
-DEFAULT_RECENT_WINDOW = 256
 
 #: Apply-strategy crossover (see :meth:`ScoreStore._add_product`): a
 #: pass whose column span exceeds this many times its column count takes
@@ -66,72 +61,6 @@ SPARSE_SPAN_RATIO = 4
 #: histograms (counts, not seconds).
 PLAN_MEMBER_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 PLAN_RANK_BUCKETS = (4, 8, 16, 32, 64, 128, 256, 512)
-
-
-def window_summary_ms(samples) -> dict:
-    """p50/p95/p99 digest (in ms) of a bounded sample window."""
-    data = sorted(samples)
-    count = len(data)
-    if count == 0:
-        return {"count": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    def _at(q: float) -> float:
-        return data[min(count - 1, int(q * count))] * 1e3
-
-    return {
-        "count": count,
-        "p50": _at(0.50),
-        "p95": _at(0.95),
-        "p99": _at(0.99),
-    }
-
-
-@dataclass
-class ApplyMetrics:
-    """Per-shard apply wall-time gauges of one score-store executor.
-
-    ``seconds`` and ``last_plan_seconds`` are whole-plan apply wall
-    time (panels, GEMMs and adds).  ``per_shard_seconds`` accumulates
-    the add-only wall time each shard paid across all applied plans;
-    ``last_per_shard_seconds`` holds the breakdown of the most recent
-    plan only.
-    """
-
-    plans: int = 0
-    seconds: float = 0.0
-    per_shard_seconds: Dict[int, float] = field(default_factory=dict)
-    last_plan_seconds: float = 0.0
-    last_per_shard_seconds: Dict[int, float] = field(default_factory=dict)
-    #: Bounded window of recent per-plan apply seconds.
-    recent_plan_seconds: deque = field(
-        default_factory=lambda: deque(maxlen=DEFAULT_RECENT_WINDOW)
-    )
-
-    def record(self, seconds: float, per_shard: Dict[int, float]) -> None:
-        """Fold one plan's apply time and per-shard add times in."""
-        self.plans += 1
-        self.seconds += seconds
-        self.last_plan_seconds = seconds
-        self.last_per_shard_seconds = dict(per_shard)
-        self.recent_plan_seconds.append(seconds)
-        for shard_id, shard_seconds in per_shard.items():
-            self.per_shard_seconds[shard_id] = (
-                self.per_shard_seconds.get(shard_id, 0.0) + shard_seconds
-            )
-
-    def report(self) -> dict:
-        """JSON-friendly summary (keys stringified for serialization)."""
-        return {
-            "plans": self.plans,
-            "apply_seconds": self.seconds,
-            "mean_plan_seconds": self.seconds / self.plans if self.plans else 0.0,
-            "last_plan_seconds": self.last_plan_seconds,
-            "per_shard_seconds": {
-                str(shard): seconds
-                for shard, seconds in sorted(self.per_shard_seconds.items())
-            },
-            "recent_plan_ms": window_summary_ms(self.recent_plan_seconds),
-        }
 
 
 class _Shard:
@@ -263,7 +192,8 @@ class ScoreStore:
 
             telemetry = NULL_TELEMETRY
         self._telemetry = telemetry
-        #: Per-plan apply latency histogram; the shared null instrument
+        #: Per-plan apply latency histogram, the one record of applied
+        #: plans (see :meth:`apply_report`); the shared null instrument
         #: when telemetry is off, so the hot path never branches.
         registry = telemetry.registry
         self._apply_hist = registry.histogram(
@@ -310,10 +240,6 @@ class ScoreStore:
         self.version = 0
         #: Shard buffers cloned by copy-on-write since construction.
         self.cow_copies = 0
-        #: Per-shard apply wall-time gauges (see :class:`ApplyMetrics`).
-        self.apply_metrics = ApplyMetrics()
-        #: Scratch for the per-shard timing of the plan being applied.
-        self._shard_timing: Dict[int, float] = {}
         for base in range(0, self._n, self._shard_rows):
             rows = min(self._shard_rows, self._n - base)
             # order="C" is load-bearing: np.array's default order="K"
@@ -399,8 +325,23 @@ class ScoreStore:
         return self._telemetry
 
     def apply_report(self) -> dict:
-        """Executor-side apply gauges (per-shard wall time)."""
-        return self.apply_metrics.report()
+        """Applied plans and their wall time, off the apply histogram.
+
+        ``recent_plan_ms`` holds the histogram's bucket-interpolated
+        percentiles in ms.  Every value reads zero when telemetry is
+        disabled.
+        """
+        hist = self._apply_hist
+        digest = hist.summary()
+        return {
+            "plans": hist.count,
+            "apply_seconds": hist.sum,
+            "mean_plan_seconds": digest["mean"],
+            "recent_plan_ms": {
+                "count": hist.count,
+                **{q: digest[q] * 1e3 for q in ("p50", "p95", "p99")},
+            },
+        }
 
     def entry(self, row: int, col: int) -> float:
         """One score ``[S]_{row,col}``."""
@@ -505,15 +446,12 @@ class ScoreStore:
             return
         self._members_hist.observe(len(plan.members) or 1)
         self._rank_hist.observe(plan.rank)
-        self._shard_timing = {}
         topk = self._topk
         promotion = topk.promotion_scores() if topk is not None else None
         hits: Dict[int, list] = {}
         started = time.perf_counter()
         self._apply_plan_scatter(plan, promotion, hits)
-        seconds = time.perf_counter() - started
-        self.apply_metrics.record(seconds, self._shard_timing)
-        self._apply_hist.observe(seconds)
+        self._apply_hist.observe(time.perf_counter() - started)
         self.version += 1
         if topk is not None:
             topk.on_plan(hits)
@@ -521,9 +459,7 @@ class ScoreStore:
     def _apply_plan_scatter(self, plan, promotion, hits) -> None:
         """The one copy of the per-plan apply arithmetic.
 
-        Add-only per-shard timings land in ``self._shard_timing``
-        (caller resets it); promotion hits land in ``hits`` (see
-        :meth:`_add_product`).
+        Promotion hits land in ``hits`` (see :meth:`_add_product`).
         """
         left, right = plan.panels()
         self._add_product(
@@ -616,7 +552,6 @@ class ScoreStore:
         else:
             tile = left @ right.T
         for shard_id, lo, hi in self._row_segments(rows):
-            started = time.perf_counter()
             shard = self._shards[shard_id]
             buffer = self._writable(shard)
             score = None if promotion is None else promotion[shard_id]
@@ -653,9 +588,6 @@ class ScoreStore:
                         j += first
                         upper = j > i
                         found.append((i[upper], j[upper]))
-            self._shard_timing[shard_id] = self._shard_timing.get(
-                shard_id, 0.0
-            ) + (time.perf_counter() - started)
 
     def add_dense(self, delta: np.ndarray) -> None:
         """``S += delta`` shard by shard (the unpruned Inc-uSR path)."""

@@ -27,12 +27,12 @@ The facade keeps the original public API: ``apply`` dispatches to the
 configured algorithm (``"inc-sr"`` — Algorithm 2, pruned, default;
 ``"inc-usr"`` — Algorithm 1; ``"batch"`` — full recomputation),
 ``apply_consolidated`` groups a batch into per-target rank-one row
-updates, and every update is timed into :class:`UpdateStats`.  Per-update
-score work is affected-area-sized on ``S`` (``Q``'s O(nnz) row splice
-is small beside it) — update cost tracks the affected area rather than
-the graph size (the paper's headline claim) — while the plan/apply
-split is what lets the serving layer keep readers on frozen versions
-for free.
+updates, and every unit update is timed into :class:`UpdateStats`.
+Per-update score work is affected-area-sized on ``S`` (``Q``'s O(nnz)
+row splice is small beside it) — update cost tracks the affected area
+rather than the graph size (the paper's headline claim) — while the
+plan/apply split is what lets the serving layer keep readers on frozen
+versions for free.
 """
 
 from __future__ import annotations
@@ -157,6 +157,8 @@ class DynamicSimRank:
         )
         self._topk_index = None
         self._history: List[UpdateStats] = []
+        #: Running wall-clock sum over unit updates and drains alike.
+        self._update_seconds = 0.0
         self._version = 0
         # The most recent successful consolidated drain as
         # ``(row_updates, plans)`` — what the durability layer frames
@@ -214,7 +216,11 @@ class DynamicSimRank:
 
     @property
     def history(self) -> List[UpdateStats]:
-        """Per-update statistics in application order."""
+        """Per-unit-update statistics in application order.
+
+        Only :meth:`apply` records here; consolidated drains keep no
+        per-update record (their time is in :meth:`total_update_seconds`).
+        """
         return list(self._history)
 
     def similarities(self) -> np.ndarray:
@@ -347,6 +353,7 @@ class DynamicSimRank:
             affected=affected,
         )
         self._history.append(stats)
+        self._update_seconds += stats.seconds
         return stats
 
     def apply_consolidated(self, batch: UpdateBatch) -> int:
@@ -403,7 +410,7 @@ class DynamicSimRank:
         fused = fuse_plans(pending.plans)
         if fused is not None:
             self._scores.apply_plan(fused)
-        elapsed = time.perf_counter() - started
+        self._update_seconds += time.perf_counter() - started
         self._version += 1
         # Kept for the durability layer, which frames the drain's one
         # plan into the WAL (plan factors are fresh arrays — only the
@@ -411,14 +418,6 @@ class DynamicSimRank:
         self._last_drain = (
             tuple(row_updates), () if fused is None else (fused,)
         )
-        for update in batch:
-            self._history.append(
-                UpdateStats(
-                    update=update,
-                    seconds=elapsed / max(1, len(batch)),
-                    algorithm="inc-sr/consolidated",
-                )
-            )
         if self._paranoid:
             problem = verify_transition_matrix(
                 self._store.csr_matrix(), self._graph
@@ -528,8 +527,8 @@ class DynamicSimRank:
     # ------------------------------------------------------------------ #
 
     def total_update_seconds(self) -> float:
-        """Sum of wall-clock seconds over all applied updates."""
-        return sum(stats.seconds for stats in self._history)
+        """Wall-clock seconds over all applied updates and drains."""
+        return self._update_seconds
 
     def aggregate_affected(self) -> Optional[AffectedAreaStats]:
         """Merged affected-area stats across all Inc-SR updates (or None)."""

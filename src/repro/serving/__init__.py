@@ -48,18 +48,16 @@ from .envelopes import (
     error_body,
     http_status,
 )
-from .scheduler import SchedulerStats, UpdateScheduler
+from .scheduler import UpdateScheduler
 from .service import SimRankService
 from .snapshot import SnapshotView
-from .writer import BACKPRESSURE_POLICIES, BackgroundWriter, WriterStats
+from .writer import BACKPRESSURE_POLICIES, BackgroundWriter
 
 __all__ = [
     "SimRankService",
     "SnapshotView",
     "UpdateScheduler",
-    "SchedulerStats",
     "BackgroundWriter",
-    "WriterStats",
     "ServiceConfig",
     "FrontDoorConfig",
     "TelemetryConfig",

@@ -68,7 +68,8 @@ class TelemetryConfig:
         singletons — tracing, histograms, and flight recording all cost
         one empty method call.  The JSON ``/metrics`` report keeps its
         keys either way; values read off registry instruments (top-k
-        counters, admission batch counts) read zero while disabled.
+        counters, admission batch counts, and the scheduler, writer and
+        executor counts) read zero while disabled.
     trace_sample_rate:
         Fraction of *minted* trace ids that record spans (deterministic
         on the id, so all layers agree).  Explicit

@@ -24,6 +24,11 @@ produced.  Callers that need per-update validation should apply updates
 through the engine directly instead of queueing them.  FIFO target
 order is preserved (groups are emitted in first-touched order), which
 keeps drains deterministic for the equivalence tests.
+
+Its counts are registry instruments (:meth:`UpdateScheduler.report`).
+A drain is counted when it pops the queue: a batch the engine rejects
+is re-queued through :meth:`~UpdateScheduler.submit_many`, so it counts
+as submitted again and as drained again when its retry pops.
 """
 
 from __future__ import annotations
@@ -32,25 +37,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from ..graph.updates import EdgeUpdate, UpdateBatch
+from ..telemetry import NULL_TELEMETRY
 
 
-@dataclass
-class SchedulerStats:
-    """Lifetime counters of one :class:`UpdateScheduler`."""
-
-    submitted: int = 0
-    cancelled_pairs: int = 0
-    drained_updates: int = 0
-    drained_batches: int = 0
-    drained_groups: int = 0
-    #: Largest row-group count any single drain produced.
-    max_drained_groups: int = 0
-
-    def coalescing_ratio(self) -> float:
-        """Mean updates represented per drained row group (≥ 1.0)."""
-        if self.drained_groups == 0:
-            return 1.0
-        return self.drained_updates / self.drained_groups
+#: Bucket bounds of the row-groups-per-drain histogram (counts).
+DRAIN_GROUP_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
 @dataclass
@@ -62,9 +53,33 @@ class _TargetGroup:
 
 
 class UpdateScheduler:
-    """FIFO edge-update queue that coalesces per target at drain time."""
+    """FIFO edge-update queue that coalesces per target at drain time.
 
-    def __init__(self) -> None:
+    ``registry`` is the :class:`~repro.telemetry.MetricRegistry` its
+    counts live in (None: the shared disabled one).
+    """
+
+    def __init__(self, registry=None) -> None:
+        if registry is None:
+            registry = NULL_TELEMETRY.registry
+        self._submitted = registry.counter(
+            "repro_scheduler_submitted_total", help="Updates submitted"
+        )
+        self._cancelled = registry.counter(
+            "repro_scheduler_cancelled_pairs_total",
+            help="Inverse update pairs cancelled in the queue",
+        )
+        self._drained = registry.counter(
+            "repro_scheduler_drained_updates_total",
+            help="Net updates popped by drains",
+        )
+        #: Per non-empty drain: its count is the drained batches, its
+        #: sum the drained row groups.
+        self._groups_hist = registry.histogram(
+            "repro_scheduler_drain_groups",
+            buckets=DRAIN_GROUP_BUCKETS,
+            help="Row groups per drained batch",
+        )
         self._groups: Dict[int, _TargetGroup] = {}
         self._pending = 0
         #: Targets whose group currently holds a net change — maintained
@@ -73,7 +88,6 @@ class UpdateScheduler:
         #: :attr:`pending_targets` gauge (previously an O(#targets)
         #: scan per metrics read), and :attr:`active_targets`.
         self._active: set = set()
-        self.stats = SchedulerStats()
 
     def __len__(self) -> int:
         """Net updates currently pending (after cancellation).
@@ -99,12 +113,12 @@ class UpdateScheduler:
 
     def submit(self, update: EdgeUpdate) -> None:
         """Enqueue one edge update, cancelling against pending inverses."""
-        self.stats.submitted += 1
+        self._submitted.inc()
         group = self._groups.setdefault(update.target, _TargetGroup())
         if update.is_insert:
             if update.source in group.removed:
                 del group.removed[update.source]
-                self.stats.cancelled_pairs += 1
+                self._cancelled.inc()
                 self._pending -= 1
             elif update.source not in group.added:
                 # Duplicate same-direction submits are no-ops for the
@@ -114,7 +128,7 @@ class UpdateScheduler:
         else:
             if update.source in group.added:
                 del group.added[update.source]
-                self.stats.cancelled_pairs += 1
+                self._cancelled.inc()
                 self._pending -= 1
             elif update.source not in group.removed:
                 group.removed[update.source] = None
@@ -180,13 +194,29 @@ class UpdateScheduler:
         self._groups.clear()
         self._active.clear()
         self._pending = 0
-        self.stats.drained_updates += len(updates)
-        self.stats.drained_groups += groups
-        if groups > self.stats.max_drained_groups:
-            self.stats.max_drained_groups = groups
         if updates:
-            self.stats.drained_batches += 1
+            self._drained.inc(len(updates))
+            self._groups_hist.observe(groups)
         return UpdateBatch(updates)
+
+    def report(self) -> dict:
+        """The ``metrics_report()["scheduler"]`` section.
+
+        Read off the registry instruments, so every count reads zero
+        when telemetry is disabled.
+        """
+        groups = self._groups_hist
+        drained = int(self._drained.value)
+        return {
+            "submitted": int(self._submitted.value),
+            "cancelled_pairs": int(self._cancelled.value),
+            "drained_updates": drained,
+            "drained_batches": groups.count,
+            "drained_groups": int(groups.sum),
+            "max_drained_groups": int(groups.max),
+            # Mean updates represented per drained row group (>= 1.0).
+            "coalescing_ratio": drained / groups.sum if groups.sum else 1.0,
+        }
 
     def peek(self) -> List[Tuple[int, int, int]]:
         """Pending net changes as ``(target, +adds, -removes)`` triples."""

@@ -186,6 +186,16 @@ class SimRankService:
                 # acked drain.  The arguments seed only a fresh dir.
                 recovered = self._durability.recover()
                 if recovered is not None:
+                    stored = recovered.scores.dtype.name
+                    if stored != self._precision:
+                        # Widening or narrowing here would make the
+                        # recovered scores differ from the live ones.
+                        raise ConfigError(
+                            f"data dir {cfg.durability.data_dir!r} holds "
+                            f"{stored} scores but precision is "
+                            f"{self._precision}; reopen it with "
+                            f"precision={stored!r}"
+                        )
                     graph = recovered.graph
                     initial_scores = recovered.scores
             engine_kwargs = {}
@@ -209,7 +219,7 @@ class SimRankService:
             if self._durability is not None:
                 self._durability.close()
             raise
-        self._scheduler = UpdateScheduler()
+        self._scheduler = UpdateScheduler(self.telemetry.registry)
         self._writer: Optional[BackgroundWriter] = None
         if cfg.writer == "background":
             self.start_background_writer(
@@ -654,34 +664,15 @@ class SimRankService:
     def metrics_report(self) -> dict:
         """Serving-side observability: queue, writer, and top-k gauges."""
         self._ensure_open()
-        stats = self._scheduler.stats
+        store = self._engine.score_store
         report = {
             "version": self.version,
             "queue_depth": len(self._scheduler),
             "pending_targets": self._scheduler.pending_targets,
-            "scheduler": {
-                "submitted": stats.submitted,
-                "cancelled_pairs": stats.cancelled_pairs,
-                "drained_updates": stats.drained_updates,
-                "drained_batches": stats.drained_batches,
-                "drained_groups": stats.drained_groups,
-                "max_drained_groups": stats.max_drained_groups,
-                "coalescing_ratio": stats.coalescing_ratio(),
-            },
+            "scheduler": self._scheduler.report(),
+            "executor": {**store.apply_report(), **store.dtype_report()},
+            "precision": {"mode": self._precision},
         }
-        # Executor-side apply gauges (plan and per-shard add wall time).  The
-        # report iterates dicts the drain mutates, so in background mode
-        # it must not interleave with an in-flight apply.
-        if self._writer is not None:
-            with self._writer.apply_lock:
-                report["executor"] = self._engine.score_store.apply_report()
-                report["executor"].update(
-                    self._engine.score_store.dtype_report()
-                )
-        else:
-            report["executor"] = self._engine.score_store.apply_report()
-            report["executor"].update(self._engine.score_store.dtype_report())
-        report["precision"] = {"mode": self._precision}
         if self._writer is not None:
             report["writer"] = self._writer.report()
         index = self._engine.topk_index

@@ -23,7 +23,7 @@ thread so the serving loop is genuinely concurrent:
   ``drop-coalesce``  accept only updates that coalesce into an
                      already-pending target row group (or cancel a
                      queued inverse); drop the rest, counted in
-                     :attr:`WriterStats.dropped_updates`
+                     ``repro_writer_dropped_updates_total``
   ``error``          raise :class:`~repro.exceptions.BackpressureError`
                      so the caller sheds load explicitly
   ========== =========================================================
@@ -34,18 +34,22 @@ thread so the serving loop is genuinely concurrent:
   batch; :meth:`flush` re-raises the error and :meth:`clear_error`
   resumes immediately.  Failures also self-heal: the loop schedules its
   own resume with capped exponential backoff (``min(30, 0.5·2^k)``
-  seconds), counted in :attr:`WriterStats.resume_attempts`.
+  seconds), counted in ``repro_writer_resume_attempts_total``.
+
+Every count the writer reports is a registry instrument (see
+:meth:`BackgroundWriter.report`), shared by every writer of one
+service and zero while telemetry is disabled.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..exceptions import BackpressureError, ConfigError
 from ..graph.updates import EdgeUpdate
+from ..telemetry import NULL_TELEMETRY
 from .snapshot import SnapshotView
 
 #: Legal backpressure policies for the bounded queue.
@@ -57,40 +61,6 @@ DEFAULT_DRAIN_INTERVAL = 0.005
 
 #: Default bound on net queued updates.
 DEFAULT_MAX_PENDING = 4096
-
-
-@dataclass
-class WriterStats:
-    """Lifetime counters of one :class:`BackgroundWriter`."""
-
-    drains: int = 0
-    drained_updates: int = 0
-    row_groups: int = 0
-    #: Largest consolidated drain this writer applied.
-    max_row_groups: int = 0
-    publishes: int = 0
-    blocked_submits: int = 0
-    blocked_seconds: float = 0.0
-    dropped_updates: int = 0
-    rejected_updates: int = 0
-    max_queue_depth: int = 0
-    apply_seconds: float = 0.0
-    max_apply_seconds: float = 0.0
-    errors: int = 0
-    #: Automatic resumes after apply failures (see the class docstring).
-    resume_attempts: int = 0
-
-    def mean_apply_seconds(self) -> float:
-        """Mean wall-clock seconds per applied drain batch."""
-        if self.drains == 0:
-            return 0.0
-        return self.apply_seconds / self.drains
-
-    def mean_row_groups(self) -> float:
-        """Mean consolidated row groups per applied drain batch."""
-        if self.drains == 0:
-            return 0.0
-        return self.row_groups / self.drains
 
 
 class BackgroundWriter:
@@ -151,42 +121,55 @@ class BackgroundWriter:
         if max_pending < 1:
             raise ConfigError(f"max_pending must be >= 1: {max_pending}")
         if telemetry is None:
-            from ..telemetry import NULL_TELEMETRY
-
             telemetry = NULL_TELEMETRY
         self._telemetry = telemetry
         self._trace_source = trace_source
-        self._drain_hist = telemetry.registry.histogram(
+        registry = telemetry.registry
+        #: Applied drains, sync and background alike: the writer's
+        #: drain count and apply seconds are read off it.
+        self._drain_hist = registry.histogram(
             "repro_drain_apply_seconds",
             help="Consolidated drain apply wall time (sync + background)",
         )
-        registry = telemetry.registry
         registry.gauge(
             "repro_writer_queue_depth",
             help="Net updates currently queued",
             fn=self.queue_depth,
         )
-        registry.gauge(
-            "repro_writer_drains",
-            help="Drain batches applied",
-            fn=lambda: self.stats.drains,
+        self._max_depth = registry.gauge(
+            "repro_writer_max_queue_depth",
+            help="Largest net queue depth a submit left behind",
         )
-        registry.gauge(
-            "repro_writer_publishes",
-            help="Snapshot views published",
-            fn=lambda: self.stats.publishes,
+        self._publishes = registry.counter(
+            "repro_writer_publishes_total", help="Snapshot views published"
         )
-        registry.gauge(
-            "repro_writer_dropped_updates",
+        #: Per submit that waited under the block policy: its count is
+        #: the blocked submits, its sum the seconds they waited.
+        self._blocked_hist = registry.histogram(
+            "repro_writer_blocked_seconds",
+            help="Time submits waited on backpressure (block policy)",
+        )
+        self._dropped = registry.counter(
+            "repro_writer_dropped_updates_total",
             help="Updates dropped under the drop-coalesce policy",
-            fn=lambda: self.stats.dropped_updates,
+        )
+        self._rejected = registry.counter(
+            "repro_writer_rejected_updates_total",
+            help="Updates refused under the error policy",
+        )
+        self._errors = registry.counter(
+            "repro_writer_errors_total",
+            help="Drain batches the engine rejected (re-queued)",
+        )
+        self._resumes = registry.counter(
+            "repro_writer_resume_attempts_total",
+            help="Automatic resumes after a rejected drain batch",
         )
         self._engine = engine
         self._scheduler = scheduler
         self.drain_interval = float(drain_interval)
         self.max_pending = int(max_pending)
         self.policy = policy
-        self.stats = WriterStats()
         #: The latest published immutable view; readers pin it with one
         #: attribute read (atomic under the GIL) — never a lock.
         self.current_view: Optional[SnapshotView] = None
@@ -315,7 +298,7 @@ class BackgroundWriter:
                 raise ConfigError("background writer is stopped")
             if len(self._scheduler) >= self.max_pending:
                 if self.policy == "error":
-                    self.stats.rejected_updates += 1
+                    self._rejected.inc()
                     self._wake.set()
                     raise BackpressureError(
                         f"update queue at capacity ({self.max_pending} "
@@ -323,11 +306,10 @@ class BackgroundWriter:
                     )
                 if self.policy == "drop-coalesce":
                     if not self._scheduler.has_pending_target(update.target):
-                        self.stats.dropped_updates += 1
+                        self._dropped.inc()
                         self._wake.set()
                         return False
                 else:  # block
-                    self.stats.blocked_submits += 1
                     started = time.perf_counter()
                     self._wake.set()
                     while (
@@ -336,7 +318,7 @@ class BackgroundWriter:
                         and self._error is None
                     ):
                         self._cond.wait(timeout=0.05)
-                    self.stats.blocked_seconds += (
+                    self._blocked_hist.observe(
                         time.perf_counter() - started
                     )
                     if self._stopping:
@@ -348,8 +330,8 @@ class BackgroundWriter:
                         raise self._error
             self._scheduler.submit(update)
             depth = len(self._scheduler)
-            if depth > self.stats.max_queue_depth:
-                self.stats.max_queue_depth = depth
+            if depth > self._max_depth.value:
+                self._max_depth.set(depth)
             if depth >= self.max_pending:
                 self._wake.set()
             return True
@@ -404,7 +386,7 @@ class BackgroundWriter:
                     # re-queued, so retrying is lossless.
                     self._error = None
                     self._resume_at = None
-                    self.stats.resume_attempts += 1
+                    self._resumes.inc()
                     self._cond.notify_all()
                 paused = self._error is not None
                 if not paused and (not stopping or self._drain_on_stop):
@@ -432,7 +414,7 @@ class BackgroundWriter:
         capped exponential backoff.
         """
         with self._cond:
-            self.stats.errors += 1
+            self._errors.inc()
             self._scheduler.submit_many(batch)
             self._resume_at = time.monotonic() + min(
                 30.0, 0.5 * 2.0**self._resume_backoff
@@ -470,14 +452,6 @@ class BackgroundWriter:
         with self._cond:
             self._inflight = 0
             self._resume_backoff = 0
-            self.stats.drains += 1
-            self.stats.drained_updates += len(batch)
-            self.stats.row_groups += groups
-            if groups > self.stats.max_row_groups:
-                self.stats.max_row_groups = groups
-            self.stats.apply_seconds += elapsed
-            if elapsed > self.stats.max_apply_seconds:
-                self.stats.max_apply_seconds = elapsed
             self._cond.notify_all()
 
     def publish(self) -> SnapshotView:
@@ -494,7 +468,7 @@ class BackgroundWriter:
             version=self._engine.version,
         )
         self.current_view = view
-        self.stats.publishes += 1
+        self._publishes.inc()
         if self.on_publish is not None:
             try:
                 self.on_publish(view)
@@ -511,29 +485,45 @@ class BackgroundWriter:
         return len(self._scheduler)
 
     def report(self) -> dict:
-        """JSON-friendly configuration + counters summary."""
+        """The ``metrics_report()["writer"]`` section.
+
+        Counts are read off registry instruments.  ``drains`` and the
+        apply seconds come from ``repro_drain_apply_seconds``, which
+        observes applied drains only; ``drained_updates`` and the row
+        groups are the scheduler's drained counts, which also count a
+        batch the engine rejected (see :mod:`repro.serving.scheduler`).
+        """
+        drains = self._drain_hist
+        drained = self._scheduler.report()
+        blocked = self._blocked_hist
         return {
             "policy": self.policy,
             "drain_interval_seconds": self.drain_interval,
             "max_pending": self.max_pending,
             "queue_depth": self.queue_depth(),
             "running": self.running,
-            "drains": self.stats.drains,
-            "drained_updates": self.stats.drained_updates,
-            "row_groups": self.stats.row_groups,
-            "max_row_groups": self.stats.max_row_groups,
-            "mean_row_groups": self.stats.mean_row_groups(),
-            "publishes": self.stats.publishes,
-            "blocked_submits": self.stats.blocked_submits,
-            "blocked_seconds": self.stats.blocked_seconds,
-            "dropped_updates": self.stats.dropped_updates,
-            "rejected_updates": self.stats.rejected_updates,
-            "max_queue_depth": self.stats.max_queue_depth,
-            "mean_apply_seconds": self.stats.mean_apply_seconds(),
-            "max_apply_seconds": self.stats.max_apply_seconds,
-            "errors": self.stats.errors,
+            "drains": drains.count,
+            "drained_updates": drained["drained_updates"],
+            "row_groups": drained["drained_groups"],
+            "max_row_groups": drained["max_drained_groups"],
+            "mean_row_groups": (
+                drained["drained_groups"] / drained["drained_batches"]
+                if drained["drained_batches"]
+                else 0.0
+            ),
+            "publishes": int(self._publishes.value),
+            "blocked_submits": blocked.count,
+            "blocked_seconds": blocked.sum,
+            "dropped_updates": int(self._dropped.value),
+            "rejected_updates": int(self._rejected.value),
+            "max_queue_depth": int(self._max_depth.value),
+            "mean_apply_seconds": (
+                drains.sum / drains.count if drains.count else 0.0
+            ),
+            "max_apply_seconds": drains.max,
+            "errors": int(self._errors.value),
             "writer_paused": self.paused,
-            "resume_attempts": self.stats.resume_attempts,
+            "resume_attempts": int(self._resumes.value),
         }
 
     def __repr__(self) -> str:

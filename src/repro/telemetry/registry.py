@@ -182,6 +182,11 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
+    @property
+    def max(self) -> float:
+        """The largest observed value (0.0 before the first observe)."""
+        return self._max if self._count else 0.0
+
     def bucket_counts(self) -> List[int]:
         with self._lock:
             return list(self._counts)
@@ -223,7 +228,7 @@ class Histogram:
             "p50": self.percentile(0.50),
             "p95": self.percentile(0.95),
             "p99": self.percentile(0.99),
-            "max": self._max if count else 0.0,
+            "max": self.max,
         }
 
 
@@ -262,6 +267,7 @@ class NullHistogram:
     buckets: Tuple[float, ...] = ()
     count = 0
     sum = 0.0
+    max = 0.0
 
     def observe(self, value: float) -> None:
         pass

@@ -66,7 +66,6 @@ class TestWriterAutoResume:
             while writer.paused and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert not writer.paused
-            assert writer.stats.resume_attempts >= 1
             assert service.flush(timeout=30)
             report = writer.report()
             assert report["resume_attempts"] >= 1

@@ -621,6 +621,43 @@ class TestServiceDurability:
         assert restarted.version == final
         restarted.close()
 
+    def test_reopen_with_other_precision_refused(self, workload, tmp_path):
+        """A data dir reopens only in its own storage dtype: widening or
+        narrowing would make the recovered scores differ from the live
+        ones.  The refusal releases the data-dir lock, so a reopen with
+        the matching precision then recovers bit-identically."""
+        dirs = {}
+        for precision in ("float64", "float32"):
+            path = tmp_path / precision
+            path.mkdir()
+            service, config, _oracle = self._run(
+                workload, path, precision=precision
+            )
+            dirs[precision] = (
+                config, service.version, service.engine.similarities()
+            )
+            service.close()
+        graph = erdos_renyi_digraph(2, 0.5, seed=1)
+        # float64 is the default precision, so it is never passed.
+        kwargs = {"float64": {}, "float32": {"precision": "float32"}}
+        for stored, other in (("float32", "float64"), ("float64", "float32")):
+            config, version, expected = dirs[stored]
+            with pytest.raises(ConfigError) as excinfo:
+                SimRankService(graph.copy(), durability=config, **kwargs[other])
+            assert stored in str(excinfo.value)
+            assert other in str(excinfo.value)
+            restarted = SimRankService(
+                graph.copy(), durability=config, **kwargs[stored]
+            )
+            try:
+                assert restarted.engine.score_store.dtype == np.dtype(stored)
+                assert restarted.version == version
+                assert np.array_equal(
+                    restarted.engine.similarities(), expected
+                )
+            finally:
+                restarted.close()
+
     def test_time_travel_matches_brute_force(self, workload, tmp_path):
         service, config, oracle = self._run(workload, tmp_path)
         live = service.version

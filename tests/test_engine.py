@@ -120,6 +120,20 @@ class TestHistoryAndStats:
             sum(s.seconds for s in engine.history)
         )
 
+    def test_drains_keep_no_per_update_record(self, cyclic_graph, config):
+        engine = DynamicSimRank(cyclic_graph, config)
+        for _ in range(4):
+            engine.apply_consolidated(UpdateBatch([EdgeUpdate.insert(4, 2)]))
+            engine.apply_consolidated(UpdateBatch([EdgeUpdate.delete(4, 2)]))
+        assert engine.history == []
+        drained = engine.total_update_seconds()
+        assert drained > 0.0
+        # The running sum covers unit updates too.
+        engine.apply(EdgeUpdate.insert(4, 2))
+        assert engine.total_update_seconds() == pytest.approx(
+            drained + engine.history[0].seconds
+        )
+
     def test_affected_stats_only_for_inc_sr(self, cyclic_graph, config):
         pruned = DynamicSimRank(cyclic_graph, config, algorithm="inc-sr")
         pruned.apply(EdgeUpdate.insert(4, 2))

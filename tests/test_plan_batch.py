@@ -29,6 +29,7 @@ from repro.linalg.qstore import TransitionStore
 from repro.metrics.topk import top_k_pairs
 from repro.serving import DurabilityConfig, SimRankService
 from repro.simrank.matrix import matrix_simrank
+from repro.telemetry import Telemetry
 
 from _streams import random_update_stream
 
@@ -130,21 +131,23 @@ class TestScoreStoreBatchApply:
         """A replayed packed batch == per-plan apply_plan, bitwise."""
         _, scores, plans = _plans_for_stream(50, 25, seed=6)
         sequential = ScoreStore(scores, shard_rows=16)
-        batched = ScoreStore(scores, shard_rows=16)
+        batched = ScoreStore(scores, shard_rows=16, telemetry=Telemetry())
         for plan in plans:
             sequential.apply_plan(plan)
         _replay(batched, PlanBatch(plans))
         assert np.array_equal(sequential.to_array(), batched.to_array())
         assert batched.version == sequential.version
-        assert batched.apply_metrics.report()["plans"] == len(
+        assert batched.apply_report()["plans"] == len(
             [plan for plan in plans if not plan.is_noop]
         )
 
     def test_noop_batch_is_ignored(self):
-        store = ScoreStore(np.zeros((8, 8)), shard_rows=4)
+        store = ScoreStore(
+            np.zeros((8, 8)), shard_rows=4, telemetry=Telemetry()
+        )
         _replay(store, PlanBatch([]))
         assert store.version == 0
-        assert store.apply_metrics.plans == 0
+        assert store.apply_report()["plans"] == 0
 
 
 class TestServiceStreamEquivalence:

@@ -420,8 +420,9 @@ class TestApplyStrategies:
         hist = telemetry.registry.get("repro_executor_apply_plan_seconds")
         assert hist.count == len(plans)
         assert hist.sum >= 0.005 * len(plans)
-        metrics = store.apply_metrics
-        assert metrics.seconds == pytest.approx(hist.sum)
-        assert metrics.last_plan_seconds >= 0.005
-        # per_shard_seconds stays the add-only breakdown.
-        assert 0.0 < sum(metrics.per_shard_seconds.values()) < metrics.seconds
+        # The report reads the same histogram: one record per plan.
+        report = store.apply_report()
+        assert report["plans"] == len(plans)
+        assert report["apply_seconds"] == hist.sum
+        assert report["mean_plan_seconds"] >= 0.005
+        assert report["recent_plan_ms"]["p50"] >= 5.0

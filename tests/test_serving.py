@@ -21,6 +21,7 @@ from repro.serving import SimRankService, UpdateScheduler
 from repro.simrank.exact import truncation_error_bound
 from repro.simrank.matrix import matrix_simrank
 from repro.simrank.queries import single_source_simrank
+from repro.telemetry import MetricRegistry
 
 from _streams import random_update_stream as _random_stream
 
@@ -36,13 +37,13 @@ class TestScheduler:
         assert [u.is_insert for u in batch] == [False, True, True]
 
     def test_inverse_pairs_cancel(self):
-        scheduler = UpdateScheduler()
+        scheduler = UpdateScheduler(MetricRegistry())
         scheduler.submit(EdgeUpdate.insert(1, 2))
         scheduler.submit(EdgeUpdate.delete(1, 2))
         scheduler.submit(EdgeUpdate.delete(4, 2))
         scheduler.submit(EdgeUpdate.insert(4, 2))
         assert len(scheduler) == 0
-        assert scheduler.stats.cancelled_pairs == 2
+        assert scheduler.report()["cancelled_pairs"] == 2
         assert len(scheduler.drain()) == 0
 
     def test_duplicate_submits_do_not_inflate_pending(self):
@@ -75,7 +76,7 @@ class TestScheduler:
         assert scheduler.pending_targets == 0
 
     def test_stats_and_coalescing_ratio(self):
-        scheduler = UpdateScheduler()
+        scheduler = UpdateScheduler(MetricRegistry())
         scheduler.submit_many(
             [
                 EdgeUpdate.insert(0, 7),
@@ -85,12 +86,20 @@ class TestScheduler:
             ]
         )
         scheduler.drain()
-        stats = scheduler.stats
-        assert stats.submitted == 4
-        assert stats.drained_updates == 4
-        assert stats.drained_groups == 2
-        assert stats.drained_batches == 1
-        assert stats.coalescing_ratio() == 2.0
+        scheduler.drain()  # an empty drain counts nothing
+        stats = scheduler.report()
+        assert stats["submitted"] == 4
+        assert stats["drained_updates"] == 4
+        assert stats["drained_groups"] == 2
+        assert stats["max_drained_groups"] == 2
+        assert stats["drained_batches"] == 1
+        assert stats["coalescing_ratio"] == 2.0
+        # Without a registry (the disabled default) every count is zero.
+        idle = UpdateScheduler()
+        idle.submit(EdgeUpdate.insert(0, 7))
+        idle.drain()
+        assert idle.report()["submitted"] == 0
+        assert idle.report()["coalescing_ratio"] == 1.0
 
     def test_net_stream_preserves_graph_semantics(self):
         graph = erdos_renyi_digraph(30, 0.08, seed=5)
@@ -356,24 +365,8 @@ class TestTargetIndex:
         assert not scheduler.has_pending_target(2)
 
 
-class TestApplyMetrics:
-    """Per-shard apply wall-time gauges on the executor surface."""
-
-    def test_score_store_records_per_shard_seconds(self):
-        config = SimRankConfig(damping=0.6, iterations=8)
-        graph = erdos_renyi_digraph(60, 0.06, seed=8)
-        service = SimRankService(graph, config, shard_rows=16)
-        service.submit_many(_random_stream(graph, 12, seed=9))
-        service.drain()
-        store = service.engine.score_store
-        assert store.apply_metrics.plans > 0
-        assert store.apply_metrics.seconds > 0.0
-        assert store.apply_metrics.per_shard_seconds
-        report = store.apply_report()
-        assert report["plans"] == store.apply_metrics.plans
-        assert set(report["per_shard_seconds"]) <= {
-            str(i) for i in range(store.num_shards)
-        }
+class TestExecutorReport:
+    """The executor section of the service's metrics report."""
 
     def test_metrics_report_exposes_executor_section(self):
         config = SimRankConfig(damping=0.6, iterations=8)
@@ -382,5 +375,16 @@ class TestApplyMetrics:
         service.submit_many(_random_stream(graph, 6, seed=11))
         service.drain()
         executor = service.metrics_report()["executor"]
+        service.close()
+        assert executor["plans"] >= 1
         assert executor["apply_seconds"] > 0.0
         assert executor["mean_plan_seconds"] > 0.0
+        # No per-shard or last-plan clocks: one histogram is the record.
+        assert set(executor) == {
+            "plans",
+            "apply_seconds",
+            "mean_plan_seconds",
+            "recent_plan_ms",
+            "score_dtype",
+            "score_dtype_bytes",
+        }

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import tracemalloc
 import uuid
 
@@ -31,9 +32,18 @@ import numpy as np
 import pytest
 
 from repro import SimRankConfig
+from repro.exceptions import BackpressureError, GraphError
+from repro.executor import ScoreStore
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate
-from repro.serving import ServiceConfig, SimRankService, TelemetryConfig
+from repro.incremental.plan import UpdatePlan
+from repro.serving import (
+    BackgroundWriter,
+    ServiceConfig,
+    SimRankService,
+    TelemetryConfig,
+    UpdateScheduler,
+)
 from repro.simrank.matrix import matrix_simrank
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -145,15 +155,64 @@ class TestRegistry:
                 tracer.record("span", None, 0.5)
                 flight.record("event")
 
-        hot_loop()  # warm up code objects / caches
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            hot_loop()
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert after - before == 0
+        assert _retained_bytes(hot_loop) == 0
+
+    def test_noop_owners_retain_nothing_per_call(self):
+        """The instrumented owners on disabled telemetry keep no record
+        per call: a scheduler, a drop-coalesce writer at capacity 1
+        (never started; submit needs no drain thread) and a score store
+        applying one plan.  Their own work allocates transients, and
+        numpy's and the interpreter's free lists keep a few blocks
+        between windows, so the bound is under one byte per call."""
+        scheduler = UpdateScheduler()
+        queue = UpdateScheduler()
+        writer = BackgroundWriter(
+            None, queue, max_pending=1, policy="drop-coalesce"
+        )
+        store = ScoreStore(np.zeros((8, 8)), shard_rows=4)
+        rows = np.array([1, 2, 5], dtype=np.int64)
+        cols = np.array([0, 3, 4, 6], dtype=np.int64)
+        plan = UpdatePlan.from_panels(
+            0, rows, cols, np.ones((3, 2)), np.ones((4, 2)), affected=None
+        )
+        insert, delete = EdgeUpdate.insert(1, 7), EdgeUpdate.delete(1, 7)
+        other = EdgeUpdate.insert(2, 5)
+        rounds, applies = 1000, 300
+
+        def owners_loop():
+            for _ in range(rounds):
+                scheduler.submit(insert)
+                scheduler.submit(delete)  # cancels
+                scheduler.submit(other)
+                scheduler.drain()
+                writer.submit(insert)  # fills the queue
+                writer.submit(other)  # a new target at capacity: dropped
+                writer.submit(delete)  # coalesces, cancelling the insert
+                queue.drain()
+            # Past 256 applies the store's version is a heap int, so
+            # the warm-up run leaves it one.
+            for _ in range(applies):
+                store.apply_plan(plan)
+
+        calls = 8 * rounds + applies
+        assert _retained_bytes(owners_loop) < calls
+
+
+def _retained_bytes(loop) -> int:
+    """Bytes still allocated after a second run of ``loop``.
+
+    The first run warms code objects and caches under tracing, so
+    objects it leaves behind are not charged to the measured run.
+    """
+    tracemalloc.start()
+    try:
+        loop()
+        before, _ = tracemalloc.get_traced_memory()
+        loop()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before
 
 
 class TestGaugeGroup:
@@ -373,6 +432,145 @@ class TestServiceIntegration:
         finally:
             service.close()
 
+    def test_json_and_prometheus_counts_agree(self, workload):
+        """Every scheduler, writer and executor count in the JSON report
+        is the sample the Prometheus scrape renders off the same
+        instrument — after sync drains and background writers that saw a
+        drop-coalesce drop, an error-policy reject and a rejected batch
+        that auto-resumed."""
+        graph, scores = workload
+        fresh = {}
+        for source in range(graph.num_nodes):
+            for target in range(graph.num_nodes):
+                if source != target and not graph.has_edge(source, target):
+                    fresh.setdefault(target, EdgeUpdate.insert(source, target))
+        fresh = list(fresh.values())  # one absent edge per target
+        existing = next(iter(graph.edges()))
+        service = SimRankService(
+            graph.copy(), CFG, initial_scores=scores.copy()
+        )
+        try:
+            # Two sync drains; the second folds in one cancelled pair.
+            service.submit_many(fresh[0:3])
+            service.drain()
+            service.submit_many(fresh[3:6])
+            service.submit(EdgeUpdate.delete(*fresh[5].edge))
+            service.drain()
+            # Queue two targets, then a drop-coalesce writer at capacity
+            # 2 drops an update for a third.
+            service.submit_many(fresh[6:8])
+            writer = service.start_background_writer(
+                drain_interval=60.0, max_pending=2, policy="drop-coalesce"
+            )
+            assert not writer.submit(fresh[8])
+            assert service.flush(timeout=30)
+            service.stop_background_writer()
+            # An error-policy writer at capacity 1 refuses a submit.
+            service.submit(fresh[9])
+            writer = service.start_background_writer(
+                drain_interval=60.0, max_pending=1, policy="error"
+            )
+            with pytest.raises(BackpressureError):
+                writer.submit(fresh[10])
+            assert service.flush(timeout=30)
+            service.stop_background_writer()
+            # The engine rejects a batch; cancelling the poison insert
+            # lets the writer's own auto-resume go through.
+            writer = service.start_background_writer(drain_interval=0.001)
+            writer.submit(EdgeUpdate.insert(*existing))
+            with pytest.raises(GraphError):
+                service.flush(timeout=30)
+            writer.submit(EdgeUpdate.delete(*existing))
+            deadline = time.monotonic() + 20
+            while writer.paused and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not writer.paused
+            writer.submit(fresh[11])
+            assert service.flush(timeout=30)
+
+            report = service.metrics_report()
+            scrape = render_prometheus(service.telemetry.registry)
+        finally:
+            service.close()
+        validate_scrape(scrape)
+        samples = {
+            name: value
+            for family in parse_prometheus_text(scrape).values()
+            for (name, labels), value in family["samples"].items()
+            if not labels
+        }
+        scrape_names = {
+            "scheduler": {
+                "submitted": "repro_scheduler_submitted_total",
+                "cancelled_pairs": "repro_scheduler_cancelled_pairs_total",
+                "drained_updates": "repro_scheduler_drained_updates_total",
+                "drained_batches": "repro_scheduler_drain_groups_count",
+                "drained_groups": "repro_scheduler_drain_groups_sum",
+            },
+            "writer": {
+                "queue_depth": "repro_writer_queue_depth",
+                "drains": "repro_drain_apply_seconds_count",
+                "drained_updates": "repro_scheduler_drained_updates_total",
+                "row_groups": "repro_scheduler_drain_groups_sum",
+                "publishes": "repro_writer_publishes_total",
+                "blocked_submits": "repro_writer_blocked_seconds_count",
+                "blocked_seconds": "repro_writer_blocked_seconds_sum",
+                "dropped_updates": "repro_writer_dropped_updates_total",
+                "rejected_updates": "repro_writer_rejected_updates_total",
+                "max_queue_depth": "repro_writer_max_queue_depth",
+                "errors": "repro_writer_errors_total",
+                "resume_attempts": "repro_writer_resume_attempts_total",
+            },
+            "executor": {
+                "plans": "repro_executor_apply_plan_seconds_count",
+                "apply_seconds": "repro_executor_apply_plan_seconds_sum",
+            },
+        }
+        # Settings, ratios and maxima: derived, or not in the scrape.
+        derived = {
+            "coalescing_ratio",
+            "max_drained_groups",
+            "policy",
+            "drain_interval_seconds",
+            "max_pending",
+            "running",
+            "writer_paused",
+            "max_row_groups",
+            "mean_row_groups",
+            "mean_apply_seconds",
+            "max_apply_seconds",
+            "mean_plan_seconds",
+            "recent_plan_ms",
+            "score_dtype",
+            "score_dtype_bytes",
+        }
+        for section, names in scrape_names.items():
+            assert set(report[section]) - derived == set(names), section
+            for key, name in names.items():
+                assert report[section][key] == samples[name], (section, key)
+
+        scheduler, writer = report["scheduler"], report["writer"]
+        assert writer["dropped_updates"] == 1
+        assert writer["rejected_updates"] == 1
+        assert writer["errors"] == 1
+        assert writer["resume_attempts"] == 1
+        # Sync drains and the writers' drains: 2 + 1 + 1 + 1 applied.
+        assert writer["drains"] == 5
+        # The scheduler's record survives for drained counts: the
+        # rejected batch was popped (and its retry re-queued), so it is
+        # drained but never an applied drain.
+        assert scheduler["drained_batches"] == writer["drains"] + 1
+        assert scheduler["drained_updates"] == 3 + 2 + 2 + 1 + 1 + 1
+        # Every submit, the re-queue included, is cancelled, drained or
+        # still pending.
+        assert scheduler["cancelled_pairs"] == 2
+        assert scheduler["submitted"] == (
+            2 * scheduler["cancelled_pairs"]
+            + scheduler["drained_updates"]
+            + report["queue_depth"]
+        )
+        assert report["executor"]["plans"] >= 1
+
     def test_topk_report_renders_registry_counters(self, workload):
         graph, scores = workload
         service = SimRankService(
@@ -424,10 +622,25 @@ class TestServiceIntegration:
         try:
             service.submit(EdgeUpdate.insert(0, 9))
             service.drain()
-            report = service.metrics_report()["telemetry"]
+            service.start_background_writer()
+            service.submit(EdgeUpdate.insert(1, 9))
+            assert service.flush(timeout=30)
+            metrics = service.metrics_report()
+            report = metrics["telemetry"]
             assert report["enabled"] is False
             assert report["histograms"] == {}
             assert service.telemetry.tracer.export() == []
+            # The scheduler, writer and executor counts are registry
+            # instruments too, so they read zero while disabled.
+            assert service.version == 2
+            scheduler = metrics["scheduler"]
+            assert scheduler["submitted"] == scheduler["drained_updates"] == 0
+            assert scheduler["drained_batches"] == 0
+            writer = metrics["writer"]
+            assert writer["drains"] == writer["drained_updates"] == 0
+            assert writer["publishes"] == writer["max_queue_depth"] == 0
+            executor = metrics["executor"]
+            assert executor["plans"] == executor["apply_seconds"] == 0
         finally:
             service.close()
 

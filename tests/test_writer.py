@@ -165,8 +165,7 @@ class TestThreadedStress:
         service.close()
         assert not errors, errors[0]
         assert service.writer is None
-        stats = service.scheduler.stats
-        assert stats.drained_updates > 0
+        assert service.scheduler.report()["drained_updates"] > 0
         # The full stream really went through the engine.
         expected = UpdateBatch(stream).applied(graph)
         assert set(service.engine.graph.edges()) == set(expected.edges())
@@ -210,7 +209,7 @@ class TestBackpressure:
                 service.submit(update)
             with pytest.raises(BackpressureError):
                 service.submit(stream[5])
-            assert service.writer.stats.rejected_updates == 1
+            assert service.writer.report()["rejected_updates"] == 1
         finally:
             service.close()
 
@@ -232,7 +231,7 @@ class TestBackpressure:
             assert writer.submit(EdgeUpdate.insert(3, 9))
             # At capacity: a new target row is dropped...
             assert not writer.submit(EdgeUpdate.insert(4, 10))
-            assert writer.stats.dropped_updates == 1
+            assert writer.report()["dropped_updates"] == 1
             # ...but same-target coalescing and cancellation still land.
             assert writer.submit(EdgeUpdate.insert(5, 7))
             assert writer.submit(EdgeUpdate.delete(1, 7))  # cancels pending
@@ -258,7 +257,7 @@ class TestBackpressure:
             assert service.flush(timeout=60)
             expected = UpdateBatch(stream).applied(graph)
             assert set(service.engine.graph.edges()) == set(expected.edges())
-            assert service.writer.stats.max_queue_depth <= 4
+            assert service.writer.report()["max_queue_depth"] <= 4
         finally:
             service.close()
 
@@ -276,13 +275,13 @@ class TestErrorHandling:
                 service.flush(timeout=30)
             writer = service.writer
             assert writer.last_error is not None
-            assert writer.stats.errors == 1
+            assert writer.report()["errors"] == 1
             # Nothing lost: the poison update is back in the queue, and
             # the loop is paused rather than spinning on it.
             assert service.pending == 1
-            drains_before = writer.stats.drains
+            drains_before = writer.report()["drains"]
             time.sleep(0.05)
-            assert writer.stats.drains == drains_before
+            assert writer.report()["drains"] == drains_before
             # Repair the queue (cancel the poison insert) and resume.
             writer.submit(EdgeUpdate.delete(*existing))
             writer.clear_error()
