@@ -27,12 +27,13 @@ All commands accept ``--damping`` and ``--iterations``.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional
 
 import numpy as np
 
 from .config import SimRankConfig
-from .exceptions import GraphError
+from .exceptions import GraphError, ReproError
 from .graph.io import load_edge_list
 from .graph.stats import graph_stats
 from .graph.updates import EdgeUpdate, UpdateBatch
@@ -408,6 +409,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the CLI; returns a process exit code."""
+    """Run the CLI; returns a process exit code.
+
+    A library error (any :class:`~repro.exceptions.ReproError`) prints
+    one ``error: <message>`` line to stderr and returns 1; argparse
+    usage errors still exit 2.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

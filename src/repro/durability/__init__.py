@@ -24,7 +24,10 @@ from .checkpoint import (
     graph_from_packed,
     list_checkpoints,
     load_checkpoint,
+    load_session,
     read_manifest,
+    restore_stores,
+    save_session,
     write_checkpoint,
     write_manifest,
 )
@@ -55,7 +58,10 @@ __all__ = [
     "graph_from_packed",
     "list_checkpoints",
     "load_checkpoint",
+    "load_session",
     "read_manifest",
+    "restore_stores",
+    "save_session",
     "write_checkpoint",
     "write_manifest",
 ]

@@ -12,6 +12,14 @@ Older checkpoints may also carry ``col_indices``/``col_indptr``/
 ``row_weight`` (from before the store was one CSR) or a
 ``history.npz`` factor summary; recovery never reads them.
 
+:func:`restore_stores` is the one loader from a checkpoint to live
+state: the graph is rebuilt from the CSR arrays in bulk and the score
+store adopts the loaded shard blocks as its buffers, so neither
+recovery nor :meth:`DynamicSimRank.load
+<repro.incremental.engine.DynamicSimRank.load>` copies ``S``.  A saved
+session (:func:`save_session`) is a data dir in the same layout with
+one checkpoint and no WAL.
+
 Publication is atomic at two levels: each checkpoint is written into a
 ``checkpoints/tmp-*`` scratch directory, fsynced, and ``os.rename``d
 to its final ``ckpt-<version>`` name; the data dir's ``MANIFEST`` is
@@ -31,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import CorruptLogError
+from ..exceptions import ConfigError, CorruptLogError
+from ..executor.score_store import ScoreStore
 from ..graph import DynamicDiGraph
 
 __all__ = [
@@ -40,7 +49,10 @@ __all__ = [
     "graph_from_packed",
     "list_checkpoints",
     "load_checkpoint",
+    "load_session",
     "read_manifest",
+    "restore_stores",
+    "save_session",
     "write_checkpoint",
     "write_manifest",
 ]
@@ -161,6 +173,7 @@ def write_checkpoint(
     transition_store,
     damping: float,
     iterations: int,
+    algorithm: str = "inc-sr",
 ) -> str:
     """Write and atomically publish one checkpoint; returns its path.
 
@@ -192,6 +205,8 @@ def write_checkpoint(
         "shard_rows": int(score_store.shard_rows),
         "damping": float(damping),
         "iterations": int(iterations),
+        # Read back by DynamicSimRank.load only; recovery ignores it.
+        "algorithm": str(algorithm),
         "created_at": time.time(),
     }
     meta_path = os.path.join(tmp, "meta.json")
@@ -271,13 +286,93 @@ def graph_from_packed(packed_q: Dict[str, np.ndarray]) -> DynamicDiGraph:
     ``j`` in row ``i`` is an edge ``j → i``.  The edge *weights* are
     redundant (``1/indegree``, re-derived by
     :meth:`~repro.linalg.qstore.TransitionStore.from_graph`), so
-    structure alone reproduces the store.
+    structure alone reproduces the store.  Both adjacency directions
+    are sliced out of CSR arrays (the out-lists from a stable sort of
+    the edges by source), not added one edge at a time.
     """
     num_nodes = int(np.asarray(packed_q["num_nodes"]))
-    indptr = np.asarray(packed_q["indptr"])
-    indices = np.asarray(packed_q["indices"])
-    graph = DynamicDiGraph(num_nodes)
-    for target in range(num_nodes):
-        for source in indices[indptr[target] : indptr[target + 1]]:
-            graph.add_edge(int(source), target)
-    return graph
+    indptr = np.asarray(packed_q["indptr"], dtype=np.int64)
+    sources = np.asarray(packed_q["indices"], dtype=np.int64)
+    if (
+        indptr.shape != (num_nodes + 1,)
+        or indptr[0] != 0
+        or indptr[-1] != sources.size
+        or np.any(np.diff(indptr) < 0)
+        or (sources.size and (sources.min() < 0 or sources.max() >= num_nodes))
+    ):
+        raise CorruptLogError("checkpoint Q structure is not a valid CSR")
+    targets = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    order = np.argsort(sources, kind="stable")
+    out_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=num_nodes), out=out_ptr[1:])
+    return DynamicDiGraph.from_adjacency(
+        _slices(sources.tolist(), indptr.tolist()),
+        _slices(targets[order].tolist(), out_ptr.tolist()),
+    )
+
+
+def _slices(values: list, bounds: list) -> list:
+    return [set(values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def restore_stores(
+    data: CheckpointData, shard_rows: Optional[int] = None
+) -> Tuple[DynamicDiGraph, ScoreStore]:
+    """The live graph and score store of one loaded checkpoint.
+
+    The store adopts the checkpoint's shard blocks (see
+    :meth:`ScoreStore.from_blocks`); it re-shards only when
+    ``shard_rows`` differs from the saved one (None keeps the saved
+    one).  It has no telemetry bound: WAL replay into it is not counted
+    as served work.
+    """
+    if shard_rows is None:
+        shard_rows = int(data.meta["shard_rows"])
+    store = ScoreStore.from_blocks(data.shards, shard_rows=shard_rows)
+    return graph_from_packed(data.packed_q), store
+
+
+# ------------------------------------------------------------------ #
+# Saved sessions
+# ------------------------------------------------------------------ #
+
+
+def save_session(path: str, engine) -> None:
+    """Write ``engine``'s state to ``path`` as a session: one checkpoint.
+
+    A session is a data dir with one checkpoint and no WAL.  An earlier
+    session at ``path`` is replaced (its checkpoint is removed once the
+    manifest points at the new one), and so is a legacy single-file
+    session.  A durable data dir, which has a WAL, is refused: its log
+    would replay onto the saved state.
+    """
+    if os.path.isdir(os.path.join(path, "wal")):
+        raise ConfigError(
+            f"{path!r} is a durable data dir with a write-ahead log; "
+            "save the session to another path"
+        )
+    if os.path.isfile(path):
+        os.unlink(path)
+    os.makedirs(path, exist_ok=True)
+    version = int(engine.version)
+    write_checkpoint(
+        path,
+        version=version,
+        score_store=engine.score_store,
+        transition_store=engine.transition_store,
+        damping=engine.config.damping,
+        iterations=engine.config.iterations,
+        algorithm=engine.algorithm,
+    )
+    write_manifest(path, [version])
+    for other, other_path in list_checkpoints(path):
+        if other != version:
+            _remove_tree(other_path)
+
+
+def load_session(path: str) -> CheckpointData:
+    """The newest checkpoint of the data dir at ``path``."""
+    manifest = read_manifest(path)
+    if manifest is None:
+        raise ConfigError(f"{path!r} holds no saved session (no MANIFEST)")
+    return load_checkpoint(checkpoint_path(path, int(manifest["latest"])))

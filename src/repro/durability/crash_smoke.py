@@ -166,8 +166,9 @@ def run_round(data_dir: str, seed: int, round_index: int) -> int:
             "contract violated"
         )
     reference = oracle_scores(seed, recovered.version)
-    if not np.array_equal(recovered.scores, reference):
-        diff = float(np.max(np.abs(recovered.scores - reference)))
+    scores = recovered.store.to_array()
+    if not np.array_equal(scores, reference):
+        diff = float(np.max(np.abs(scores - reference)))
         raise SystemExit(
             f"round {round_index}: recovered scores diverge from the "
             f"oracle at v{recovered.version} (max |delta| = {diff:.3e})"

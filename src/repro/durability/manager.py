@@ -38,9 +38,6 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
-from ..dtypes import DEFAULT_FLOAT_DTYPE
 from ..exceptions import ConfigError, HistoryUnavailableError
 from ..executor.score_store import ScoreStore
 from ..graph import DynamicDiGraph
@@ -48,9 +45,9 @@ from ..incremental.plan import PlanBatch
 from ..linalg.qstore import TransitionStore
 from .checkpoint import (
     checkpoint_path,
-    graph_from_packed,
     load_checkpoint,
     read_manifest,
+    restore_stores,
     write_checkpoint,
     write_manifest,
 )
@@ -78,16 +75,9 @@ class RecoveredState:
 
     version: int
     graph: DynamicDiGraph
-    #: Dense scores in the checkpointed store's dtype.
-    scores: np.ndarray
-    meta: dict
-
-
-@dataclass
-class _Materialized:
-    version: int
+    #: The replayed store, in the checkpoint's dtype, without telemetry
+    #: (the engine built around it binds its own).
     store: ScoreStore
-    graph: DynamicDiGraph
     meta: dict
 
 
@@ -178,29 +168,29 @@ class DurabilityManager:
     # Recovery / attach
     # -------------------------------------------------------------- #
 
-    def recover(self) -> Optional[RecoveredState]:
+    def recover(
+        self, shard_rows: Optional[int] = None
+    ) -> Optional[RecoveredState]:
         """Replay checkpoint + WAL; None when the data dir is fresh.
 
-        Raises :class:`~repro.exceptions.CorruptLogError` on mid-log
-        damage (never silently diverges).  A torn WAL tail — the
-        expected residue of SIGKILL mid-append — was already truncated
-        when the log opened.
+        The store adopts the checkpoint's shard blocks, re-sharded only
+        when ``shard_rows`` differs from the checkpoint's (None keeps
+        it), and the WAL replays into it in place.  Raises
+        :class:`~repro.exceptions.CorruptLogError` on mid-log damage
+        (never silently diverges).  A torn WAL tail — the expected
+        residue of SIGKILL mid-append — was already truncated when the
+        log opened.
         """
         manifest = read_manifest(self.data_dir)
         if manifest is None:
             return None
         self._retained = [int(v) for v in manifest["retained"]]
-        state = self._materialize(target_version=None)
+        state = self._materialize(target_version=None, shard_rows=shard_rows)
         self._last_checkpoint_version = max(self._retained)
         self._durable_version = state.version
         self._damping = float(state.meta.get("damping", 0.0))
         self._iterations = int(state.meta.get("iterations", 0))
-        return RecoveredState(
-            version=state.version,
-            graph=state.graph,
-            scores=state.store.to_array(),
-            meta=state.meta,
-        )
+        return state
 
     def attach(self, engine) -> None:
         """Bind to the live engine; write the base checkpoint if fresh."""
@@ -293,6 +283,7 @@ class DurabilityManager:
                     transition_store=engine.transition_store,
                     damping=self._damping or engine.config.damping,
                     iterations=self._iterations or engine.config.iterations,
+                    algorithm=engine.algorithm,
                 )
                 retained = [v for v in self._retained if v != version]
                 retained.append(version)
@@ -371,7 +362,9 @@ class DurabilityManager:
         self._view_cache = (version, view)
         return view
 
-    def _materialize(self, target_version: Optional[int]) -> _Materialized:
+    def _materialize(
+        self, target_version: Optional[int], shard_rows: Optional[int] = None
+    ) -> RecoveredState:
         manifest = read_manifest(self.data_dir)
         if manifest is None:
             raise HistoryUnavailableError(
@@ -391,8 +384,7 @@ class DurabilityManager:
                 )
             base_version = max(candidates)
         data = load_checkpoint(checkpoint_path(self.data_dir, base_version))
-        store = self._store_from_checkpoint(data)
-        graph = graph_from_packed(data.packed_q)
+        graph, store = restore_stores(data, shard_rows=shard_rows)
         damping = float(data.meta.get("damping", self._damping))
         version = data.version
         for frame in self._wal.frames(
@@ -414,29 +406,9 @@ class DurabilityManager:
                 f"(replay from checkpoint v{base_version} reached "
                 f"v{version})"
             )
-        return _Materialized(
-            version=version, store=store, graph=graph, meta=data.meta
+        return RecoveredState(
+            version=version, graph=graph, store=store, meta=data.meta
         )
-
-    def _store_from_checkpoint(self, data) -> ScoreStore:
-        """Rebuild a ScoreStore from saved blocks, in their own dtype.
-
-        Replayed plans then scatter with the same cast points as the
-        live drains did.  A legacy checkpoint whose blocks mix float32
-        and float64 (its ``shard_dtypes`` meta is ignored) restores
-        into float64, which holds every float32 value exactly.
-        """
-        n = int(data.meta["num_nodes"])
-        shard_rows = int(data.meta["shard_rows"])
-        dtype = (
-            np.result_type(*data.shards) if data.shards else DEFAULT_FLOAT_DTYPE
-        )
-        dense = np.empty((n, n), dtype=dtype)
-        base = 0
-        for block in data.shards:
-            dense[base : base + block.shape[0], :] = block
-            base += block.shape[0]
-        return ScoreStore(dense, shard_rows=shard_rows, dtype=dtype)
 
     # -------------------------------------------------------------- #
     # Observability / lifecycle

@@ -187,6 +187,113 @@ class ScoreStore:
         dtype=None,
         telemetry=None,
     ) -> None:
+        dtype = resolve_dtype(dtype)
+        scores = np.asarray(scores, dtype=dtype)
+        if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+            raise DimensionError(
+                f"scores must be square, got shape {scores.shape}"
+            )
+        self._setup(scores.shape[0], shard_rows, dtype, telemetry)
+        for base in range(0, self._n, self._shard_rows):
+            rows = min(self._shard_rows, self._n - base)
+            # order="C" is load-bearing: np.array's default order="K"
+            # would inherit an F-ordered source (BLAS results often
+            # are), and the row-run slice adds are several times
+            # slower on F-ordered shards.
+            buffer = np.array(
+                scores[base : base + rows], dtype=self._dtype, order="C"
+            )
+            self._shards.append(_Shard(base, rows, buffer))
+
+    @classmethod
+    def from_blocks(
+        cls,
+        blocks: Sequence[np.ndarray],
+        shard_rows: int = DEFAULT_SHARD_ROWS,
+        telemetry=None,
+    ) -> "ScoreStore":
+        """A store over saved row blocks, adopted without copies.
+
+        ``blocks`` are consecutive ``rows × n`` row blocks of ``S`` (a
+        checkpoint's shards).  When every block but the last has
+        exactly ``shard_rows`` rows, all share one storage dtype and
+        each is a writable C-contiguous array, the blocks become the
+        shard buffers themselves: the caller hands them over and must
+        not touch them again.  Otherwise (a different ``shard_rows``,
+        or a legacy checkpoint mixing float32 and float64 blocks) the
+        rows are copied block by block into fresh shards of
+        ``shard_rows`` rows, in float64 when the dtypes mix, which holds
+        every float32 value exactly.  Never assembles a dense ``n × n``
+        matrix.
+        """
+        blocks = list(blocks)
+        n = sum(block.shape[0] for block in blocks)
+        if any(block.ndim != 2 or block.shape[1] != n for block in blocks):
+            raise DimensionError(
+                f"score blocks must be row blocks of an {n} x {n} matrix, "
+                f"got shapes {[block.shape for block in blocks]}"
+            )
+        dtypes = {block.dtype for block in blocks}
+        dtype = resolve_dtype(np.result_type(*dtypes) if dtypes else None)
+        store = cls.__new__(cls)
+        store._setup(n, shard_rows, dtype, telemetry)
+        shard_rows = store._shard_rows
+        last = len(blocks) - 1
+        adoptable = all(
+            block.dtype == dtype
+            and block.flags.c_contiguous
+            and block.flags.writeable
+            and (
+                block.shape[0] == shard_rows
+                or (index == last and 0 < block.shape[0] < shard_rows)
+            )
+            for index, block in enumerate(blocks)
+        )
+        if adoptable:
+            buffers = blocks
+        else:
+            starts = np.cumsum([0] + [block.shape[0] for block in blocks])
+            buffers = []
+            for base in range(0, n, shard_rows):
+                buffer = np.empty((min(shard_rows, n - base), n), dtype)
+                end = base + buffer.shape[0]
+                for start, block in zip(starts.tolist(), blocks):
+                    lo, hi = max(base, start), min(end, start + block.shape[0])
+                    if lo < hi:
+                        buffer[lo - base : hi - base] = block[
+                            lo - start : hi - start
+                        ]
+                buffers.append(buffer)
+        base = 0
+        for buffer in buffers:
+            store._shards.append(_Shard(base, buffer.shape[0], buffer))
+            base += buffer.shape[0]
+        return store
+
+    def _setup(self, n: int, shard_rows: int, dtype, telemetry) -> None:
+        """Shape, bookkeeping and instruments of an empty shard list."""
+        if shard_rows <= 0:
+            raise DimensionError(f"shard_rows must be positive: {shard_rows}")
+        self._dtype = dtype
+        self._n = int(n)
+        self._shard_rows = int(shard_rows)
+        self._shards: List[_Shard] = []
+        #: Optional shard-local top-k observer, notified on mutations.
+        self._topk = None
+        #: Monotone counter bumped by every mutation (mirrors
+        #: :attr:`TransitionStore.version`).
+        self.version = 0
+        #: Shard buffers cloned by copy-on-write since construction.
+        self.cow_copies = 0
+        self.bind_telemetry(telemetry)
+
+    def bind_telemetry(self, telemetry) -> None:
+        """Register the store's instruments in ``telemetry`` (None: off).
+
+        Recovery replays the WAL into a store without telemetry and then
+        binds the service's, so replayed plans are not counted as served
+        ones.
+        """
         if telemetry is None:
             from ..telemetry import NULL_TELEMETRY
 
@@ -221,47 +328,6 @@ class ScoreStore:
         self._fancy_passes = registry.counter(
             "repro_executor_apply_fancy_passes_total",
             help="Plan passes scattered through np.ix_ (sparse column span)",
-        )
-        self._dtype = resolve_dtype(dtype)
-        scores = np.asarray(scores, dtype=self._dtype)
-        if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-            raise DimensionError(
-                f"scores must be square, got shape {scores.shape}"
-            )
-        if shard_rows <= 0:
-            raise DimensionError(f"shard_rows must be positive: {shard_rows}")
-        self._n = scores.shape[0]
-        self._shard_rows = int(shard_rows)
-        self._shards: List[_Shard] = []
-        #: Optional shard-local top-k observer, notified on mutations.
-        self._topk = None
-        #: Monotone counter bumped by every mutation (mirrors
-        #: :attr:`TransitionStore.version`).
-        self.version = 0
-        #: Shard buffers cloned by copy-on-write since construction.
-        self.cow_copies = 0
-        for base in range(0, self._n, self._shard_rows):
-            rows = min(self._shard_rows, self._n - base)
-            # order="C" is load-bearing: np.array's default order="K"
-            # would inherit an F-ordered source (BLAS results often
-            # are), and the row-run slice adds are several times
-            # slower on F-ordered shards.
-            buffer = np.array(
-                scores[base : base + rows], dtype=self._dtype, order="C"
-            )
-            self._shards.append(_Shard(base, rows, buffer))
-
-    @classmethod
-    def from_dense(
-        cls,
-        scores: np.ndarray,
-        shard_rows: int = DEFAULT_SHARD_ROWS,
-        dtype=None,
-        telemetry=None,
-    ) -> "ScoreStore":
-        """Shard a dense score matrix (the initial batch precomputation)."""
-        return cls(
-            scores, shard_rows=shard_rows, dtype=dtype, telemetry=telemetry
         )
 
     # -------------------------------------------------------------- #

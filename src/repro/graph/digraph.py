@@ -85,6 +85,23 @@ class DynamicDiGraph:
             pairs.append((labels[source], labels[target]))
         return cls.from_edges(len(labels), pairs), labels
 
+    @classmethod
+    def from_adjacency(
+        cls, pred: List[Set[int]], succ: List[Set[int]]
+    ) -> "DynamicDiGraph":
+        """Adopt prebuilt in- and out-neighbor sets, one per node.
+
+        The bulk path for rebuilding a saved graph: the sets are taken
+        as they are, without per-edge checks, so ``succ`` must list
+        exactly the reversed edges of ``pred``.
+        """
+        graph = cls(0)
+        graph._num_nodes = len(pred)
+        graph._pred = dict(enumerate(pred))
+        graph._succ = dict(enumerate(succ))
+        graph._num_edges = sum(len(sources) for sources in pred)
+        return graph
+
     def copy(self) -> "DynamicDiGraph":
         """Return an independent deep copy of this graph."""
         clone = DynamicDiGraph(self._num_nodes)

@@ -37,6 +37,7 @@ versions for free.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
@@ -45,7 +46,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..config import SimRankConfig
-from ..dtypes import resolve_dtype
 from ..exceptions import ConfigError, GraphError
 from ..executor.score_store import DEFAULT_SHARD_ROWS, ScoreStore
 from ..executor.topk_index import ShardTopK, top_k_from_blocks
@@ -59,6 +59,13 @@ from .affected import AffectedAreaStats
 from .workspace import UpdateWorkspace
 
 ALGORITHMS = ("inc-sr", "inc-usr", "batch")
+
+
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
 
 
 @dataclass
@@ -124,22 +131,8 @@ class DynamicSimRank:
         score_dtype: Optional[str] = None,
         telemetry=None,
     ) -> None:
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        self._config = default_config(config)
-        self._graph = graph.copy()
-        self._algorithm = algorithm
-        self._paranoid = bool(paranoid)
-        self._score_dtype = resolve_dtype(score_dtype)
-        if telemetry is None:
-            from ..telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._telemetry = telemetry
-        self._store = TransitionStore.from_graph(self._graph)
-        self._workspace = UpdateWorkspace(self._graph.num_nodes)
+        _check_algorithm(algorithm)
+        self._setup(graph.copy(), default_config(config), algorithm, paranoid)
         if initial_scores is None:
             scores = matrix_simrank(self._store.csr_matrix(), self._config)
         else:
@@ -152,9 +145,49 @@ class DynamicSimRank:
         self._scores = ScoreStore(
             scores,
             shard_rows=shard_rows,
-            dtype=self._score_dtype,
+            dtype=score_dtype,
             telemetry=telemetry,
         )
+
+    @classmethod
+    def _from_state(
+        cls,
+        graph: DynamicDiGraph,
+        scores: ScoreStore,
+        config: SimRankConfig,
+        algorithm: str = "inc-sr",
+        version: int = 0,
+        telemetry=None,
+    ) -> "DynamicSimRank":
+        """An engine that takes ownership of a loaded graph and store.
+
+        The loading path (:meth:`load`, durable recovery): no graph
+        copy, no batch precomputation and no dense ``S`` round trip.
+        ``telemetry``, when given, is bound to the store.
+        """
+        _check_algorithm(algorithm)
+        if telemetry is not None:
+            scores.bind_telemetry(telemetry)
+        engine = cls.__new__(cls)
+        engine._setup(graph, default_config(config), algorithm)
+        engine._scores = scores
+        engine.restore_version(version)
+        return engine
+
+    def _setup(
+        self,
+        graph: DynamicDiGraph,
+        config: SimRankConfig,
+        algorithm: str,
+        paranoid: bool = False,
+    ) -> None:
+        """Everything but the score store, which the caller sets."""
+        self._config = config
+        self._graph = graph
+        self._algorithm = algorithm
+        self._paranoid = bool(paranoid)
+        self._store = TransitionStore.from_graph(graph)
+        self._workspace = UpdateWorkspace(graph.num_nodes)
         self._topk_index = None
         self._history: List[UpdateStats] = []
         #: Running wall-clock sum over unit updates and drains alike.
@@ -181,8 +214,8 @@ class DynamicSimRank:
 
     @property
     def score_dtype(self) -> np.dtype:
-        """The configured storage dtype of the score shards."""
-        return self._score_dtype
+        """The storage dtype of the score shards."""
+        return self._scores.dtype
 
     @property
     def graph(self) -> DynamicDiGraph:
@@ -439,13 +472,13 @@ class DynamicSimRank:
         return drained
 
     def restore_version(self, version: int) -> None:
-        """Reset the monotone version counter (crash-restart recovery).
+        """Reset the monotone version counter (load and recovery).
 
-        Called exactly once, by the serving layer, after rebuilding the
-        engine from a durability checkpoint + WAL replay — the restored
-        state *is* the state at ``version``, and every downstream
-        consumer (acks, time travel, the front door's version header)
-        keys off this counter matching the durable history.
+        Called once, when an engine is built around loaded state (a
+        saved session, or a durability checkpoint + WAL replay) — the
+        restored state *is* the state at ``version``, and every
+        downstream consumer (acks, time travel, the front door's version
+        header) keys off this counter matching the durable history.
         """
         self._version = int(version)
 
@@ -476,51 +509,74 @@ class DynamicSimRank:
     # ------------------------------------------------------------------ #
 
     def save(self, path: str) -> None:
-        """Persist the session (graph, S, config) to a ``.npz`` file.
+        """Persist the session (graph, ``S``, config, version) at ``path``.
 
         The paper's workflow precomputes SimRank once and then serves
         updates; persisting the state lets that precomputation survive
-        process restarts.  ``Q`` is rebuilt on load (cheaper than
-        storing it).  The file is written at ``path`` exactly; numpy
-        would append ``.npz`` to a bare path name.
+        process restarts.  ``path`` (used exactly as given, ``.npz``
+        suffix or not) becomes a durability data dir holding one
+        checkpoint and no WAL, so ``SimRankService(durability=path)``
+        can serve it too; see
+        :func:`~repro.durability.checkpoint.save_session`.  Saving again
+        replaces the session.
         """
-        edges = np.asarray(list(self._graph.edges()), dtype=np.int64)
-        with open(path, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                num_nodes=np.asarray([self._graph.num_nodes], dtype=np.int64),
-                edges=edges.reshape(-1, 2),
-                scores=self._scores.to_array(),
-                damping=np.asarray([self._config.damping]),
-                iterations=np.asarray([self._config.iterations], dtype=np.int64),
-                algorithm=np.asarray([self._algorithm]),
-                score_dtype=np.asarray([self._score_dtype.name]),
-            )
+        from ..durability.checkpoint import save_session
+
+        save_session(path, self)
 
     @classmethod
     def load(cls, path: str) -> "DynamicSimRank":
-        """Restore a session previously written by :meth:`save`."""
-        payload = np.load(path, allow_pickle=False)
-        num_nodes = int(payload["num_nodes"][0])
-        graph = DynamicDiGraph(num_nodes)
-        for source, target in payload["edges"]:
-            graph.add_edge(int(source), int(target))
+        """Restore a session previously written by :meth:`save`.
+
+        A directory is read through the checkpoint loader shared with
+        durable recovery: the score store adopts the saved blocks, and
+        the engine resumes at the saved version.  Only the newest
+        checkpoint is read; a durable data dir's WAL is recovered by
+        opening it with ``SimRankService(durability=...)`` instead.  A
+        regular file is a legacy compressed ``.npz`` session (read-only;
+        it restarts at version 0).
+        """
+        if os.path.isfile(path):
+            return cls._load_legacy(path)
+        from ..durability.checkpoint import load_session, restore_stores
+
+        data = load_session(path)
+        graph, scores = restore_stores(data, shard_rows=DEFAULT_SHARD_ROWS)
         config = SimRankConfig(
-            damping=float(payload["damping"][0]),
-            iterations=int(payload["iterations"][0]),
+            damping=float(data.meta["damping"]),
+            iterations=int(data.meta["iterations"]),
         )
-        score_dtype = (
-            str(payload["score_dtype"][0])
-            if "score_dtype" in payload.files
-            else None
-        )
-        return cls(
+        return cls._from_state(
             graph,
+            scores,
             config,
-            algorithm=str(payload["algorithm"][0]),
-            initial_scores=payload["scores"],
-            score_dtype=score_dtype,
+            algorithm=data.meta.get("algorithm", "inc-sr"),
+            version=data.version,
         )
+
+    @classmethod
+    def _load_legacy(cls, path: str) -> "DynamicSimRank":
+        """Read a single-file session written before sessions were dirs."""
+        with np.load(path, allow_pickle=False) as payload:
+            graph = DynamicDiGraph.from_edges(
+                int(payload["num_nodes"][0]), payload["edges"].tolist()
+            )
+            config = SimRankConfig(
+                damping=float(payload["damping"][0]),
+                iterations=int(payload["iterations"][0]),
+            )
+            score_dtype = (
+                str(payload["score_dtype"][0])
+                if "score_dtype" in payload.files
+                else None
+            )
+            return cls(
+                graph,
+                config,
+                algorithm=str(payload["algorithm"][0]),
+                initial_scores=payload["scores"],
+                score_dtype=score_dtype,
+            )
 
     # ------------------------------------------------------------------ #
     # Aggregates

@@ -37,6 +37,7 @@ from ..exceptions import (
     HistoryUnavailableError,
     ServiceClosedError,
 )
+from ..executor.score_store import DEFAULT_SHARD_ROWS
 from ..graph.digraph import DynamicDiGraph
 from ..graph.updates import EdgeUpdate, UpdateBatch
 from ..incremental.engine import DynamicSimRank
@@ -54,6 +55,7 @@ from .snapshot import SnapshotView
 from .writer import (
     DEFAULT_DRAIN_INTERVAL,
     DEFAULT_MAX_PENDING,
+    DRAIN_HELP,
     BackgroundWriter,
 )
 
@@ -159,8 +161,7 @@ class SimRankService:
             help="In-process query latency (snapshot pin + execute)",
         )
         self._drain_hist = self.telemetry.registry.histogram(
-            "repro_drain_apply_seconds",
-            help="Consolidated drain apply wall time (sync + background)",
+            "repro_drain_apply_seconds", help=DRAIN_HELP
         )
         #: Trace ids of traced update submissions awaiting the drain
         #: that folds them in (bounded; drained by the next apply).
@@ -177,6 +178,7 @@ class SimRankService:
             self._durability = DurabilityManager(
                 cfg.durability, telemetry=self.telemetry
             )
+        shard_rows = cfg.shard_rows or DEFAULT_SHARD_ROWS
         try:
             recovered = None
             if self._durability is not None:
@@ -184,35 +186,36 @@ class SimRankService:
                 # caller's graph/scores: the durable history *is* the
                 # service state, restored bit-identical to the last
                 # acked drain.  The arguments seed only a fresh dir.
-                recovered = self._durability.recover()
-                if recovered is not None:
-                    stored = recovered.scores.dtype.name
-                    if stored != self._precision:
-                        # Widening or narrowing here would make the
-                        # recovered scores differ from the live ones.
-                        raise ConfigError(
-                            f"data dir {cfg.durability.data_dir!r} holds "
-                            f"{stored} scores but precision is "
-                            f"{self._precision}; reopen it with "
-                            f"precision={stored!r}"
-                        )
-                    graph = recovered.graph
-                    initial_scores = recovered.scores
-            engine_kwargs = {}
-            if cfg.shard_rows is not None:
-                engine_kwargs["shard_rows"] = cfg.shard_rows
-            self._engine = DynamicSimRank(
-                graph,
-                simrank_config,
-                algorithm="inc-sr",
-                initial_scores=initial_scores,
-                score_dtype=self._precision,
-                telemetry=self.telemetry,
-                **engine_kwargs,
-            )
+                recovered = self._durability.recover(shard_rows=shard_rows)
+            if recovered is None:
+                self._engine = DynamicSimRank(
+                    graph,
+                    simrank_config,
+                    algorithm="inc-sr",
+                    initial_scores=initial_scores,
+                    shard_rows=shard_rows,
+                    score_dtype=self._precision,
+                    telemetry=self.telemetry,
+                )
+            else:
+                stored = recovered.store.dtype.name
+                if stored != self._precision:
+                    # Widening or narrowing here would make the
+                    # recovered scores differ from the live ones.
+                    raise ConfigError(
+                        f"data dir {cfg.durability.data_dir!r} holds "
+                        f"{stored} scores but precision is "
+                        f"{self._precision}; reopen it with "
+                        f"precision={stored!r}"
+                    )
+                self._engine = DynamicSimRank._from_state(
+                    recovered.graph,
+                    recovered.store,
+                    simrank_config,
+                    version=recovered.version,
+                    telemetry=self.telemetry,
+                )
             if self._durability is not None:
-                if recovered is not None:
-                    self._engine.restore_version(recovered.version)
                 self._durability.attach(self._engine)
         except BaseException:
             # Never leak the data-dir lock on a failed construction.
@@ -457,23 +460,25 @@ class SimRankService:
         started = time.perf_counter()
         try:
             groups = self._engine.apply_consolidated(batch)
-            elapsed = time.perf_counter() - started
-            self._drain_hist.observe(elapsed)
-            for trace_id in traces:
-                tracer.record(
-                    "drain.apply",
-                    trace_id,
-                    elapsed,
-                    fan_in=len(traces),
-                    updates=len(batch),
-                    groups=groups,
-                )
-            self._durable_on_drain()
-            self._notify_drained(self._engine.version)
-            return groups
         except Exception:
             self._scheduler.submit_many(batch)
             raise
+        # The same extent the background writer times: apply, WAL
+        # append (and any checkpoint), publish.
+        self._durable_on_drain()
+        self._notify_drained(self._engine.version)
+        elapsed = time.perf_counter() - started
+        self._drain_hist.observe(elapsed)
+        for trace_id in traces:
+            tracer.record(
+                "drain.apply",
+                trace_id,
+                elapsed,
+                fan_in=len(traces),
+                updates=len(batch),
+                groups=groups,
+            )
+        return groups
 
     def flush(self, timeout: Optional[float] = None) -> bool:
         """Ensure everything queued so far is applied.

@@ -62,6 +62,13 @@ DEFAULT_DRAIN_INTERVAL = 0.005
 #: Default bound on net queued updates.
 DEFAULT_MAX_PENDING = 4096
 
+#: Help text of ``repro_drain_apply_seconds``, which sync drains and
+#: the background writer observe over the same extent.
+DRAIN_HELP = (
+    "Drain wall time: consolidated apply, WAL append and any "
+    "checkpoint, snapshot publish (sync + background)"
+)
+
 
 class BackgroundWriter:
     """Dedicated drain-loop thread over one engine + scheduler pair.
@@ -88,8 +95,9 @@ class BackgroundWriter:
         can never stall the drain loop.
     telemetry:
         A :class:`repro.telemetry.Telemetry` facade (None → the shared
-        disabled instance).  Each drain observes its apply wall time
-        into the ``repro_drain_apply_seconds`` histogram and records a
+        disabled instance).  Each drain observes its wall time (apply,
+        WAL append, publish) into the ``repro_drain_apply_seconds``
+        histogram and records a
         ``drain.apply`` span per traced origin submission.
     trace_source:
         Optional zero-argument callable returning the trace ids of the
@@ -128,8 +136,7 @@ class BackgroundWriter:
         #: Applied drains, sync and background alike: the writer's
         #: drain count and apply seconds are read off it.
         self._drain_hist = registry.histogram(
-            "repro_drain_apply_seconds",
-            help="Consolidated drain apply wall time (sync + background)",
+            "repro_drain_apply_seconds", help=DRAIN_HELP
         )
         registry.gauge(
             "repro_writer_queue_depth",

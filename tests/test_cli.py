@@ -1,10 +1,14 @@
 """Tests for repro.cli (the top-level command line)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, load_update_file, main
-from repro.exceptions import ConfigError, GraphError
+from repro.exceptions import GraphError
 from repro.graph.io import save_edge_list
 
 
@@ -170,12 +174,42 @@ class TestCommands:
         config_path = tmp_path / "service.json"
         config_path.write_text('{"damping": 0.7, "iterations": 9}')
         serve = ["serve", edges_file, updates_file, "--config", str(config_path)]
-        with pytest.raises(ConfigError, match="damping"):
-            main(["--damping", "0.9", *serve])
-        with pytest.raises(ConfigError, match="iterations"):
-            main(["--iterations", "12", *serve])
+        assert main(["--damping", "0.9", *serve]) == 1
+        assert "damping" in capsys.readouterr().err
+        assert main(["--iterations", "12", *serve]) == 1
+        assert "iterations" in capsys.readouterr().err
         assert main(["--damping", "0.7", "--iterations", "9", *serve]) == 0
         assert "still serves the frozen version: yes" in capsys.readouterr().out
+
+    def test_library_error_is_one_line(self, edges_file, tmp_path):
+        """A ReproError exits 1 with one ``error:`` line, no traceback:
+        here a float32 data dir reopened without ``--precision``."""
+        data_dir = str(tmp_path / "data")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        serve = [sys.executable, "-m", "repro", "serve", edges_file,
+                 str(empty), "--data-dir", data_dir]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [
+                os.path.join(os.path.dirname(__file__), "..", "src"),
+                os.environ.get("PYTHONPATH", ""),
+            ])),
+        }
+        first = subprocess.run(
+            [*serve, "--precision", "float32"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert first.returncode == 0, first.stderr
+        reopen = subprocess.run(
+            serve, capture_output=True, text=True, timeout=120, env=env
+        )
+        assert reopen.returncode == 1
+        lines = reopen.stderr.splitlines()
+        assert len(lines) == 1, reopen.stderr
+        assert lines[0].startswith("error: ")
+        assert "float32" in lines[0]
+        assert "Traceback" not in reopen.stderr
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

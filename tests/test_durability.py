@@ -308,7 +308,9 @@ class TestCorruptionProperties:
             manager.close()
         # One torn frame: recovery lands exactly one version earlier.
         assert recovered.version == len(batches) - 1
-        assert np.array_equal(recovered.scores, oracle[recovered.version])
+        assert np.array_equal(
+            recovered.store.to_array(), oracle[recovered.version]
+        )
 
 
 # ------------------------------------------------------------------ #
@@ -376,6 +378,52 @@ class TestCheckpoints:
         with pytest.raises(CorruptLogError):
             read_manifest(str(tmp_path))
 
+    def test_recovery_adopts_checkpoint_blocks(
+        self, workload, tmp_path, monkeypatch
+    ):
+        """Recovery replays into the loaded shard blocks themselves, and
+        the reopened service's engine serves from that very store."""
+        from repro.durability import manager as manager_module
+
+        graph, scores, batches = workload
+        config = DurabilityConfig(
+            data_dir=str(tmp_path), fsync="off", checkpoint_interval=100
+        )
+        service = SimRankService(
+            graph.copy(), CFG, initial_scores=scores.copy(),
+            shard_rows=8, durability=config,
+        )
+        for batch in batches[:3]:
+            service.submit_many(batch)
+            service.drain()
+        live, version = service.engine.similarities(), service.version
+        service.close()
+        loaded = []
+        load = manager_module.load_checkpoint
+
+        def capture(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(manager_module, "load_checkpoint", capture)
+        reopened = SimRankService(
+            graph.copy(), CFG, shard_rows=8, durability=config
+        )
+        try:
+            assert reopened.version == version
+            assert np.array_equal(reopened.engine.similarities(), live)
+            (data,) = loaded
+            store = reopened.engine.score_store
+            assert store.telemetry is reopened.telemetry
+            blocks = [block for _, block in store.iter_shard_blocks()]
+            assert len(blocks) == len(data.shards) > 1
+            assert all(
+                np.shares_memory(saved, block)
+                for saved, block in zip(data.shards, blocks)
+            )
+        finally:
+            reopened.close()
+
     def test_legacy_mixed_dtype_checkpoint_restores_float64(
         self, workload, tmp_path
     ):
@@ -410,8 +458,8 @@ class TestCheckpoints:
             view = manager.view_at(0, CFG)
         finally:
             manager.close()
-        assert recovered.scores.dtype == np.float64
-        assert np.array_equal(recovered.scores, expected)
+        assert recovered.store.dtype == np.float64
+        assert np.array_equal(recovered.store.to_array(), expected)
         assert view.similarities().dtype == np.float64
         assert np.array_equal(view.similarities(), expected)
 

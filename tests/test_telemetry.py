@@ -39,6 +39,7 @@ from repro.graph.updates import EdgeUpdate
 from repro.incremental.plan import UpdatePlan
 from repro.serving import (
     BackgroundWriter,
+    DurabilityConfig,
     ServiceConfig,
     SimRankService,
     TelemetryConfig,
@@ -384,6 +385,42 @@ class TestFlightRecorder:
 # ------------------------------------------------------------------ #
 # Service integration: report compatibility + config plumbing
 # ------------------------------------------------------------------ #
+
+
+class TestDrainExtent:
+    @pytest.mark.parametrize("writer", ["sync", "background"])
+    def test_drain_histogram_covers_the_wal_append(
+        self, workload, tmp_path, monkeypatch, writer
+    ):
+        """``repro_drain_apply_seconds`` times apply, WAL append and
+        publish in both writer modes: a 20 ms append shows in its mean."""
+        from repro.durability.manager import DurabilityManager
+        from repro.graph.generators import random_insertions
+
+        append = DurabilityManager.append_drain
+
+        def slow_append(self, *args, **kwargs):
+            time.sleep(0.02)
+            return append(self, *args, **kwargs)
+
+        monkeypatch.setattr(DurabilityManager, "append_drain", slow_append)
+        graph, scores = workload
+        service = SimRankService(
+            graph.copy(),
+            CFG,
+            initial_scores=scores.copy(),
+            writer=writer,
+            durability=DurabilityConfig(data_dir=str(tmp_path), fsync="off"),
+        )
+        try:
+            for update in random_insertions(graph, 3, seed=5):
+                service.submit(update)
+                assert service.flush(timeout=30)
+            hist = service.telemetry.registry.get("repro_drain_apply_seconds")
+        finally:
+            service.close()
+        assert hist.count == 3
+        assert hist.sum / hist.count >= 0.02
 
 
 class TestServiceIntegration:
