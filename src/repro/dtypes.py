@@ -10,8 +10,8 @@ Two invariants the rest of the stack relies on:
 * ``float64`` is the default and the bit-identity reference: with no
   explicit dtype anywhere, every code path must produce bit-identical
   results to the pre-dtype-seam implementation.
-* Plan *values* are always float64 (the packed WAL format bit-copies
-  them through int64 words); float32 applies to score **storage**,
+* Plan *values* are always float64 (the WAL stores the panels' raw
+  float64 bytes); float32 applies to score **storage**,
   where the scatter-add casts on store.  That keeps live apply and WAL
   replay bit-identical at either storage dtype.
 """

@@ -3,9 +3,10 @@
 Three pieces, one data directory:
 
 * :mod:`repro.durability.wal` — the checksummed append-only
-  write-ahead log of factored deltas (each acked drain's
-  ``PackedPlanBatch`` words plus its consolidated row updates, framed
-  with length + CRC32, with configurable fsync and rotation).
+  write-ahead log of factored deltas (each acked drain's consolidated
+  row updates plus its fused plan's support unions and dense panels as
+  raw words, framed with length + CRC32, with configurable fsync and
+  rotation).
 * :mod:`repro.durability.checkpoint` — atomic base checkpoints: the
   score shards dtype-exact and the packed ``Q`` snapshot, published by
   manifest rename.
@@ -36,11 +37,12 @@ from .wal import (
     FSYNC_POLICIES,
     KIND_ADD_NODE,
     KIND_BATCH,
+    KIND_DRAIN,
     WalFrame,
     WriteAheadLog,
     decode_frames,
     encode_add_node_frame,
-    encode_batch_frame,
+    encode_drain_frame,
 )
 
 __all__ = [
@@ -49,12 +51,13 @@ __all__ = [
     "FSYNC_POLICIES",
     "KIND_ADD_NODE",
     "KIND_BATCH",
+    "KIND_DRAIN",
     "RecoveredState",
     "WalFrame",
     "WriteAheadLog",
     "decode_frames",
     "encode_add_node_frame",
-    "encode_batch_frame",
+    "encode_drain_frame",
     "graph_from_packed",
     "list_checkpoints",
     "load_checkpoint",

@@ -41,7 +41,6 @@ from typing import List, Optional
 from ..exceptions import ConfigError, HistoryUnavailableError
 from ..executor.score_store import ScoreStore
 from ..graph import DynamicDiGraph
-from ..incremental.plan import PlanBatch
 from ..linalg.qstore import TransitionStore
 from .checkpoint import (
     checkpoint_path,
@@ -58,10 +57,10 @@ from .reaper import (
     unregister_durability,
 )
 from .wal import (
-    KIND_BATCH,
+    KIND_ADD_NODE,
     WriteAheadLog,
     encode_add_node_frame,
-    encode_batch_frame,
+    encode_drain_frame,
 )
 
 __all__ = ["DurabilityManager", "RecoveredState"]
@@ -213,8 +212,8 @@ class DurabilityManager:
     # Append side (caller holds the apply lock)
     # -------------------------------------------------------------- #
 
-    def append_drain(self, version: int, row_updates, plans) -> bool:
-        """WAL one acked drain; True when it became durable.
+    def append_drain(self, version: int, row_updates, plan) -> bool:
+        """WAL one acked drain and its plan; True when it became durable.
 
         Never raises: an append failure flags the manager failed (the
         on-disk log must stay a consistent prefix of acked history, so
@@ -224,9 +223,8 @@ class DurabilityManager:
         if self._failed or self._closed:
             return False
         try:
-            packed = PlanBatch(list(plans)).packed()
-            record = encode_batch_frame(int(version), row_updates, packed)
-            self._wal.append(record, int(version))
+            record = encode_drain_frame(int(version), row_updates, plan)
+            self._wal.append(record, int(version) - 1)
         except Exception as exc:  # noqa: BLE001 - containment seam
             self._mark_failed("wal_append", exc)
             return False
@@ -243,7 +241,7 @@ class DurabilityManager:
             return False
         try:
             record = encode_add_node_frame(int(version), node, num_nodes)
-            self._wal.append(record, int(version))
+            self._wal.append(record, int(version) - 1)
         except Exception as exc:  # noqa: BLE001 - containment seam
             self._mark_failed("wal_append", exc)
             return False
@@ -390,15 +388,15 @@ class DurabilityManager:
         for frame in self._wal.frames(
             after_version=base_version, through_version=target_version
         ):
-            if frame.kind == KIND_BATCH:
-                for plan in frame.packed.plans():
-                    store.apply_plan(plan)
-                for row_update in frame.row_updates:
-                    row_update.apply_to(graph)
-            else:
+            if frame.kind == KIND_ADD_NODE:
                 node = graph.add_node()
                 store.add_node()
                 store.set_entry(node, node, 1.0 - damping)
+            else:
+                for plan in frame.plans:
+                    store.apply_plan(plan)
+                for row_update in frame.row_updates:
+                    row_update.apply_to(graph)
             version = frame.version
         if target_version is not None and version != target_version:
             raise HistoryUnavailableError(

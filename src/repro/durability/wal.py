@@ -3,11 +3,12 @@
 The WAL is the crash-consistency half of :mod:`repro.durability`: every
 acked drain appends one frame carrying (a) the drain's consolidated
 :class:`~repro.incremental.row_update.RowUpdate` list — the graph/``Q``
-surgery — and (b) the drain's plans in the
-:class:`~repro.incremental.plan.PackedPlanBatch` encoding (one
-contiguous 8-byte-word block, bit-exact round-trip tested).  Replaying
-a frame therefore reproduces exactly the state transition the live
-drain performed.
+surgery — and (b) the drain's one fused
+:class:`~repro.incremental.plan.UpdatePlan` as it was applied: its
+support unions and its two dense panels, as raw 8-byte words.  Replay
+wraps those bytes with ``np.frombuffer``, so the GEMM gets the live
+operands bit for bit and a frame reproduces exactly the state
+transition the live drain performed.
 
 Frame layout (little-endian)::
 
@@ -17,16 +18,23 @@ Frame layout (little-endian)::
 
     payload = kind: u32 | flags: u32 | version: u64 | body
 
-Body of a ``KIND_BATCH`` frame::
+Body of a ``KIND_DRAIN`` frame::
 
     row_words: u64                  # int64 words describing RowUpdates
     <row_words * 8 bytes>           # n; then per row: target,
                                     #   n_added, n_removed, added..., removed...
-    count: u64                      # plans in the packed batch
-    lens_len, idx_len, val_len: u64 # PackedPlanBatch section lengths
-    <packed word block>             # PackedPlanBatch.write_words bytes
+    target: i64                     # the plan's target row
+    rank, rows, cols: u64           # all 0 when the drain changed no score
+    <rows int64>                    # rows_union
+    <cols int64>                    # cols_union
+    <rows * rank float64>           # L, row-major
+    <cols * rank float64>           # R, row-major
 
 Body of a ``KIND_ADD_NODE`` frame: ``node: u64 | num_nodes: u64``.
+
+``KIND_BATCH`` frames, which older versions wrote, carry the same row
+words followed by a batch of plans stored as sparse factors; only
+:func:`_decode_legacy_plans` reads them, and nothing writes them.
 
 Damage semantics — the load-bearing distinction of the whole module:
 
@@ -61,27 +69,31 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import ConfigError, CorruptLogError
-from ..incremental.plan import PackedPlanBatch
+from ..incremental.plan import UpdatePlan
 from ..incremental.row_update import RowUpdate
 
 __all__ = [
     "FSYNC_POLICIES",
     "KIND_ADD_NODE",
     "KIND_BATCH",
+    "KIND_DRAIN",
     "WalFrame",
     "WriteAheadLog",
     "decode_frames",
     "encode_add_node_frame",
-    "encode_batch_frame",
+    "encode_drain_frame",
 ]
 
 MAGIC = b"RWFR"
 _HEADER = struct.Struct("<4sII")  # magic, payload length, crc32(payload)
 _PAYLOAD_HEAD = struct.Struct("<IIQ")  # kind, flags, version
 _U64 = struct.Struct("<Q")
+_PLAN_HEAD = struct.Struct("<qQQQ")  # target, rank, |rows|, |cols|
+_LEGACY_HEAD = struct.Struct("<QQQQ")  # count, lens_len, idx_len, val_len
 
-KIND_BATCH = 1
+KIND_BATCH = 1  # legacy: read, never written
 KIND_ADD_NODE = 2
+KIND_DRAIN = 3
 
 #: ``always`` → fsync every append; ``interval`` → fsync at most once
 #: per ``fsync_interval`` seconds; ``off`` → flush to the OS only.
@@ -101,10 +113,11 @@ class WalFrame:
 
     kind: int
     version: int
-    #: ``KIND_BATCH`` only: the drain's consolidated graph surgery.
+    #: Drain frames only: the drain's consolidated graph surgery.
     row_updates: Tuple[RowUpdate, ...] = ()
-    #: ``KIND_BATCH`` only: the drain's plans, packed.
-    packed: Optional[PackedPlanBatch] = None
+    #: Drain frames only: the plans to apply, in order — at most one,
+    #: except in legacy frames that hold one plan per row group.
+    plans: Tuple[UpdatePlan, ...] = ()
     #: ``KIND_ADD_NODE`` only.
     node: int = -1
     num_nodes: int = -1
@@ -148,24 +161,25 @@ def _decode_row_updates(words: np.ndarray) -> Tuple[RowUpdate, ...]:
     return tuple(out)
 
 
-def encode_batch_frame(version: int, row_updates, packed: PackedPlanBatch) -> bytes:
-    """Serialize one acked drain as a complete framed record."""
+def encode_drain_frame(
+    version: int, row_updates, plan: Optional[UpdatePlan]
+) -> bytes:
+    """Serialize one acked drain and its plan (None: no score changed)."""
     row_words = _encode_row_updates(row_updates)
-    lens_len, idx_len, val_len = packed.section_lengths()
-    block = np.empty(packed.word_count(), dtype=np.int64)
-    packed.write_words(block)
-    body = b"".join(
-        (
-            _U64.pack(row_words.size),
-            row_words.tobytes(),
-            _U64.pack(packed.count),
-            _U64.pack(lens_len),
-            _U64.pack(idx_len),
-            _U64.pack(val_len),
-            block.tobytes(),
-        )
-    )
-    return _frame(KIND_BATCH, version, body)
+    parts = [_U64.pack(row_words.size), row_words.tobytes()]
+    if plan is None:
+        parts.append(_PLAN_HEAD.pack(-1, 0, 0, 0))
+    else:
+        rows, cols = plan.rows_union, plan.cols_union
+        left, right = plan.panels()
+        parts += [
+            _PLAN_HEAD.pack(plan.target, plan.rank, rows.size, cols.size),
+            rows.astype(np.int64, copy=False).tobytes(),
+            cols.astype(np.int64, copy=False).tobytes(),
+            left.tobytes(),
+            right.tobytes(),
+        ]
+    return _frame(KIND_DRAIN, version, b"".join(parts))
 
 
 def encode_add_node_frame(version: int, node: int, num_nodes: int) -> bytes:
@@ -182,28 +196,91 @@ def _decode_payload(payload: bytes) -> WalFrame:
         return WalFrame(
             kind=kind, version=version, node=int(node), num_nodes=int(num_nodes)
         )
-    if kind != KIND_BATCH:
+    if kind not in (KIND_DRAIN, KIND_BATCH):
         raise ValueError(f"unknown WAL frame kind {kind}")
     row_words = _U64.unpack_from(payload, at)[0]
     at += 8
     rows = np.frombuffer(payload, dtype=np.int64, count=row_words, offset=at)
     at += row_words * 8
-    count = _U64.unpack_from(payload, at)[0]
-    lens_len = _U64.unpack_from(payload, at + 8)[0]
-    idx_len = _U64.unpack_from(payload, at + 16)[0]
-    val_len = _U64.unpack_from(payload, at + 24)[0]
-    at += 32
-    total = count * 2 + lens_len + idx_len + val_len
-    block = np.frombuffer(payload, dtype=np.int64, count=total, offset=at)
-    packed = PackedPlanBatch.from_words(
-        block, int(count), (int(lens_len), int(idx_len), int(val_len))
-    )
+    decode_plans = _decode_plan if kind == KIND_DRAIN else _decode_legacy_plans
     return WalFrame(
         kind=kind,
         version=version,
         row_updates=_decode_row_updates(rows),
-        packed=packed,
+        plans=decode_plans(payload, at),
     )
+
+
+def _decode_plan(payload: bytes, at: int) -> Tuple[UpdatePlan, ...]:
+    """A ``KIND_DRAIN`` frame's plan: views of the frame's bytes."""
+    target, rank, rows_len, cols_len = _PLAN_HEAD.unpack_from(payload, at)
+    if rank == 0:
+        return ()
+    at += _PLAN_HEAD.size
+    rows = np.frombuffer(payload, np.int64, count=rows_len, offset=at)
+    at += rows.nbytes
+    cols = np.frombuffer(payload, np.int64, count=cols_len, offset=at)
+    at += cols.nbytes
+    left = np.frombuffer(payload, np.float64, count=rows_len * rank, offset=at)
+    at += left.nbytes
+    right = np.frombuffer(payload, np.float64, count=cols_len * rank, offset=at)
+    return (
+        UpdatePlan(
+            target,
+            rows,
+            cols,
+            left.reshape(rows_len, rank),
+            right.reshape(cols_len, rank),
+            affected=None,
+        ),
+    )
+
+
+def _decode_legacy_plans(payload: bytes, at: int) -> Tuple[UpdatePlan, ...]:
+    """A legacy ``KIND_BATCH`` frame's plans, densified into panels.
+
+    The batch is one block of 8-byte words: ``targets`` and ``ranks``
+    (one word per plan), then ``lens``, ``idx`` and ``val`` sections.
+    Per plan, ``lens`` holds ``|rows_union|, |cols_union|`` then per
+    factor pair ``|left|, |right|``; ``idx`` holds the unions then per
+    pair the left and right support indices; ``val`` (float64) holds
+    per pair the left and right values.  Each factor lands in its
+    panel column at its support, zeros elsewhere — the panels the
+    writing version built, bit for bit.  Applying the returned plans
+    in order replays the frame.
+    """
+    count, lens_len, idx_len, val_len = _LEGACY_HEAD.unpack_from(payload, at)
+    words = np.frombuffer(
+        payload,
+        dtype=np.int64,
+        count=2 * count + lens_len + idx_len + val_len,
+        offset=at + _LEGACY_HEAD.size,
+    )
+    targets = words[:count].tolist()
+    ranks = words[count : 2 * count].tolist()
+    lens = iter(words[2 * count : 2 * count + lens_len].tolist())
+    idx = words[2 * count + lens_len : 2 * count + lens_len + idx_len]
+    val = words[2 * count + lens_len + idx_len :].view(np.float64)
+    idx_at = val_at = 0
+    plans = []
+    for target, rank in zip(targets, ranks):
+        unions = []
+        for _ in range(2):
+            size = next(lens)
+            unions.append(idx[idx_at : idx_at + size])
+            idx_at += size
+        panels = [np.zeros((union.size, rank)) for union in unions]
+        for term in range(rank):
+            for panel, union in zip(panels, unions):
+                size = next(lens)
+                support = idx[idx_at : idx_at + size]
+                panel[np.searchsorted(union, support), term] = val[
+                    val_at : val_at + size
+                ]
+                idx_at += size
+                val_at += size
+        plans.append(UpdatePlan(target, *unions, *panels, affected=None))
+    return tuple(plans)
 
 
 # ------------------------------------------------------------------ #
@@ -414,7 +491,10 @@ class WriteAheadLog:
         """
         segments = list(self._segments)
         for position, (_seq, start, path) in enumerate(segments):
-            if through_version is not None and start >= through_version:
+            # ``>`` rather than ``>=``: older versions named a segment
+            # opened by size after its first frame's version, so a
+            # segment starting at ``through_version`` may hold it.
+            if through_version is not None and start > through_version:
                 break
             with open(path, "rb") as handle:
                 buffer = handle.read()

@@ -501,12 +501,12 @@ class ScoreStore:
 
         The plan may be one row group's or a whole drain's fusion of
         them (:func:`~repro.incremental.plan.fuse_plans`); either way it
-        is one factored delta.  Densifies the plan's factors once and
-        adds the block and its transpose as two passes of
-        :meth:`_add_product`.  Only shards overlapping the supports are
-        touched — and only those pay a copy-on-write clone.  With a
-        top-k index attached, the same passes collect its promotion
-        hits, which the index then merges once per plan.
+        is one factored delta.  Adds the panels' block and its
+        transpose as two passes of :meth:`_add_product`.  Only shards
+        overlapping the supports are touched — and only those pay a
+        copy-on-write clone.  With a top-k index attached, the same
+        passes collect its promotion hits, which the index then merges
+        once per plan.
         """
         if plan.is_noop:
             return

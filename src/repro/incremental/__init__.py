@@ -12,8 +12,9 @@
 * :mod:`repro.incremental.inc_svd` — the Inc-SVD baseline of Li et
   al. [1], including its inherent approximation (Sec. IV).
 * :mod:`repro.incremental.plan` — the kernel layer: explicit
-  :class:`UpdatePlan` objects (factored low-rank delta + affected
-  support sets) produced without mutating any state.
+  :class:`UpdatePlan` objects (a factored low-rank delta as two dense
+  panels over its affected support sets) produced without mutating
+  any state.
 * :mod:`repro.incremental.workspace` — :class:`UpdateWorkspace`, the
   pooled per-update scratch vectors shared by the hot paths.
 * :mod:`repro.incremental.engine` — :class:`DynamicSimRank`, the
@@ -27,8 +28,6 @@ from .inc_sr import inc_sr_update
 from .affected import AffectedAreaStats
 from .inc_svd import IncSVDSimRank
 from .plan import (
-    PackedPlanBatch,
-    PlanBatch,
     UpdatePlan,
     apply_plan_dense,
     plan_rank_one,
@@ -40,8 +39,6 @@ from .engine import DynamicSimRank, UpdateStats
 __all__ = [
     "rank_one_decomposition",
     "UpdatePlan",
-    "PackedPlanBatch",
-    "PlanBatch",
     "plan_rank_one",
     "plan_unit_update",
     "apply_plan_dense",

@@ -194,7 +194,7 @@ class DynamicSimRank:
         self._update_seconds = 0.0
         self._version = 0
         # The most recent successful consolidated drain as
-        # ``(row_updates, plans)`` — what the durability layer frames
+        # ``(row_updates, plan)`` — what the durability layer frames
         # into its write-ahead log (see :meth:`take_last_drain`).
         self._last_drain = None
 
@@ -446,11 +446,8 @@ class DynamicSimRank:
         self._update_seconds += time.perf_counter() - started
         self._version += 1
         # Kept for the durability layer, which frames the drain's one
-        # plan into the WAL (plan factors are fresh arrays — only the
-        # dropped diagnostics may alias pooled workspace).
-        self._last_drain = (
-            tuple(row_updates), () if fused is None else (fused,)
-        )
+        # plan (None when it changed no score) into the WAL.
+        self._last_drain = (tuple(row_updates), fused)
         if self._paranoid:
             problem = verify_transition_matrix(
                 self._store.csr_matrix(), self._graph
@@ -460,7 +457,10 @@ class DynamicSimRank:
         return len(row_updates)
 
     def take_last_drain(self):
-        """Pop the last drain's ``(row_updates, plans)`` record, if any.
+        """Pop the last drain's ``(row_updates, plan)`` record, if any.
+
+        ``plan`` is the drain's fused plan as applied, or None when the
+        drain changed no score.
 
         Consumed by the durability layer right after a successful
         :meth:`apply_consolidated` (under the apply lock) to frame the

@@ -15,10 +15,10 @@ panels from the rounds it kept.  The plan is tiny relative to ``S`` (its
 footprint tracks the affected area, not ``n²``), so it can be applied to
 a plain ndarray by the dense helper :func:`apply_plan_dense`, applied
 shard by shard by the row-sharded
-:class:`~repro.executor.score_store.ScoreStore`, or packed into a
-write-ahead-log frame (:class:`PackedPlanBatch`), which stores each
-factor sparse.  Plans sum as factored deltas: :func:`fuse_plans` joins
-a drain's row-group plans into one plan of their summed rank.
+:class:`~repro.executor.score_store.ScoreStore`, or written as it is
+into a write-ahead-log frame (:mod:`repro.durability.wal`).  Plans sum
+as factored deltas: :func:`fuse_plans` joins a drain's row-group plans
+into one plan of their summed rank.
 
 Separating *planning* (read-only on old state) from *application*
 (a scatter-add against the score store) is what enables the service
@@ -28,8 +28,7 @@ while the writer applies plans to private copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,103 +37,61 @@ from ..linalg.qstore import TransitionStore
 from .affected import AffectedAreaStats
 from .gamma import UpdateVectors
 
-SparseVector = Tuple[np.ndarray, np.ndarray]  # (sorted indices, values)
-
-_EMPTY_IDX = np.zeros(0, dtype=np.int64)
-_EMPTY_VAL = np.zeros(0, dtype=np.float64)
-
 
 class UpdatePlan:
     """A factored low-rank score delta plus its affected support sets.
 
     The plan is the kernel→executor contract: it fully determines the
-    score change ``ΔS = Σ_k ξ_k·η_kᵀ + (Σ_k ξ_k·η_kᵀ)ᵀ`` without
-    referencing the score store it will be applied to.  A planned plan
-    (:meth:`from_panels`) carries the factors as two dense panels; a
-    plan rebuilt from the WAL, or built by hand, carries them sparse.
-    Either form yields the other on demand, bit for bit.
+    score change ``ΔS = L·Rᵀ + (L·Rᵀ)ᵀ`` without referencing the score
+    store it will be applied to.  The same object is what the
+    write-ahead log frames and replays, so live apply and recovery feed
+    the GEMM the same operands bit for bit.
 
-    Attributes
+    Parameters
     ----------
     target:
         The updated ``Q`` row (the ``j`` of the paper's unit update); a
         fused plan carries its first member's.
-    left_factors, right_factors:
-        The per-iteration sparse factor pairs ``(ξ_k, η_k)``; equal
-        length.  No factors encode a no-op plan (e.g. a fully pruned
-        update).
     rows_union, cols_union:
         Sorted unions of the left/right factor supports — exactly the
         rows/columns of ``S`` the plan will touch.
+    left, right:
+        The panels: ``L`` is ``|rows_union| × rank`` and ``R`` is
+        ``|cols_union| × rank`` float64, column ``k`` holding the
+        factor pair ``(ξ_k, η_k)`` with zeros off its support.  Both
+        must be C-contiguous: the WAL replays them row-major, and BLAS
+        may round an operand of another layout differently.  A rank-0
+        plan (e.g. a fully pruned update) is a no-op.
     affected:
         Theorem 4 affected-area statistics recorded while planning
-        (``None`` on plans rebuilt from the packed WAL encoding —
-        application never reads them).
-    vectors:
-        The Theorem 1–3 precomputation the plan was built from (kept
-        for diagnostics; may alias pooled workspace buffers, in which
-        case it is only valid until the next update is planned).
+        (``None`` on plans read back from the WAL — application never
+        reads them).
     members:
         The plans a fused plan sums (see :func:`fuse_plans`); empty for
-        a plan planned, rebuilt from the WAL, or built by hand.
+        a plan planned, read from the WAL, or built by hand.
     """
 
     def __init__(
         self,
-        target: int,
-        left_factors: Optional[List[SparseVector]],
-        right_factors: Optional[List[SparseVector]],
-        rows_union: np.ndarray,
-        cols_union: np.ndarray,
-        affected: Optional[AffectedAreaStats],
-        vectors: Optional[UpdateVectors] = None,
-        members: Tuple["UpdatePlan", ...] = (),
-    ) -> None:
-        self.target = target
-        self.rows_union = rows_union
-        self.cols_union = cols_union
-        self.affected = affected
-        self.vectors = vectors
-        self.members = members
-        self._factors = (
-            None if left_factors is None else (left_factors, right_factors)
-        )
-        self._panels: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    @classmethod
-    def from_panels(
-        cls,
         target: int,
         rows_union: np.ndarray,
         cols_union: np.ndarray,
         left: np.ndarray,
         right: np.ndarray,
         affected: Optional[AffectedAreaStats],
-        vectors: Optional[UpdateVectors] = None,
         members: Tuple["UpdatePlan", ...] = (),
-    ) -> "UpdatePlan":
-        """A plan whose factors are panel columns (see :meth:`panels`)."""
-        plan = cls(
-            target, None, None, rows_union, cols_union, affected, vectors,
-            members,
-        )
-        plan._panels = (left, right)
-        return plan
-
-    @property
-    def left_factors(self) -> List[SparseVector]:
-        return self._sparse_factors()[0]
-
-    @property
-    def right_factors(self) -> List[SparseVector]:
-        return self._sparse_factors()[1]
+    ) -> None:
+        self.target = target
+        self.rows_union = rows_union
+        self.cols_union = cols_union
+        self._panels = (left, right)
+        self.affected = affected
+        self.members = members
 
     @property
     def rank(self) -> int:
         """Number of factor pairs (the K of the truncated series)."""
-        if self._panels is not None:
-            return self._panels[0].shape[1]
-        return len(self._factors[0])
+        return self._panels[0].shape[1]
 
     @property
     def is_noop(self) -> bool:
@@ -145,33 +102,14 @@ class UpdatePlan:
         """Entries of the (untransposed) scatter block, ``|rows|·|cols|``."""
         return int(self.rows_union.size) * int(self.cols_union.size)
 
-    def panels(self, dtype=None) -> Tuple[np.ndarray, np.ndarray]:
-        """The factors as dense panels over the union supports: ``(L, R)``.
+    def panels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(L, R)``: the score block is one GEMM ``L @ R.T``.
 
-        ``L`` is ``|rows_union| × rank`` and ``R`` is
-        ``|cols_union| × rank``, so the score block is one GEMM
-        ``L @ R.T``; column ``k`` of each is factor ``k`` with zeros off
-        its support.  A planned plan returns the panels the planner
-        gathered from its frontier history (treat them as read-only); a
-        sparse plan densifies its factors here.  Both are C-contiguous:
-        BLAS may round differently per operand layout, and a WAL-replayed
-        plan must feed the GEMM the live plan's operands bit for bit.
-
-        ``dtype`` selects the panel (and hence GEMM) precision; the
-        default is float64, which every apply path uses regardless of the
-        score store's storage dtype — reduced-precision stores cast at
-        scatter time, so the plan arithmetic stays bit-identical across
-        dtypes.
+        Treat them as read-only: a planned plan's panels are gathered
+        from the planner's frontier history, a replayed plan's are
+        views of the WAL frame's bytes.
         """
-        if self._panels is not None:
-            left, right = self._panels
-        else:
-            left_factors, right_factors = self._factors
-            left = _densify(left_factors, self.rows_union)
-            right = _densify(right_factors, self.cols_union)
-        if dtype is None:
-            return left, right
-        return left.astype(dtype), right.astype(dtype)
+        return self._panels
 
     def delta_matrix(self, num_nodes: int) -> np.ndarray:
         """Materialize the dense ``ΔS`` (tests / offline analysis only)."""
@@ -180,240 +118,13 @@ class UpdatePlan:
         return delta
 
     def nbytes(self) -> int:
-        """Approximate plan footprint (tracks the affected area)."""
-        total = self.rows_union.nbytes + self.cols_union.nbytes
-        if self._panels is not None:
-            return total + self._panels[0].nbytes + self._panels[1].nbytes
-        for idx, val in self.left_factors + self.right_factors:
-            total += idx.nbytes + val.nbytes
-        return total
-
-    def _sparse_factors(self) -> Tuple[List[SparseVector], List[SparseVector]]:
-        if self._factors is None and self.members:
-            # A fused panel column is one member's column scattered into
-            # the union with zeros elsewhere: its nonzeros are exactly
-            # that member's sparse factor.
-            left: List[SparseVector] = []
-            right: List[SparseVector] = []
-            for member in self.members:
-                member_left, member_right = member._sparse_factors()
-                left += member_left
-                right += member_right
-            self._factors = (left, right)
-        elif self._factors is None:
-            left, right = self._panels
-            self._factors = (
-                _column_supports(left, self.rows_union),
-                _column_supports(right, self.cols_union),
-            )
-        return self._factors
-
-
-def _densify(factors: List[SparseVector], union: np.ndarray) -> np.ndarray:
-    """Sparse factors -> C-contiguous ``|union| × rank`` panel."""
-    panel = np.zeros((union.size, len(factors)))
-    for term, (idx, val) in enumerate(factors):
-        panel[np.searchsorted(union, idx), term] = val
-    return panel
-
-
-def _column_supports(panel: np.ndarray, union: np.ndarray) -> List[SparseVector]:
-    """Panel columns -> sparse factors over their nonzero entries."""
-    factors = []
-    for column in panel.T:
-        support = np.flatnonzero(column)
-        factors.append((union[support], column[support]))
-    return factors
-
-
-@dataclass
-class PackedPlanBatch:
-    """A :class:`PlanBatch` flattened into five contiguous arrays.
-
-    This is the write-ahead log's frame format
-    (:mod:`repro.durability.wal`): every factor support/value vector and
-    union of every plan in a drain is concatenated into a handful of
-    buffers, so the whole drain is framed as **one** contiguous word
-    block.
-
-    Layout (all elements are 8-byte words):
-
-    * ``targets``  — ``int64[K]``, the target row of each plan;
-    * ``ranks``    — ``int64[K]``, factor pairs per plan;
-    * ``lens``     — ``int64``: per plan ``rows_union_len,
-      cols_union_len`` then per factor pair ``left_len, right_len``;
-    * ``idx``      — ``int64``: per plan ``rows_union, cols_union`` then
-      per factor pair ``left_indices, right_indices``;
-    * ``val``      — ``float64``: per factor pair ``left_values,
-      right_values``.
-
-    Unpacking is zero-copy: the rebuilt plans hold *views* into these
-    arrays (or into the WAL words they were read from).
-    """
-
-    targets: np.ndarray
-    ranks: np.ndarray
-    lens: np.ndarray
-    idx: np.ndarray
-    val: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.targets.size)
-
-    def word_count(self) -> int:
-        """Total 8-byte words across all five arrays."""
-        return int(
-            self.targets.size
-            + self.ranks.size
-            + self.lens.size
-            + self.idx.size
-            + self.val.size
-        )
-
-    def section_lengths(self) -> Tuple[int, int, int]:
-        """``(lens, idx, val)`` element counts (targets/ranks = count)."""
-        return int(self.lens.size), int(self.idx.size), int(self.val.size)
-
-    def write_words(self, out: np.ndarray) -> int:
-        """Serialize into ``out`` (int64, caller-allocated); return words.
-
-        ``val`` is bit-copied through an int64 view, so the float64
-        payload survives exactly.
-        """
-        cursor = 0
-        for part in (
-            self.targets,
-            self.ranks,
-            self.lens,
-            self.idx,
-            self.val.view(np.int64),
-        ):
-            out[cursor : cursor + part.size] = part
-            cursor += part.size
-        return cursor
-
-    @classmethod
-    def from_words(
-        cls, words: np.ndarray, count: int, sections: Tuple[int, int, int]
-    ) -> "PackedPlanBatch":
-        """Rebuild from a word block — pure views, no copies."""
-        lens_len, idx_len, val_len = sections
-        bounds = np.cumsum([count, count, lens_len, idx_len, val_len])
-        if words.size < int(bounds[-1]):
-            raise ValueError(
-                f"packed plan batch needs {int(bounds[-1])} words, "
-                f"got {words.size}"
-            )
-        return cls(
-            targets=words[: bounds[0]],
-            ranks=words[bounds[0] : bounds[1]],
-            lens=words[bounds[1] : bounds[2]],
-            idx=words[bounds[2] : bounds[3]],
-            val=words[bounds[3] : bounds[4]].view(np.float64),
-        )
-
-    def plans(self) -> List["UpdatePlan"]:
-        """Rebuild the batch's plans as views into the packed arrays.
-
-        The rebuilt plans carry everything :meth:`UpdatePlan.panels` and
-        the score store's scatter path read — factors and support unions —
-        bit-identical to the originals.  Planning-time diagnostics
-        (``affected``, ``vectors``) are not packed.
-        """
-        out: List[UpdatePlan] = []
-        len_at = 0
-        idx_at = 0
-        val_at = 0
-        for k in range(self.count):
-            rows_len = int(self.lens[len_at])
-            cols_len = int(self.lens[len_at + 1])
-            len_at += 2
-            rows_union = self.idx[idx_at : idx_at + rows_len]
-            idx_at += rows_len
-            cols_union = self.idx[idx_at : idx_at + cols_len]
-            idx_at += cols_len
-            left: List[SparseVector] = []
-            right: List[SparseVector] = []
-            for _ in range(int(self.ranks[k])):
-                left_len = int(self.lens[len_at])
-                right_len = int(self.lens[len_at + 1])
-                len_at += 2
-                left_idx = self.idx[idx_at : idx_at + left_len]
-                idx_at += left_len
-                right_idx = self.idx[idx_at : idx_at + right_len]
-                idx_at += right_len
-                left_val = self.val[val_at : val_at + left_len]
-                val_at += left_len
-                right_val = self.val[val_at : val_at + right_len]
-                val_at += right_len
-                left.append((left_idx, left_val))
-                right.append((right_idx, right_val))
-            out.append(
-                UpdatePlan(
-                    target=int(self.targets[k]),
-                    left_factors=left,
-                    right_factors=right,
-                    rows_union=rows_union,
-                    cols_union=cols_union,
-                    affected=None,
-                )
-            )
-        return out
-
-
-@dataclass
-class PlanBatch:
-    """An ordered sequence of :class:`UpdatePlan` objects — one drain.
-
-    A drain applies one plan, the fusion of its row groups' plans (see
-    :func:`fuse_plans`), so its batch holds that one plan.  A batch of
-    several plans (as drains once applied them, one per row group) is
-    replayed by applying its plans **in order**, each made against the
-    scores the previous one left.  The durability layer packs one batch
-    per drain into a WAL frame (:meth:`packed`) and replays it the same
-    way on recovery.
-    """
-
-    plans: List[UpdatePlan]
-
-    def packed(self) -> PackedPlanBatch:
-        """Flatten into the contiguous WAL encoding (fresh arrays)."""
-        targets = np.empty(len(self.plans), dtype=np.int64)
-        ranks = np.empty(len(self.plans), dtype=np.int64)
-        lens: List[int] = []
-        idx_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        for k, plan in enumerate(self.plans):
-            targets[k] = plan.target
-            ranks[k] = plan.rank
-            lens.append(plan.rows_union.size)
-            lens.append(plan.cols_union.size)
-            idx_parts.append(plan.rows_union)
-            idx_parts.append(plan.cols_union)
-            for (l_idx, l_val), (r_idx, r_val) in zip(
-                plan.left_factors, plan.right_factors
-            ):
-                lens.append(l_idx.size)
-                lens.append(r_idx.size)
-                idx_parts.append(l_idx)
-                idx_parts.append(r_idx)
-                val_parts.append(l_val)
-                val_parts.append(r_val)
-        return PackedPlanBatch(
-            targets=targets,
-            ranks=ranks,
-            lens=np.asarray(lens, dtype=np.int64),
-            idx=(
-                np.concatenate(idx_parts).astype(np.int64, copy=False)
-                if idx_parts
-                else _EMPTY_IDX
-            ),
-            val=(
-                np.concatenate(val_parts)
-                if val_parts
-                else _EMPTY_VAL
-            ),
+        """Plan footprint (tracks the affected area)."""
+        left, right = self._panels
+        return (
+            self.rows_union.nbytes
+            + self.cols_union.nbytes
+            + left.nbytes
+            + right.nbytes
         )
 
 
@@ -438,9 +149,8 @@ def fuse_plans(plans: Sequence[UpdatePlan]) -> Optional[UpdatePlan]:
     pass of slice adds.  The fused panels place the members' panels
     side by side, each member's rows (columns) scattered into the union
     rows (columns) with zeros elsewhere; ``affected`` joins the members'
-    Theorem-4 records, and the sparse factors (the WAL encoding) are
-    the members' factors concatenated.  No-op plans are dropped: with
-    one plan left it is returned as is, with none the result is None.
+    Theorem-4 records.  No-op plans are dropped: with one plan left it
+    is returned as is, with none the result is None.
     """
     members = tuple(plan for plan in plans if not plan.is_noop)
     if len(members) <= 1:
@@ -464,7 +174,7 @@ def fuse_plans(plans: Sequence[UpdatePlan]) -> Optional[UpdatePlan]:
                 if affected is None
                 else affected.merged_with(member.affected)
             )
-    return UpdatePlan.from_panels(
+    return UpdatePlan(
         members[0].target,
         rows_union,
         cols_union,
@@ -509,9 +219,7 @@ def plan_rank_one(
     history = np.empty((config.iterations + 1, 2, n))
     history[0, 0] = 0.0
     history[0, 0, target] = damping
-    # Adding +0.0 turns γ's -0.0 entries into +0.0, so every zero a
-    # panel holds matches the zeros a WAL-replayed plan densifies.
-    np.add(vectors.gamma, 0.0, out=history[0, 1])
+    history[0, 1] = vectors.gamma
     if tolerance > 0.0:
         eta = history[0, 1]
         eta[np.abs(eta) <= tolerance] = 0.0
@@ -539,14 +247,13 @@ def plan_rank_one(
     supported = (factors != 0.0).any(axis=0)
     rows_union = np.flatnonzero(supported[0])
     cols_union = np.flatnonzero(supported[1])
-    return UpdatePlan.from_panels(
+    return UpdatePlan(
         target,
         rows_union,
         cols_union,
         np.ascontiguousarray(factors[:, 0][:, rows_union].T),
         np.ascontiguousarray(factors[:, 1][:, cols_union].T),
         affected=stats,
-        vectors=vectors,
     )
 
 

@@ -524,10 +524,8 @@ class SimRankService:
         drained = self._engine.take_last_drain()
         if drained is None:
             return
-        row_updates, plans = drained
-        self._durability.append_drain(
-            self._engine.version, row_updates, plans
-        )
+        row_updates, plan = drained
+        self._durability.append_drain(self._engine.version, row_updates, plan)
         self._durability.maybe_checkpoint(self._engine)
 
     def _durable_add_node(self, node: int) -> None:

@@ -4,7 +4,7 @@ The contracts, each asserted as an *exact* equality where the design
 promises one:
 
 * **frame integrity** — every WAL frame round-trips bit-identically
-  (plan index/value words compared through their int64 views);
+  (plan unions and panels compared through their int64 views);
 * **damage semantics** — flipping or truncating *any* byte of the log
   yields either a bit-identical recovery of a prefix of history or a
   clean :class:`CorruptLogError` — never silent divergence (property
@@ -35,11 +35,11 @@ import scipy.sparse as sp
 from repro import SimRankConfig
 from repro.durability import (
     KIND_ADD_NODE,
-    KIND_BATCH,
+    KIND_DRAIN,
     WriteAheadLog,
     decode_frames,
     encode_add_node_frame,
-    encode_batch_frame,
+    encode_drain_frame,
     graph_from_packed,
     list_checkpoints,
     load_checkpoint,
@@ -57,7 +57,6 @@ from repro.exceptions import (
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.incremental.engine import DynamicSimRank
-from repro.incremental.plan import PlanBatch
 from repro.metrics.topk import top_k_pairs
 from repro.serving import DurabilityConfig, ServiceConfig, SimRankService
 from repro.simrank.matrix import matrix_simrank
@@ -99,7 +98,7 @@ def workload():
 
 
 def _drain_frames(workload):
-    """Real (version, row_updates, packed) triples from engine drains."""
+    """Real (version, row_updates, plan) triples from engine drains."""
     graph, scores, batches = workload
     engine = DynamicSimRank(
         graph.copy(), CFG, algorithm="inc-sr", initial_scores=scores.copy()
@@ -107,11 +106,21 @@ def _drain_frames(workload):
     triples = []
     for batch in batches:
         engine.apply_consolidated(UpdateBatch(batch))
-        row_updates, plans = engine.take_last_drain()
-        triples.append(
-            (engine.version, row_updates, PlanBatch(list(plans)).packed())
-        )
+        row_updates, plan = engine.take_last_drain()
+        triples.append((engine.version, row_updates, plan))
     return triples
+
+
+def _assert_plans_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.target == b.target
+        assert np.array_equal(a.rows_union, b.rows_union)
+        assert np.array_equal(a.cols_union, b.cols_union)
+        for x, y in zip(a.panels(), b.panels()):
+            # int64 views compare float words bit-exactly (NaN-proof).
+            assert x.shape == y.shape
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 def _assert_frames_equal(got, expected):
@@ -122,12 +131,7 @@ def _assert_frames_equal(got, expected):
         assert got.num_nodes == expected.num_nodes
         return
     assert got.row_updates == expected.row_updates
-    a = np.empty(got.packed.word_count(), dtype=np.int64)
-    b = np.empty(expected.packed.word_count(), dtype=np.int64)
-    got.packed.write_words(a)
-    expected.packed.write_words(b)
-    # int64 views compare float payload words bit-exactly (NaN-proof).
-    assert np.array_equal(a, b)
+    _assert_plans_equal(got.plans, expected.plans)
 
 
 # ------------------------------------------------------------------ #
@@ -139,20 +143,16 @@ class TestWalFrames:
     def test_batch_frame_roundtrip_bit_identical(self, workload):
         triples = _drain_frames(workload)
         buffer = b"".join(
-            encode_batch_frame(v, ru, packed) for v, ru, packed in triples
+            encode_drain_frame(v, ru, plan) for v, ru, plan in triples
         )
         frames, good = decode_frames(buffer, final_segment=True)
         assert good == len(buffer)
         assert len(frames) == len(triples)
-        for frame, (version, row_updates, packed) in zip(frames, triples):
-            assert frame.kind == KIND_BATCH
+        for frame, (version, row_updates, plan) in zip(frames, triples):
+            assert frame.kind == KIND_DRAIN
             assert frame.version == version
             assert frame.row_updates == tuple(row_updates)
-            a = np.empty(frame.packed.word_count(), dtype=np.int64)
-            b = np.empty(packed.word_count(), dtype=np.int64)
-            frame.packed.write_words(a)
-            packed.write_words(b)
-            assert np.array_equal(a, b)
+            _assert_plans_equal(frame.plans, () if plan is None else (plan,))
 
     def test_add_node_frame_roundtrip(self):
         record = encode_add_node_frame(9, 40, 41)
@@ -166,14 +166,14 @@ class TestWalFrames:
         triples = _drain_frames(workload)
         wal = WriteAheadLog(str(tmp_path), fsync="off")
         wal.open_for_append(0)
-        for version, ru, packed in triples[:4]:
-            wal.append(encode_batch_frame(version, ru, packed), version)
+        for version, ru, plan in triples[:4]:
+            wal.append(encode_drain_frame(version, ru, plan), version)
         wal.close()
         wal = WriteAheadLog(str(tmp_path), fsync="off")
         assert [f.version for f in wal.frames()] == [1, 2, 3, 4]
         wal.open_for_append(4)
-        for version, ru, packed in triples[4:]:
-            wal.append(encode_batch_frame(version, ru, packed), version)
+        for version, ru, plan in triples[4:]:
+            wal.append(encode_drain_frame(version, ru, plan), version)
         assert [f.version for f in wal.frames()] == list(range(1, 9))
         assert [f.version for f in wal.frames(after_version=5)] == [6, 7, 8]
         assert [
@@ -185,8 +185,8 @@ class TestWalFrames:
         triples = _drain_frames(workload)
         wal = WriteAheadLog(str(tmp_path), fsync="off", rotate_bytes=1)
         wal.open_for_append(0)
-        for version, ru, packed in triples:
-            wal.append(encode_batch_frame(version, ru, packed), version - 1)
+        for version, ru, plan in triples:
+            wal.append(encode_drain_frame(version, ru, plan), version - 1)
         # rotate_bytes=1 forces one frame per segment (after the first).
         assert len(wal.segments) == len(triples)
         assert [f.version for f in wal.frames()] == list(range(1, 9))
@@ -198,12 +198,31 @@ class TestWalFrames:
         assert wal.total_bytes() > 0
         wal.close()
 
+    def test_through_version_reaches_first_frame_of_segment(
+        self, workload, tmp_path
+    ):
+        """Older versions named a segment opened by size after its first
+        frame's version; time travel must still reach that frame."""
+        triples = _drain_frames(workload)
+        wal = WriteAheadLog(str(tmp_path), fsync="off", rotate_bytes=1)
+        wal.open_for_append(0)
+        for version, ru, plan in triples:
+            wal.append(encode_drain_frame(version, ru, plan), version)
+        for version, _ru, _plan in triples:
+            assert [
+                f.version
+                for f in wal.frames(
+                    after_version=version - 1, through_version=version
+                )
+            ] == [version]
+        wal.close()
+
     def test_torn_tail_truncated_on_open(self, workload, tmp_path):
         triples = _drain_frames(workload)
         wal = WriteAheadLog(str(tmp_path), fsync="off")
         wal.open_for_append(0)
-        for version, ru, packed in triples:
-            wal.append(encode_batch_frame(version, ru, packed), version)
+        for version, ru, plan in triples:
+            wal.append(encode_drain_frame(version, ru, plan), version)
         wal.close()
         (path,) = [
             os.path.join(tmp_path, n)
@@ -226,7 +245,7 @@ class TestCorruptionProperties:
     def _pristine(self, workload):
         triples = _drain_frames(workload)
         buffer = b"".join(
-            encode_batch_frame(v, ru, packed) for v, ru, packed in triples
+            encode_drain_frame(v, ru, plan) for v, ru, plan in triples
         )
         frames, good = decode_frames(buffer, final_segment=True)
         assert good == len(buffer)
@@ -727,6 +746,42 @@ class TestServiceDurability:
         with pytest.raises(HistoryUnavailableError):
             service.view_at(live + 1)
         service.close()
+
+    def test_time_travel_across_rotated_segments(self, workload, tmp_path):
+        """Every version answers when the log rotates by size mid-stream.
+
+        At the smallest ``rotate_bytes`` the segments hold a frame or
+        two each, so most versions are the first frame of a segment.
+        """
+        graph, scores, batches = workload
+        config = DurabilityConfig(
+            data_dir=str(tmp_path), fsync="off", rotate_bytes=4096
+        )
+        service = SimRankService(
+            graph.copy(), CFG, initial_scores=scores.copy(), durability=config
+        )
+        oracle = {0: service.engine.similarities().copy()}
+        for batch in batches:
+            service.submit_many(batch)
+            service.flush()
+            oracle[service.version] = service.engine.similarities().copy()
+        service.close()
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        try:
+            segments = restarted.durability._wal._segments
+            assert len(segments) > len(batches) // 2
+            # A segment's name is the version durable before its frames.
+            for _seq, start, path in segments:
+                with open(path, "rb") as handle:
+                    frames, _ = decode_frames(handle.read())
+                assert all(frame.version > start for frame in frames)
+            for version, reference in oracle.items():
+                view = restarted.view_at(version)
+                assert view.similarities().tobytes() == reference.tobytes()
+        finally:
+            restarted.close()
 
     def test_time_travel_survives_restart(self, workload, tmp_path):
         service, config, oracle = self._run(workload, tmp_path)

@@ -9,9 +9,9 @@ column-sparse ``S·v``, and applies the groups as one plan
   arithmetic;
 * a fused drain against the same groups applied one at a time (equal
   within rounding, not bitwise), with ranks and Theorem-4 records summed;
-* the WAL: a frame holding one fused plan replays bitwise, and a frame
-  holding several plans, as drains once wrote them, still replays to the
-  sequential result;
+* the WAL: a frame holding one fused plan replays bitwise, and legacy
+  frames holding several plans, as drains once wrote them, still replay
+  to the sequential result;
 * the member-count and rank histograms on the telemetry registry.
 """
 
@@ -23,13 +23,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SimRankConfig
+from repro.durability import manager as durability_manager
+from repro.durability.wal import (
+    KIND_BATCH,
+    KIND_DRAIN,
+    decode_frames,
+    encode_drain_frame,
+)
 from repro.executor.score_store import ScoreStore
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.incremental.engine import DynamicSimRank
 from repro.incremental.plan import (
-    PackedPlanBatch,
-    PlanBatch,
     UpdatePlan,
     apply_plan_dense,
     fuse_plans,
@@ -45,6 +50,7 @@ from repro.serving import DurabilityConfig, SimRankService
 from repro.simrank.matrix import matrix_simrank
 from repro.telemetry import render_prometheus, validate_scrape
 
+from _legacy_wal import encode_legacy_batch_frame
 from _streams import random_update_stream
 
 CFG = SimRankConfig(damping=0.6, iterations=8)
@@ -201,7 +207,10 @@ class TestFusedDrain:
         only = pending.plans[0]
         assert fuse_plans([only]) is only
         empty = np.zeros(0, dtype=np.int64)
-        noop = UpdatePlan(only.target, [], [], empty, empty, affected=None)
+        noop = UpdatePlan(
+            only.target, empty, empty, np.zeros((0, 0)), np.zeros((0, 0)),
+            affected=None,
+        )
         assert noop.is_noop
         assert fuse_plans([noop]) is None
         assert fuse_plans([noop, only, noop]) is only
@@ -221,10 +230,33 @@ class TestFusedDrain:
         groups = engine.apply_consolidated(UpdateBatch(stream))
         assert groups >= 3
         assert len(applied) == 1
-        row_updates, plans = engine.take_last_drain()
+        row_updates, plan = engine.take_last_drain()
         assert len(row_updates) == groups
-        assert plans == (applied[0],)
+        assert plan is applied[0]
         assert len(applied[0].members) == groups
+
+
+def _sequential_apply_consolidated(engine, batch):
+    """A drain applied one plan per row group, as drains once ran.
+
+    Records ``(row_updates, plans)`` — all of the drain's plans — where
+    the live engine records its one fused plan.
+    """
+    row_updates = consolidate_batch(batch, engine._graph)
+    plans = _sequential_drain(
+        engine._graph, engine._store, engine._scores, row_updates
+    )
+    engine._version += 1
+    engine._last_drain = (tuple(row_updates), tuple(plans))
+    return len(row_updates)
+
+
+def _legacy_encode(version, row_updates, plans):
+    """The WAL encoder swapped for the legacy one: a drain's one plan, or
+    all of a sequential drain's, as one ``KIND_BATCH`` frame."""
+    if not isinstance(plans, tuple):
+        plans = () if plans is None else (plans,)
+    return encode_legacy_batch_frame(version, row_updates, plans)
 
 
 class TestWalReplay:
@@ -233,14 +265,13 @@ class TestWalReplay:
         store = TransitionStore.from_graph(graph)
         pending = _pending_drain(graph, store, scores, row_updates)
         fused = fuse_plans(pending.plans)
-        packed = PlanBatch([fused]).packed()
-        words = np.empty(packed.word_count(), dtype=np.int64)
-        packed.write_words(words)
-        (replayed,) = PackedPlanBatch.from_words(
-            words, packed.count, packed.section_lengths()
-        ).plans()
+        record = encode_drain_frame(1, tuple(row_updates), fused)
+        (frame,), _ = decode_frames(record)
+        assert frame.kind == KIND_DRAIN
+        assert frame.row_updates == tuple(row_updates)
+        (replayed,) = frame.plans
         for live, again in zip(fused.panels(), replayed.panels()):
-            assert np.array_equal(live, again)
+            assert np.array_equal(live.view(np.int64), again.view(np.int64))
             assert again.flags.c_contiguous
         assert np.array_equal(replayed.rows_union, fused.rows_union)
         assert np.array_equal(replayed.cols_union, fused.cols_union)
@@ -251,45 +282,62 @@ class TestWalReplay:
         assert np.array_equal(live_store.to_array(), replay_store.to_array())
 
     def test_multi_plan_frames_replay_to_sequential(self, tmp_path, monkeypatch):
-        """Frames holding one plan per row group still recover exactly."""
-
-        def sequential_apply_consolidated(engine, batch):
-            row_updates = consolidate_batch(batch, engine._graph)
-            plans = _sequential_drain(
-                engine._graph, engine._store, engine._scores, row_updates
-            )
-            engine._version += 1
-            engine._last_drain = (tuple(row_updates), tuple(plans))
-            return len(row_updates)
-
+        """Legacy frames, one- and two-plan, then new frames in one log:
+        recovery and ``view_at`` at every version are bitwise live."""
         graph = erdos_renyi_digraph(40, 0.08, seed=8)
-        stream = random_update_stream(graph, 48, seed=9)
-        data_dir = str(tmp_path / "data")
+        durability = DurabilityConfig(
+            data_dir=str(tmp_path / "data"), checkpoint_interval=1000
+        )
+        service = SimRankService(graph, CFG, durability=durability)
+        live = {0: service.engine.similarities().copy()}
+
+        def drain(updates):
+            service.submit_many(updates)
+            service.drain()
+            live[service.version] = service.engine.similarities().copy()
+
         with monkeypatch.context() as patch:
+            patch.setattr(durability_manager, "encode_drain_frame", _legacy_encode)
+            # The drain's fused plan, as a legacy frame.
+            drain(random_update_stream(graph, 8, seed=9))
             patch.setattr(
                 DynamicSimRank,
                 "apply_consolidated",
-                sequential_apply_consolidated,
+                _sequential_apply_consolidated,
             )
-            service = SimRankService(
-                graph, CFG, durability=DurabilityConfig(data_dir=data_dir)
-            )
-            for start in range(0, len(stream), 8):
-                service.submit_many(stream[start : start + 8])
-                service.drain()
-            live, version = service.engine.similarities(), service.version
-            frames = list(service.durability._wal.frames(after_version=0))
-            service.close()
-        assert max(frame.packed.count for frame in frames) > 1
-        reopened = SimRankService(
-            graph, CFG, durability=DurabilityConfig(data_dir=data_dir)
-        )
+            now = service.engine.graph
+            targets = [t for t in range(now.num_nodes) if now.in_degree(t)][:2]
+            drain([
+                EdgeUpdate.insert(next(
+                    s for s in range(now.num_nodes)
+                    if s != t and not now.has_edge(s, t)
+                ), t)
+                for t in targets
+            ])
+        for seed in (18, 26, 34):
+            drain(random_update_stream(service.engine.graph, 8, seed=seed))
+        frames = list(service.durability._wal.frames())
+        assert [(frame.kind, len(frame.plans)) for frame in frames] == [
+            (KIND_BATCH, 1), (KIND_BATCH, 2),
+            (KIND_DRAIN, 1), (KIND_DRAIN, 1), (KIND_DRAIN, 1),
+        ]
+        for version, scores in live.items():
+            view = service.view_at(version)
+            assert view.similarities().tobytes() == scores.tobytes()
+        service.close()
+        reopened = SimRankService(graph, CFG, durability=durability)
         try:
-            assert reopened.version == version
-            assert np.array_equal(reopened.engine.similarities(), live)
+            assert reopened.version == max(live)
+            for version, scores in live.items():
+                view = reopened.view_at(version)
+                assert view.similarities().tobytes() == scores.tobytes()
+            assert (
+                reopened.engine.similarities().tobytes()
+                == live[max(live)].tobytes()
+            )
             # Fused drains continue on top of the recovered state.
             reopened.submit_many(random_update_stream(
-                reopened.engine.graph, 8, seed=10
+                reopened.engine.graph, 8, seed=40
             ))
             reopened.drain()
         finally:
@@ -313,7 +361,7 @@ class TestFusionTelemetry:
                 updates.append(EdgeUpdate.insert(source, target))
             service.submit_many(updates)
             assert service.drain() == 3
-            _, (fused,) = service.engine.take_last_drain()
+            _, fused = service.engine.take_last_drain()
             assert len(fused.members) == 3
             registry = service.telemetry.registry
             members = registry.get("repro_executor_plan_members")

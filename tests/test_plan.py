@@ -45,14 +45,24 @@ class TestPlanShape:
         plan = plan_unit_update(
             store, scores, EdgeUpdate.insert(1, 20), graph, config
         )
+        left, right = plan.panels()
         assert plan.target == 20
-        assert plan.rank == len(plan.left_factors) == len(plan.right_factors)
+        assert plan.rank == left.shape[1] == right.shape[1]
         assert plan.rank >= 1
         assert plan.support_size() == plan.rows_union.size * plan.cols_union.size
         assert plan.nbytes() > 0
-        # Union supports really are the union of the factor supports.
-        rows = np.unique(np.concatenate([i for i, _ in plan.left_factors]))
+        # Union supports really are the union of the factor supports:
+        # every union row and column is nonzero in some panel column.
+        assert left.any(axis=1).all() and right.any(axis=1).all()
+        rows = np.unique(np.concatenate([
+            plan.rows_union[np.flatnonzero(left[:, k])]
+            for k in range(plan.rank)
+        ]))
         np.testing.assert_array_equal(rows, plan.rows_union)
+        # Column k's support is round k's Theorem-4 affected area.
+        for k in range(plan.rank):
+            assert np.count_nonzero(left[:, k]) == plan.affected.row_sizes[k]
+            assert np.count_nonzero(right[:, k]) == plan.affected.col_sizes[k]
 
     def test_panels_reconstruct_factors(self, planned_state, config):
         graph, store, scores = planned_state
@@ -62,22 +72,19 @@ class TestPlanShape:
         left, right = plan.panels()
         assert left.shape == (plan.rows_union.size, plan.rank)
         assert right.shape == (plan.cols_union.size, plan.rank)
-        for term, (idx, val) in enumerate(plan.left_factors):
-            positions = np.searchsorted(plan.rows_union, idx)
-            np.testing.assert_array_equal(left[positions, term], val)
-
-
-    def test_panels_dtype_seam(self, planned_state, config):
-        graph, store, scores = planned_state
-        plan = plan_unit_update(
-            store, scores, EdgeUpdate.insert(1, 20), graph, config
+        assert left.dtype == right.dtype == np.float64
+        assert left.flags.c_contiguous and right.flags.c_contiguous
+        # Scattered back over all n nodes, panel column k is factor k
+        # of the delta: the plan's block is exactly Σ_k ξ_k·η_kᵀ.
+        n = graph.num_nodes
+        xi = np.zeros((n, plan.rank))
+        eta = np.zeros((n, plan.rank))
+        xi[plan.rows_union] = left
+        eta[plan.cols_union] = right
+        block = xi @ eta.T
+        np.testing.assert_allclose(
+            plan.delta_matrix(n), block + block.T, rtol=0, atol=1e-15
         )
-        left64, right64 = plan.panels()
-        left32, right32 = plan.panels(dtype="float32")
-        assert left64.dtype == right64.dtype == np.float64
-        assert left32.dtype == right32.dtype == np.float32
-        np.testing.assert_allclose(left32, left64, rtol=1e-6)
-        np.testing.assert_allclose(right32, right64, rtol=1e-6)
 
 
 class TestPlanEquivalence:
@@ -142,10 +149,10 @@ class TestNoopPlan:
 
         plan = UpdatePlan(
             target=0,
-            left_factors=[],
-            right_factors=[],
             rows_union=np.zeros(0, dtype=np.int64),
             cols_union=np.zeros(0, dtype=np.int64),
+            left=np.zeros((0, 0)),
+            right=np.zeros((0, 0)),
             affected=AffectedAreaStats(num_nodes=4),
         )
         assert plan.is_noop

@@ -1,10 +1,12 @@
-"""The packed ``PlanBatch`` encoding (the write-ahead log's frame format).
+"""WAL drain frames: a drain's plan must survive its frame bit-exactly.
 
-A ``PlanBatch`` must survive the packed word encoding bit-exactly, so a
-drain replayed from the WAL applies exactly the plans the live drain
-applied: replaying a packed batch onto a score store equals applying
-its plans sequentially, and a service recovered from its WAL after
-arbitrary mixed update streams is bit-identical to the live one.
+A drain is logged as its row updates plus its one fused plan's support
+unions and dense panels (``KIND_DRAIN``); frames older versions wrote
+hold a batch of plans as sparse factors (``KIND_BATCH``, encoded here
+by :mod:`_legacy_wal`).  Replaying either kind applies exactly the
+plans the live drain applied: a replayed frame equals applying its
+plans in order, and a service recovered from its WAL after arbitrary
+mixed update streams is bit-identical to the live one.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ import numpy as np
 import pytest
 
 from repro import SimRankConfig
+from repro.durability.wal import (
+    KIND_BATCH,
+    KIND_DRAIN,
+    decode_frames,
+    encode_drain_frame,
+)
 from repro.executor.score_store import ScoreStore
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import UpdateBatch
-from repro.incremental.plan import (
-    PackedPlanBatch,
-    PlanBatch,
-    apply_plan_dense,
-)
+from repro.incremental.plan import apply_plan_dense
 from repro.incremental.row_update import (
     consolidate_batch,
     plan_composite_row_update,
@@ -31,6 +35,7 @@ from repro.serving import DurabilityConfig, SimRankService
 from repro.simrank.matrix import matrix_simrank
 from repro.telemetry import Telemetry
 
+from _legacy_wal import encode_legacy_batch_frame
 from _streams import random_update_stream
 
 CFG = SimRankConfig(damping=0.6, iterations=8)
@@ -50,44 +55,57 @@ def _plans_for_stream(num_nodes, num_updates, seed):
     return graph, scores, plans
 
 
+def _roundtrip(plans):
+    """Each plan through its own drain frame, then decoded."""
+    buffer = b"".join(
+        encode_drain_frame(version, (), plan)
+        for version, plan in enumerate(plans, start=1)
+    )
+    frames, good = decode_frames(buffer)
+    assert good == len(buffer)
+    assert [frame.kind for frame in frames] == [KIND_DRAIN] * len(plans)
+    return [plan for frame in frames for plan in frame.plans]
+
+
+def _bits(array):
+    return array.view(np.int64) if array.dtype == np.float64 else array
+
+
 class TestPackedEncoding:
     @pytest.mark.parametrize("seed", [1, 2, 5])
     def test_word_roundtrip_bit_exact(self, seed):
-        """packed -> words -> plans reproduces every factor bitwise."""
+        """plan -> frame -> plan reproduces unions and panels bitwise."""
         _, _, plans = _plans_for_stream(60, 25, seed)
-        batch = PlanBatch(plans)
-        packed = batch.packed()
-        words = np.empty(packed.word_count(), dtype=np.int64)
-        assert packed.write_words(words) == packed.word_count()
-        rebuilt = PackedPlanBatch.from_words(
-            words, packed.count, packed.section_lengths()
-        ).plans()
+        plans = [plan for plan in plans if not plan.is_noop]
+        rebuilt = _roundtrip(plans)
         assert len(rebuilt) == len(plans)
         for original, copy in zip(plans, rebuilt):
             assert copy.target == original.target
             assert copy.rank == original.rank
+            assert copy.affected is None and copy.members == ()
+            for a, b in zip(
+                (original.rows_union, original.cols_union, *original.panels()),
+                (copy.rows_union, copy.cols_union, *copy.panels()),
+            ):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert b.flags.c_contiguous
+                assert np.array_equal(_bits(a), _bits(b))
+        # The legacy sparse layout densifies to the same values (its
+        # factors drop a panel's -0.0 entries, which come back as +0.0).
+        (frame,), _ = decode_frames(encode_legacy_batch_frame(1, (), plans))
+        assert len(frame.plans) == len(plans)
+        for original, copy in zip(plans, frame.plans):
+            assert copy.target == original.target
             assert np.array_equal(copy.rows_union, original.rows_union)
             assert np.array_equal(copy.cols_union, original.cols_union)
-            for (ai, av), (bi, bv) in zip(
-                original.left_factors, copy.left_factors
-            ):
-                assert np.array_equal(ai, bi)
-                assert np.array_equal(av, bv)
-            for (ai, av), (bi, bv) in zip(
-                original.right_factors, copy.right_factors
-            ):
-                assert np.array_equal(ai, bi)
-                assert np.array_equal(av, bv)
+            for a, b in zip(original.panels(), copy.panels()):
+                assert b.flags.c_contiguous
+                assert np.array_equal(a, b)
 
     def test_roundtripped_apply_bit_identical(self):
         """Applying rebuilt plans == applying the originals, bitwise."""
         _, scores, plans = _plans_for_stream(50, 20, seed=3)
-        packed = PlanBatch(plans).packed()
-        words = np.empty(packed.word_count(), dtype=np.int64)
-        packed.write_words(words)
-        rebuilt = PackedPlanBatch.from_words(
-            words, packed.count, packed.section_lengths()
-        ).plans()
+        rebuilt = _roundtrip([plan for plan in plans if not plan.is_noop])
         direct = scores.copy()
         wired = scores.copy()
         for plan in plans:
@@ -98,43 +116,35 @@ class TestPackedEncoding:
 
     def test_truncated_words_rejected(self):
         _, _, plans = _plans_for_stream(40, 10, seed=4)
-        packed = PlanBatch(plans).packed()
-        words = np.empty(packed.word_count(), dtype=np.int64)
-        packed.write_words(words)
-        with pytest.raises(ValueError):
-            PackedPlanBatch.from_words(
-                words[:-1], packed.count, packed.section_lengths()
-            )
+        plan = next(plan for plan in plans if not plan.is_noop)
+        record = encode_drain_frame(1, (), plan)
+        # A torn frame is dropped whole; nothing of it is decoded.
+        assert decode_frames(record[:-1]) == ([], 0)
 
     def test_empty_batch(self):
-        packed = PlanBatch([]).packed()
-        assert packed.count == 0
-        assert packed.word_count() == 0
-        assert PackedPlanBatch.from_words(
-            np.empty(0, dtype=np.int64), 0, packed.section_lengths()
-        ).plans() == []
+        """A drain that changed no score logs its row updates only."""
+        (frame,), _ = decode_frames(encode_drain_frame(3, (), None))
+        assert (frame.kind, frame.version, frame.plans) == (KIND_DRAIN, 3, ())
+        (frame,), _ = decode_frames(encode_legacy_batch_frame(3, (), ()))
+        assert (frame.kind, frame.version, frame.plans) == (KIND_BATCH, 3, ())
 
 
-def _replay(store, batch):
-    """Apply a drain the way WAL recovery does: from its packed words."""
-    packed = batch.packed()
-    words = np.empty(packed.word_count(), dtype=np.int64)
-    packed.write_words(words)
-    for plan in PackedPlanBatch.from_words(
-        words, packed.count, packed.section_lengths()
-    ).plans():
+def _replay(store, record):
+    """Apply a drain the way WAL recovery does: from its frame's bytes."""
+    (frame,), _ = decode_frames(record)
+    for plan in frame.plans:
         store.apply_plan(plan)
 
 
 class TestScoreStoreBatchApply:
     def test_batch_equals_sequential(self):
-        """A replayed packed batch == per-plan apply_plan, bitwise."""
+        """A replayed legacy multi-plan frame == per-plan apply_plan."""
         _, scores, plans = _plans_for_stream(50, 25, seed=6)
         sequential = ScoreStore(scores, shard_rows=16)
         batched = ScoreStore(scores, shard_rows=16, telemetry=Telemetry())
         for plan in plans:
             sequential.apply_plan(plan)
-        _replay(batched, PlanBatch(plans))
+        _replay(batched, encode_legacy_batch_frame(1, (), plans))
         assert np.array_equal(sequential.to_array(), batched.to_array())
         assert batched.version == sequential.version
         assert batched.apply_report()["plans"] == len(
@@ -145,7 +155,8 @@ class TestScoreStoreBatchApply:
         store = ScoreStore(
             np.zeros((8, 8)), shard_rows=4, telemetry=Telemetry()
         )
-        _replay(store, PlanBatch([]))
+        _replay(store, encode_drain_frame(1, (), None))
+        _replay(store, encode_legacy_batch_frame(2, (), ()))
         assert store.version == 0
         assert store.apply_report()["plans"] == 0
 

@@ -6,8 +6,8 @@ one-entry Theorem-1 correction.  The reference here materialises
 densely, so it shares no code with the planner.  Per-round supports
 (Theorem 4's affected areas) must be equal and values must agree to
 round-off; :func:`_dusty` names the one round-off exception.  The last
-test pins the live-vs-WAL-replay invariant: a plan rebuilt from its
-packed frame feeds the score store bit-identical panels.
+test pins the live-vs-WAL-replay invariant: a plan read back from its
+WAL frame feeds the score store bit-identical panels.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from repro.graph.transition import backward_transition_matrix
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.incremental.engine import DynamicSimRank
 from repro.incremental.gamma import compute_update_vectors
+from repro.durability.wal import decode_frames, encode_drain_frame
 from repro.incremental.plan import (
-    PackedPlanBatch,
-    PlanBatch,
     apply_plan_dense,
     plan_rank_one,
     plan_unit_update,
@@ -200,9 +199,13 @@ class TestAgainstDenseReference:
                     np.testing.assert_array_equal(
                         np.flatnonzero(got), np.flatnonzero(expected)
                     )
-        for (l_idx, l_val), column in zip(plan.left_factors, left.T):
-            np.testing.assert_array_equal(l_idx, plan.rows_union[column != 0])
-            np.testing.assert_array_equal(l_val, column[column != 0])
+        # Theorem 4: each kept round's factor supports, read off the
+        # panel columns, are the affected areas the planner recorded.
+        for k in range(plan.rank):
+            rows = plan.rows_union[np.flatnonzero(left[:, k])]
+            cols = plan.cols_union[np.flatnonzero(right[:, k])]
+            assert rows.size == plan.affected.row_sizes[k]
+            assert cols.size == plan.affected.col_sizes[k]
 
     @settings(max_examples=100, deadline=None)
     @given(_cases())
@@ -243,7 +246,9 @@ def _drained_plans(seed):
             kind = EdgeUpdate.delete if live.has_edge(s, t) else EdgeUpdate.insert
             batch.append(kind(s, t))
         engine.apply_consolidated(UpdateBatch(batch))
-        plans.extend(engine.take_last_drain()[1])
+        plan = engine.take_last_drain()[1]
+        if plan is not None:
+            plans.append(plan)
     return initial, plans
 
 
@@ -283,12 +288,12 @@ class TestWalReplay:
     def test_replayed_panels_and_apply_are_bitwise_live(self, source):
         initial, plans = source(seed=3)
         assert plans and not all(plan.is_noop for plan in plans)
-        packed = PlanBatch(plans).packed()
-        words = np.empty(packed.word_count(), dtype=np.int64)
-        packed.write_words(words)
-        replayed = PackedPlanBatch.from_words(
-            words, packed.count, packed.section_lengths()
-        ).plans()
+        frames, _ = decode_frames(b"".join(
+            encode_drain_frame(version, (), plan)
+            for version, plan in enumerate(plans, start=1)
+        ))
+        replayed = [plan for frame in frames for plan in frame.plans]
+        assert len(replayed) == len(plans)
         live_store = ScoreStore(initial.copy(), shard_rows=8)
         replay_store = ScoreStore(initial.copy(), shard_rows=8)
         for live, replay in zip(plans, replayed):

@@ -11,8 +11,8 @@ from repro.exceptions import DimensionError
 from repro.executor import ScoreStore
 from repro.executor.score_store import SPARSE_SPAN_RATIO
 from repro.graph.generators import erdos_renyi_digraph
+from repro.durability.wal import decode_frames, encode_drain_frame
 from repro.incremental.plan import (
-    PlanBatch,
     UpdatePlan,
     apply_plan_dense,
     plan_unit_update,
@@ -240,16 +240,16 @@ def _plan(rows, cols, rank, seed):
     rng = np.random.default_rng(seed)
     rows = np.asarray(sorted(set(rows)), dtype=np.int64)
     cols = np.asarray(sorted(set(cols)), dtype=np.int64)
-    left, right = [], []
+    left = np.zeros((rows.size, rank))
+    right = np.zeros((cols.size, rank))
     for term in range(rank):
         keep_rows = rng.random(rows.size) < 0.7
         keep_cols = rng.random(cols.size) < 0.7
         if term == 0:
             keep_rows[:] = keep_cols[:] = True
-        left_idx, right_idx = rows[keep_rows], cols[keep_cols]
-        left.append((left_idx, rng.uniform(-1.0, 1.0, left_idx.size)))
-        right.append((right_idx, rng.uniform(-1.0, 1.0, right_idx.size)))
-    return UpdatePlan(0, left, right, rows, cols, affected=None)
+        left[keep_rows, term] = rng.uniform(-1.0, 1.0, keep_rows.sum())
+        right[keep_cols, term] = rng.uniform(-1.0, 1.0, keep_cols.sum())
+    return UpdatePlan(0, rows, cols, left, right, affected=None)
 
 
 @st.composite
@@ -285,7 +285,7 @@ def _apply_cases(draw):
         "seed": draw(st.integers(0, 2**16)),
         "shard_rows": draw(st.sampled_from([1, 3, 7, 64])),
         "dtype": draw(st.sampled_from([np.float64, np.float32])),
-        "packed": draw(st.booleans()),
+        "replayed": draw(st.booleans()),
     }
 
 
@@ -302,8 +302,10 @@ class TestApplyStrategies:
     @given(_apply_cases())
     def test_apply_plan_equals_dense_reference(self, case):
         plan = _plan(case["rows"], case["cols"], case["rank"], case["seed"])
-        if case["packed"]:
-            plan = PlanBatch([plan]).packed().plans()[0]
+        if case["replayed"]:
+            # Read back from a WAL frame: read-only views of its bytes.
+            (frame,), _ = decode_frames(encode_drain_frame(1, (), plan))
+            (plan,) = frame.plans
         scores = _random_scores(case["n"], seed=case["seed"]).astype(
             case["dtype"]
         )
@@ -362,7 +364,7 @@ class TestApplyStrategies:
         cols = np.arange(100, 1100)
         left = rng.random((rows.size, 16))
         right = rng.random((cols.size, 16))
-        plan = UpdatePlan.from_panels(0, rows, cols, left, right, None)
+        plan = UpdatePlan(0, rows, cols, left, right, None)
         telemetry = Telemetry()
         store = ScoreStore(np.zeros((n, n)), telemetry=telemetry)
         store.apply_plan(plan)
@@ -383,7 +385,7 @@ class TestApplyStrategies:
         cols = np.sort(rng.choice(np.arange(1400), 1000, replace=False))
         left = rng.random((rows.size, rank))
         right = rng.random((cols.size, rank))
-        plan = UpdatePlan.from_panels(0, rows, cols, left, right, None)
+        plan = UpdatePlan(0, rows, cols, left, right, None)
         store = ScoreStore(np.zeros((n, n)))
         store.apply_plan(plan)
         expected = apply_plan_dense(np.zeros((n, n)), plan)
@@ -402,9 +404,9 @@ class TestApplyStrategies:
     def test_apply_time_covers_panels_and_gemm(self, monkeypatch):
         original = UpdatePlan.panels
 
-        def slow_panels(plan, dtype=None):
+        def slow_panels(plan):
             time.sleep(0.005)
-            return original(plan, dtype)
+            return original(plan)
 
         monkeypatch.setattr(UpdatePlan, "panels", slow_panels)
         telemetry = Telemetry()

@@ -173,7 +173,7 @@ class TestRegistry:
         store = ScoreStore(np.zeros((8, 8)), shard_rows=4)
         rows = np.array([1, 2, 5], dtype=np.int64)
         cols = np.array([0, 3, 4, 6], dtype=np.int64)
-        plan = UpdatePlan.from_panels(
+        plan = UpdatePlan(
             0, rows, cols, np.ones((3, 2)), np.ones((4, 2)), affected=None
         )
         insert, delete = EdgeUpdate.insert(1, 7), EdgeUpdate.delete(1, 7)

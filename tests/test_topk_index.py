@@ -224,9 +224,9 @@ def _eighths_plan(rng, n):
         np.unique(rng.integers(n, size=int(rng.integers(1, top))))
         for top in rng.choice([4, n + 1], size=2)
     )
-    left = [(rows, rng.integers(-2, 3, size=rows.size) / 8.0)]
-    right = [(cols, np.ones(cols.size))]
-    return UpdatePlan(0, left, right, rows, cols, affected=None)
+    left = rng.integers(-2, 3, size=(rows.size, 1)) / 8.0
+    right = np.ones((cols.size, 1))
+    return UpdatePlan(0, rows, cols, left, right, affected=None)
 
 
 @st.composite
@@ -350,9 +350,9 @@ class TestShardTopKUnit:
         assert index.top_k(16) == top_k_pairs(scores, 16)
         assert index._shards[0].floor == (-0.5, 6, 10)
         rows, cols = np.array([0]), np.array([1, 11])  # sparse span
-        left = [(rows, np.array([0.25]))]
-        right = [(cols, np.ones(2))]
-        plan = UpdatePlan(0, left, right, rows, cols, affected=None)
+        plan = UpdatePlan(
+            0, rows, cols, np.array([[0.25]]), np.ones((2, 1)), affected=None
+        )
         store.apply_plan(plan)
         assert store.entry(0, 11) == 0.5
         assert index.top_k(16) == top_k_pairs(store.to_array(), 16)
