@@ -485,9 +485,13 @@ class WriteAheadLog:
     ) -> Iterator[WalFrame]:
         """Yield frames with ``after_version < version``, in order.
 
-        Stops after ``through_version`` when given (frames past it in
-        an actively-appending final segment are never even decoded,
-        which is what makes concurrent time-travel reads safe).
+        Stops after ``through_version`` when given.  Every segment
+        opened is read and decoded whole (each frame CRC-checked) before
+        the version filter runs, so frames past ``through_version`` in
+        the same segment are decoded too.  Reading concurrently with an
+        appender is still safe: a half-written frame at the end of the
+        live final segment reads as a torn tail and is skipped, so only
+        frames appended in full are ever yielded.
         """
         segments = list(self._segments)
         for position, (_seq, start, path) in enumerate(segments):

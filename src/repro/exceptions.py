@@ -68,25 +68,12 @@ class ServiceClosedError(ReproError, RuntimeError):
     """
 
 
-class SessionNotFoundError(ReproError, KeyError):
-    """A pinned-snapshot session id is unknown (expired or released).
-
-    Raised by the front door's session manager; the wire taxonomy maps
-    it to HTTP 404.  TTL expiry and explicit release both end a session
-    permanently — clients re-pin by opening a new session.
-    """
-
-    def __init__(self, session_id: object) -> None:
-        super().__init__(f"unknown or expired session {session_id!r}")
-        self.session_id = session_id
-
-
 class ProtocolError(ReproError, ValueError):
-    """A malformed HTTP request or WebSocket frame reached the front door.
+    """A malformed HTTP request reached the front door.
 
     Covers unparsable request lines, oversized headers/bodies, invalid
-    JSON payloads, and RFC 6455 framing violations.  The wire taxonomy
-    maps it to HTTP 400 (or a WebSocket protocol-error close).
+    JSON payloads, unknown routes and malformed update entries.  The
+    wire taxonomy maps it to HTTP 400.
     """
 
 

@@ -166,10 +166,6 @@ class ScoreSnapshot:
             yield cursor, view
             cursor += view.shape[0]
 
-    def nbytes(self) -> int:
-        """Logical bytes pinned by this snapshot (the viewed rows)."""
-        return sum(view.nbytes for view in self._views)
-
     def __repr__(self) -> str:
         return (
             f"ScoreSnapshot(n={self.num_nodes}, version={self.version}, "

@@ -216,12 +216,6 @@ class ShardTopK:
             raise DimensionError(
                 f"capacity {self.capacity} must be >= k {self.k}"
             )
-        #: Monotone counter bumped whenever a mutation may have changed
-        #: a ranking — the cheap "did anything move since I last
-        #: looked?" signal the front door's top-k subscriptions poll
-        #: after each drain.  Queries never bump it: a ranking is a
-        #: function of the tracked sets, which only mutations move.
-        self.revision = 0
         #: None means "every shard needs a scan" (first build, dense
         #: mutation, node arrival); rebuilt at the next query.
         self._shards: Optional[List[_ShardState]] = None
@@ -258,7 +252,6 @@ class ShardTopK:
     def invalidate_all(self) -> None:
         """Dense mutation / node arrival: every shard rescans lazily."""
         self._shards = None
-        self.revision += 1
 
     def on_add_node(self) -> None:
         """Node arrival adds a zero column pair to every shard."""
@@ -290,11 +283,8 @@ class ShardTopK:
         """
         if self._shards is None:
             return
-        moved = False
         for shard_id, found in hits.items():
-            moved |= self._patch(shard_id, found)
-        if moved:
-            self.revision += 1
+            self._patch(shard_id, found)
 
     def on_entry(self, row: int, col: int) -> None:
         """One score was overwritten; patch its canonical pair."""
@@ -302,20 +292,18 @@ class ShardTopK:
             return
         a, b = (row, col) if row < col else (col, row)
         pair = (np.array([a], dtype=np.int64), np.array([b], dtype=np.int64))
-        if self._patch(a // self._store.shard_rows, [pair]):
-            self.revision += 1
+        self._patch(a // self._store.shard_rows, [pair])
 
     # -------------------------------------------------------------- #
     # Patching internals
     # -------------------------------------------------------------- #
 
-    def _patch(self, shard_id: int, found: Hits) -> bool:
-        """Refresh, promote, untrack and trim one shard; True if it moved."""
+    def _patch(self, shard_id: int, found: Hits) -> None:
+        """Refresh, promote, untrack and trim one shard."""
         state = self._shards[shard_id]
         base, block = self._store.shard_block(shard_id)
         a, b = state.a, state.b
         s = block[a - base, b].astype(np.float64, copy=False)
-        moved = not np.array_equal(s, state.s)
         tracked = a.size
         if found:
             # First occurrences of the pair codes, tracked pairs first:
@@ -350,7 +338,6 @@ class ShardTopK:
             self._untracked.inc(sunk)
         if promoted:
             self._promoted.inc(promoted)
-        return moved or sunk > 0 or promoted > 0
 
     def _scan(self, shard_id: int) -> _ShardState:
         """Rebuild one shard from its block: top-``capacity`` plus floor."""

@@ -1,63 +1,43 @@
-"""Dependency-free HTTP/1.1 and WebSocket (RFC 6455) wire plumbing.
+"""Dependency-free HTTP/1.1 wire plumbing.
 
-The front door speaks two protocols over one listening socket, both
-implemented here directly on asyncio stream pairs — no third-party
-framework, because queries and top-k pushes are small JSON messages and
-the interesting engineering (admission batching, snapshot pinning,
-delta subscriptions) lives above the wire anyway.
+The front door speaks HTTP/1.1 with JSON bodies, implemented here
+directly on asyncio stream pairs — no third-party framework, because
+queries and updates are small JSON messages and the interesting
+engineering (admission batching, snapshot pinning) lives above the
+wire anyway.
 
-The module carries **both sides** of each protocol: the server-side
-parser/encoder used by :class:`~repro.frontdoor.server.FrontDoor`, and
-minimal client helpers (:class:`HTTPClient`, :func:`ws_connect`) used
-by the test suite, so the repo can exercise its own wire format end to
-end without external tooling.
+The module carries **both sides**: the server-side parser/encoder used
+by :class:`~repro.frontdoor.server.FrontDoor`, and a minimal keep-alive
+client (:class:`HTTPClient`) used by the test suite, so the repo can
+exercise its own wire format end to end without external tooling.
 
 Malformed input raises :class:`~repro.exceptions.ProtocolError`
-(HTTP 400 / WebSocket protocol-error close); size limits on request
-lines, headers, bodies, and frames keep a misbehaving client from
-ballooning server memory.
+(HTTP 400); size limits on request lines, headers and bodies keep a
+misbehaving client from ballooning server memory.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
-import os
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..exceptions import ProtocolError
 
-#: RFC 6455 handshake GUID (fixed by the spec).
-WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-#: WebSocket opcodes this implementation handles.
-OP_CONT = 0x0
-OP_TEXT = 0x1
-OP_BINARY = 0x2
-OP_CLOSE = 0x8
-OP_PING = 0x9
-OP_PONG = 0xA
-
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_BYTES = 65536
 MAX_BODY_BYTES = 16 * 1024 * 1024
-MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _REASONS = {
     200: "OK",
-    201: "Created",
     204: "No Content",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
-    426: "Upgrade Required",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -87,14 +67,6 @@ class HTTPRequest:
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ProtocolError(f"invalid JSON body: {exc}") from None
         return self._json
-
-    @property
-    def wants_websocket(self) -> bool:
-        """Whether this request asks for a WebSocket upgrade."""
-        return (
-            "upgrade" in self.headers.get("connection", "").lower()
-            and self.headers.get("upgrade", "").lower() == "websocket"
-        )
 
 
 async def read_request(
@@ -220,95 +192,6 @@ async def send_json(
 
 
 # ------------------------------------------------------------------ #
-# WebSocket framing (RFC 6455)
-# ------------------------------------------------------------------ #
-
-
-def websocket_accept(key: str) -> str:
-    """The ``Sec-WebSocket-Accept`` value for one handshake key."""
-    digest = hashlib.sha1((key + WS_GUID).encode("latin-1")).digest()
-    return base64.b64encode(digest).decode("latin-1")
-
-
-def handshake_response(key: str) -> bytes:
-    """The 101 Switching Protocols response completing the upgrade."""
-    return (
-        "HTTP/1.1 101 Switching Protocols\r\n"
-        "Upgrade: websocket\r\n"
-        "Connection: Upgrade\r\n"
-        f"Sec-WebSocket-Accept: {websocket_accept(key)}\r\n"
-        "\r\n"
-    ).encode("latin-1")
-
-
-def encode_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
-    """Serialize one unfragmented frame (clients must set ``mask``)."""
-    header = bytearray([0x80 | (opcode & 0x0F)])
-    length = len(payload)
-    mask_bit = 0x80 if mask else 0x00
-    if length < 126:
-        header.append(mask_bit | length)
-    elif length < 65536:
-        header.append(mask_bit | 126)
-        header += struct.pack("!H", length)
-    else:
-        header.append(mask_bit | 127)
-        header += struct.pack("!Q", length)
-    if mask:
-        key = os.urandom(4)
-        header += key
-        payload = bytes(
-            byte ^ key[i % 4] for i, byte in enumerate(payload)
-        )
-    return bytes(header) + payload
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-    max_size: int = MAX_FRAME_BYTES,
-) -> Tuple[int, bytes]:
-    """Read one frame; returns ``(opcode, payload)``.
-
-    Fragmented messages are rejected (every message the front door
-    exchanges fits one frame by design); control frames pass through
-    for the caller to answer.  Raises :class:`ProtocolError` on framing
-    violations and :class:`asyncio.IncompleteReadError` on EOF.
-    """
-    first = await reader.readexactly(2)
-    fin = bool(first[0] & 0x80)
-    if first[0] & 0x70:
-        raise ProtocolError("websocket reserved bits set")
-    opcode = first[0] & 0x0F
-    if not fin:
-        raise ProtocolError("fragmented websocket messages not supported")
-    masked = bool(first[1] & 0x80)
-    length = first[1] & 0x7F
-    if length == 126:
-        length = struct.unpack("!H", await reader.readexactly(2))[0]
-    elif length == 127:
-        length = struct.unpack("!Q", await reader.readexactly(8))[0]
-    if length > max_size:
-        raise ProtocolError(f"websocket frame too large ({length} bytes)")
-    key = await reader.readexactly(4) if masked else None
-    payload = await reader.readexactly(length) if length else b""
-    if key is not None:
-        payload = bytes(
-            byte ^ key[i % 4] for i, byte in enumerate(payload)
-        )
-    return opcode, payload
-
-
-async def send_ws_json(
-    writer: asyncio.StreamWriter,
-    payload: object,
-    mask: bool = False,
-) -> None:
-    """Send one JSON text frame."""
-    writer.write(encode_frame(OP_TEXT, json_body(payload), mask=mask))
-    await writer.drain()
-
-
-# ------------------------------------------------------------------ #
 # Client helpers (tests)
 # ------------------------------------------------------------------ #
 
@@ -405,85 +288,3 @@ class HTTPClient:
             return status, json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"invalid JSON response: {exc}") from None
-
-
-async def ws_connect(
-    host: str,
-    port: int,
-    path: str,
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Open a client WebSocket: TCP connect + RFC 6455 handshake.
-
-    A refused or mismatched handshake (or any other failure after the
-    connect) closes the connection before the error propagates.
-    """
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        await _ws_handshake(reader, writer, host, port, path)
-    except BaseException:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        raise
-    return reader, writer
-
-
-async def _ws_handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    host: str,
-    port: int,
-    path: str,
-) -> None:
-    key = base64.b64encode(os.urandom(16)).decode("latin-1")
-    writer.write(
-        (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\n"
-            "Sec-WebSocket-Version: 13\r\n\r\n"
-        ).encode("latin-1")
-    )
-    await writer.drain()
-    status_line = await reader.readuntil(b"\r\n")
-    if b" 101 " not in status_line:
-        raise ProtocolError(
-            f"websocket handshake refused: {status_line!r}"
-        )
-    accept = None
-    while True:
-        line = await reader.readuntil(b"\r\n")
-        text = line.decode("latin-1").rstrip("\r\n")
-        if not text:
-            break
-        name, _, value = text.partition(":")
-        if name.strip().lower() == "sec-websocket-accept":
-            accept = value.strip()
-    if accept != websocket_accept(key):
-        raise ProtocolError("websocket handshake key mismatch")
-
-
-async def ws_recv_json(reader: asyncio.StreamReader) -> Optional[object]:
-    """Receive the next JSON text frame; None on a close frame.
-
-    Ping frames are skipped (the front door never pings, but a proxy
-    might); any other opcode is a protocol violation.
-    """
-    while True:
-        opcode, payload = await read_frame(reader)
-        if opcode == OP_TEXT:
-            try:
-                return json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"invalid JSON websocket frame: {exc}"
-                ) from None
-        if opcode == OP_CLOSE:
-            return None
-        if opcode in (OP_PING, OP_PONG):
-            continue
-        raise ProtocolError(f"unexpected websocket opcode {opcode:#x}")

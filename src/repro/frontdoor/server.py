@@ -1,40 +1,34 @@
 """The async network front door over one :class:`SimRankService`.
 
-One asyncio server, one listening socket, two protocols:
+One asyncio server, one listening socket, plain HTTP/1.1 with JSON
+bodies:
 
 ========================== ===========================================
 ``GET /health``             liveness + version (+ durability state)
 ``GET /metrics``            service metrics + front-door gauges
+                            (``?format=prometheus``: text exposition)
+``GET /traces``             recorded spans (``?trace_id=`` filters)
 ``POST /query``             one :class:`QueryRequest` (JSON); batched
                             admission for ``similarity`` /
                             ``single_source``, shard-local index for
-                            ``top_k``, pinned-session routing via the
-                            envelope's ``session`` field
-``POST /session``           pin the current snapshot; returns the id
-``GET /session/<id>``       session metadata (refreshes the TTL)
-``DELETE /session/<id>``    release the pin
+                            ``top_k``; ``?version=N`` reads a past
+                            version from the data dir
 ``POST /updates``           submit edge updates (optional validation
                             against graph ∪ pending queue)
 ``POST /flush``             wait until everything queued is applied
-``GET /ws/topk?k=K``        WebSocket: top-k delta subscription
 ========================== ===========================================
 
 Design rules:
 
 * the **event loop never blocks** — every engine call (query, drain
-  wait, ranking) runs in the default thread-pool executor; the loop
-  only parses, routes, and demultiplexes;
-* **drains push, clients don't poll** — a
-  :meth:`SimRankService.add_drain_listener` callback flips an asyncio
-  event from the writer thread (``call_soon_threadsafe``), waking the
-  push task that runs one subscription poll per drain burst;
+  wait, time-travel view) runs in the default thread-pool executor;
+  the loop only parses, routes, and demultiplexes;
 * **errors are the taxonomy** — every library exception maps through
   :func:`~repro.serving.envelopes.http_status`, so a closed service is
   a 503 and a full queue is a 429 on the wire exactly as they are
   in-process;
-* **shutdown is graceful** — :meth:`stop` sends every subscriber a
-  terminal frame, releases every pinned session, fails parked
-  admission futures, and only then closes the service-side listener.
+* **shutdown is graceful** — :meth:`stop` fails parked admission
+  futures, then closes the listening socket and every open connection.
 """
 
 from __future__ import annotations
@@ -60,23 +54,7 @@ from ..telemetry import (
     render_prometheus,
 )
 from .admission import AdmissionBatcher
-from .protocol import (
-    OP_CLOSE,
-    OP_PING,
-    OP_PONG,
-    encode_frame,
-    handshake_response,
-    read_frame,
-    read_request,
-    render_response,
-    send_json,
-    send_ws_json,
-)
-from .sessions import SessionManager
-from .subscriptions import TopKSubscriptions
-
-#: Sentinel queued to a subscriber to end its WebSocket.
-_TERMINAL = object()
+from .protocol import read_request, render_response, send_json
 
 
 class _RawResponse:
@@ -90,7 +68,7 @@ class _RawResponse:
 
 
 class FrontDoor:
-    """Serve one :class:`SimRankService` over HTTP + WebSocket."""
+    """Serve one :class:`SimRankService` over HTTP."""
 
     def __init__(self, service, config: Optional[FrontDoorConfig] = None):
         if config is None:
@@ -100,22 +78,9 @@ class FrontDoor:
         self._service = service
         self.config = config
         self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._drain_event = asyncio.Event()
         self._stopping = False
-        self._push_task: Optional[asyncio.Task] = None
-        self._ws_tasks: Set[asyncio.Task] = set()
+        self._connections: Set[asyncio.StreamWriter] = set()
         self.telemetry = getattr(service, "telemetry", None) or NULL_TELEMETRY
-        self.sessions = SessionManager(
-            default_ttl=config.session_ttl,
-            max_sessions=config.max_sessions,
-            registry=self.telemetry.registry,
-        )
-        self.subscriptions = TopKSubscriptions(
-            service,
-            max_k=config.subscription_max_k,
-            registry=self.telemetry.registry,
-        )
         self.batcher = AdmissionBatcher(
             pin_view=service.snapshot,
             max_batch=config.admission_max_batch,
@@ -157,15 +122,12 @@ class FrontDoor:
         return self.config.host
 
     async def start(self) -> "FrontDoor":
-        """Bind the socket, hook the drain listener, start pushing."""
+        """Bind the listening socket."""
         if self._server is not None:
             raise ConfigError("front door already started")
-        self._loop = asyncio.get_running_loop()
-        self._service.add_drain_listener(self._on_drain)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
-        self._push_task = self._loop.create_task(self._push_loop())
         return self
 
     async def stop(self) -> None:
@@ -173,26 +135,13 @@ class FrontDoor:
         if self._stopping:
             return
         self._stopping = True
-        self._service.remove_drain_listener(self._on_drain)
         self.batcher.drain()
-        # Terminal frame to every subscriber, then let their handler
-        # tasks finish the close handshake.
-        for subscriber in self.subscriptions.drain_subscribers():
-            subscriber.queue.put_nowait(_TERMINAL)
-        if self._push_task is not None:
-            self._drain_event.set()
-            self._push_task.cancel()
-            try:
-                await self._push_task
-            except asyncio.CancelledError:
-                pass
-        if self._ws_tasks:
-            await asyncio.gather(
-                *tuple(self._ws_tasks), return_exceptions=True
-            )
-        self.sessions.release_all()
         if self._server is not None:
             self._server.close()
+            # An idle keep-alive client would otherwise hold its handler
+            # (and, from Python 3.12, ``wait_closed``) open for good.
+            for writer in tuple(self._connections):
+                writer.close()
             await self._server.wait_closed()
 
     async def run_forever(self) -> None:
@@ -207,34 +156,11 @@ class FrontDoor:
         return asyncio.get_running_loop().run_in_executor(None, fn)
 
     # ------------------------------------------------------------- #
-    # Drain push pipeline
-    # ------------------------------------------------------------- #
-
-    def _on_drain(self, version: int) -> None:
-        # Writer-thread context: hop to the loop with the one
-        # threadsafe primitive; coalescing multiple drains into one
-        # event-set is exactly right (the poll reads current state).
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._drain_event.set)
-
-    async def _push_loop(self) -> None:
-        while not self._stopping:
-            await self._drain_event.wait()
-            self._drain_event.clear()
-            if self._stopping:
-                return
-            if not len(self.subscriptions):
-                continue
-            messages = await self._run_blocking(self.subscriptions.poll)
-            for subscriber, message in messages:
-                subscriber.queue.put_nowait(message)
-
-    # ------------------------------------------------------------- #
     # Connection handling
     # ------------------------------------------------------------- #
 
     async def _handle_connection(self, reader, writer) -> None:
+        self._connections.add(writer)
         try:
             while not self._stopping:
                 try:
@@ -248,15 +174,13 @@ class FrontDoor:
                 if request is None:
                     return
                 self.requests_served += 1
-                if request.wants_websocket:
-                    await self._handle_websocket(request, reader, writer)
-                    return
                 keep_open = await self._dispatch_http(request, writer)
                 if not keep_open:
                     return
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
+            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -312,16 +236,6 @@ class FrontDoor:
             }
         if path == "/query" and method == "POST":
             return await self._handle_query(request)
-        if path == "/session" and method == "POST":
-            return await self._handle_create_session(request)
-        if path.startswith("/session/"):
-            session_id = path[len("/session/"):]
-            if method == "GET":
-                return 200, self.sessions.info(session_id)
-            if method == "DELETE":
-                self.sessions.release(session_id)
-                return 200, {"session": session_id, "released": True}
-            raise ProtocolError(f"method {method} not allowed on {path}")
         if path == "/updates" and method == "POST":
             return await self._handle_updates(request)
         if path == "/flush" and method == "POST":
@@ -336,8 +250,6 @@ class FrontDoor:
             "version": service.version,
             "num_nodes": service.num_nodes,
             "pending": service.pending,
-            "sessions": len(self.sessions),
-            "subscribers": len(self.subscriptions),
         }
         manager = service.durability
         if manager is not None:
@@ -371,30 +283,18 @@ class FrontDoor:
                 raise ProtocolError(
                     f"version must be an integer: {raw_version!r}"
                 )
-            if query.session is not None:
-                raise ProtocolError(
-                    "?version= and a pinned session are mutually "
-                    "exclusive (both name a fixed view)"
-                )
         with tracer.span(
             "frontdoor.query", trace_id, kind=query.kind
         ):
             if at_version is not None:
                 # Time-travel read: materialize the historical view off
                 # the loop (checkpoint load + WAL replay can take a
-                # while), then compute off it like a pinned session.
+                # while), then compute off it.
                 def _travel():
                     view = self._service.view_at(at_version)
                     return run_query(view, query)
 
                 result = await self._run_blocking(_travel)
-            elif query.session is not None:
-                # Pinned-session routing: resolve the frozen view on the
-                # loop (the manager is loop-confined), compute off it.
-                view = self.sessions.get(query.session)
-                result = await self._run_blocking(
-                    functools.partial(run_query, view, query)
-                )
             elif query.batchable:
                 result = await self.batcher.run(query)
             else:
@@ -405,23 +305,6 @@ class FrontDoor:
         if trace_id is not None and tracer.sampled(trace_id):
             body["trace_id"] = trace_id
         return 200, body
-
-    async def _handle_create_session(self, request):
-        payload = request.json() or {}
-        if not isinstance(payload, dict):
-            raise ProtocolError("session body must be a JSON object")
-        ttl = payload.get("ttl")
-        if ttl is not None and (
-            not isinstance(ttl, (int, float)) or ttl <= 0
-        ):
-            raise ProtocolError(f"session ttl must be positive: {ttl!r}")
-        view = await self._run_blocking(self._service.snapshot)
-        session_id = self.sessions.create(view, ttl=ttl)
-        return 201, {
-            "session": session_id,
-            "version": view.version,
-            "ttl": ttl or self.config.session_ttl,
-        }
 
     async def _handle_updates(self, request):
         payload = request.json()
@@ -439,7 +322,11 @@ class FrontDoor:
             ):
                 raise ProtocolError(f"malformed update entry: {entry!r}")
             op, source, target = entry
-            if not isinstance(source, int) or not isinstance(target, int):
+            # JSON booleans are ints to Python; ``true`` is no node id.
+            if any(
+                isinstance(node, bool) or not isinstance(node, int)
+                for node in (source, target)
+            ):
                 raise ProtocolError(f"malformed update entry: {entry!r}")
             updates.append(
                 EdgeUpdate.insert(source, target)
@@ -530,82 +417,6 @@ class FrontDoor:
         return len(accepted), rejected
 
     # ------------------------------------------------------------- #
-    # WebSocket subscriptions
-    # ------------------------------------------------------------- #
-
-    async def _handle_websocket(self, request, reader, writer) -> None:
-        key = request.headers.get("sec-websocket-key")
-        if request.path != "/ws/topk" or key is None:
-            self.protocol_errors += 1
-            await send_json(
-                writer,
-                400,
-                error_body(ProtocolError("bad websocket upgrade")),
-                keep_alive=False,
-            )
-            return
-        try:
-            k = int(request.query.get("k", "10"))
-            subscriber = self.subscriptions.add(k, asyncio.Queue())
-        except (ValueError, ConfigError) as exc:
-            self.protocol_errors += 1
-            await send_json(
-                writer, 400, error_body(ConfigError(str(exc))),
-                keep_alive=False,
-            )
-            return
-        writer.write(handshake_response(key))
-        await writer.drain()
-        task = asyncio.current_task()
-        self._ws_tasks.add(task)
-        try:
-            snapshot = await self._run_blocking(
-                functools.partial(self.subscriptions.prime, subscriber)
-            )
-            await send_ws_json(writer, snapshot)
-            pump = asyncio.get_running_loop().create_task(
-                self._ws_client_pump(reader, subscriber)
-            )
-            try:
-                while True:
-                    message = await subscriber.queue.get()
-                    if message is _TERMINAL:
-                        await send_ws_json(writer, {"type": "closed"})
-                        break
-                    await send_ws_json(writer, message)
-            finally:
-                pump.cancel()
-                try:
-                    await pump
-                except asyncio.CancelledError:
-                    pass
-            writer.write(encode_frame(OP_CLOSE, b""))
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            self._ws_tasks.discard(task)
-            self.subscriptions.remove(subscriber)
-
-    async def _ws_client_pump(self, reader, subscriber) -> None:
-        """Read the client side: answer pings, honor close frames."""
-        try:
-            while True:
-                opcode, payload = await read_frame(reader)
-                if opcode == OP_CLOSE:
-                    subscriber.queue.put_nowait(_TERMINAL)
-                    return
-                if opcode in (OP_PING, OP_PONG):
-                    continue  # the push task owns the writer; no pong
-        except (
-            ProtocolError,
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            OSError,
-        ):
-            subscriber.queue.put_nowait(_TERMINAL)
-
-    # ------------------------------------------------------------- #
     # Introspection
     # ------------------------------------------------------------- #
 
@@ -620,8 +431,6 @@ class FrontDoor:
             "protocol_errors": self.protocol_errors,
             "status_counts": dict(self.status_counts),
             "admission": self.batcher.report(),
-            "sessions": self.sessions.report(),
-            "subscriptions": self.subscriptions.report(),
         }
 
 

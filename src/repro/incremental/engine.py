@@ -286,10 +286,9 @@ class DynamicSimRank:
         exact best pairs, patched from the promotion hits the score
         store finds while applying each plan, and a query merges them.
         A ``k`` above the index's capacity replaces the index with a
-        larger one whose ``revision`` continues past the old one's, so
-        subscribers never see the counter repeat.  ``include_self``
-        rankings (rare) fall back to the block-at-a-time shard merge,
-        which still never materializes ``S``.
+        larger one.  ``include_self`` rankings (rare) fall back to the
+        block-at-a-time shard merge, which still never materializes
+        ``S``.
         """
         from ..exceptions import DimensionError
 
@@ -302,10 +301,7 @@ class DynamicSimRank:
                 self._scores.iter_shard_blocks(), k, include_self=True
             )
         if self._topk_index is None or k > self._topk_index.capacity:
-            previous = self._topk_index
             self._topk_index = ShardTopK(self._scores, k=k)
-            if previous is not None:
-                self._topk_index.revision = previous.revision + 1
         return self._topk_index.top_k(k)
 
     # ------------------------------------------------------------------ #

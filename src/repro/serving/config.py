@@ -22,8 +22,8 @@ is the single typed source of truth for all of it:
   one.
 
 :class:`FrontDoorConfig` nests the network-layer knobs (bind address,
-admission batch cap, session TTL) so one file configures the whole stack,
-service plus front door.
+admission batch cap) so one file configures the whole stack, service
+plus front door.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ WRITER_MODES = ("sync", "background")
 #: Score-store storage dtypes: ``float64`` (the bit-identity reference,
 #: default) or ``float32`` (half the score memory).
 PRECISION_MODES = ("float64", "float32")
-
-#: Default idle TTL of a pinned-snapshot session (seconds).
-DEFAULT_SESSION_TTL = 30.0
 
 
 def _require(condition: bool, message: str) -> None:
@@ -134,7 +131,7 @@ class TelemetryConfig:
 
 @dataclass(frozen=True)
 class FrontDoorConfig:
-    """Network-front-door knobs (HTTP/WebSocket layer).
+    """Network-front-door knobs (HTTP layer).
 
     Parameters
     ----------
@@ -146,22 +143,11 @@ class FrontDoorConfig:
         commit with no timer: an idle batcher executes a query at once,
         and the queries that park while a batch executes form the next
         batch, at most this many at a time.
-    session_ttl:
-        Default idle seconds before a pinned-snapshot session is
-        released (each request on the session refreshes the clock).
-    max_sessions:
-        Cap on concurrently pinned sessions (each pins COW score
-        shards, so this bounds reader-held memory).
-    subscription_max_k:
-        Largest ``k`` a top-k subscription may request.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     admission_max_batch: int = 256
-    session_ttl: float = DEFAULT_SESSION_TTL
-    max_sessions: int = 1024
-    subscription_max_k: int = 100
 
     def __post_init__(self) -> None:
         _require(
@@ -175,18 +161,6 @@ class FrontDoorConfig:
         _require(
             int(self.admission_max_batch) >= 1,
             f"admission_max_batch must be >= 1: {self.admission_max_batch!r}",
-        )
-        _require(
-            self.session_ttl > 0,
-            f"session_ttl must be positive: {self.session_ttl!r}",
-        )
-        _require(
-            int(self.max_sessions) >= 1,
-            f"max_sessions must be >= 1: {self.max_sessions!r}",
-        )
-        _require(
-            int(self.subscription_max_k) >= 1,
-            f"subscription_max_k must be >= 1: {self.subscription_max_k!r}",
         )
 
     def to_dict(self) -> dict:

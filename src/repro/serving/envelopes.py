@@ -36,7 +36,6 @@ from ..exceptions import (
     ProtocolError,
     ReproError,
     ServiceClosedError,
-    SessionNotFoundError,
 )
 
 #: Legal query kinds.  ``similarity`` reads one precomputed score from
@@ -59,7 +58,6 @@ _REQUIRED_BY_KIND = {
 #: ======================== ======
 #: ``BackpressureError``     429
 #: ``ServiceClosedError``    503
-#: ``SessionNotFoundError``  404
 #: ``NodeNotFoundError``     404
 #: ``EdgeNotFoundError``     404
 #: ``HistoryUnavailableError`` 404
@@ -73,7 +71,6 @@ _REQUIRED_BY_KIND = {
 ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (BackpressureError, 429),
     (ServiceClosedError, 503),
-    (SessionNotFoundError, 404),
     (NodeNotFoundError, 404),
     (EdgeNotFoundError, 404),
     (HistoryUnavailableError, 404),
@@ -125,9 +122,6 @@ class QueryRequest:
         The source for ``single_source``.
     k:
         The ranking size for ``top_k``.
-    session:
-        Optional pinned-session id; the front door executes the query
-        against that session's frozen view instead of a fresh snapshot.
     id:
         Optional caller-chosen correlation id, echoed on the result.
     trace_id:
@@ -144,7 +138,6 @@ class QueryRequest:
     node_b: Optional[int] = None
     node: Optional[int] = None
     k: Optional[int] = None
-    session: Optional[str] = None
     id: Optional[str] = None
     trace_id: Optional[str] = None
 

@@ -170,7 +170,6 @@ class SimRankService:
         self._precision = cfg.precision
         self._closed = False
         self._close_lock = threading.RLock()
-        self._drain_listeners: list = []
         self._durability = None
         if cfg.durability is not None:
             from ..durability.manager import DurabilityManager
@@ -251,7 +250,6 @@ class SimRankService:
             drain_interval=drain_interval,
             max_pending=max_pending,
             policy=policy,
-            on_publish=self._on_writer_publish,
             on_drained=self._durable_on_drain,
             telemetry=self.telemetry,
             trace_source=self._take_origin_traces,
@@ -284,7 +282,6 @@ class SimRankService:
             if self._closed:
                 return
             self._closed = True
-            self._drain_listeners.clear()
             try:
                 self.stop_background_writer(drain=drain)
             finally:
@@ -307,41 +304,6 @@ class SimRankService:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(drain=exc_type is None)
-
-    # -------------------------------------------------------------- #
-    # Drain listeners
-    # -------------------------------------------------------------- #
-
-    def add_drain_listener(self, listener) -> None:
-        """Register ``listener(version)`` to fire after every publish.
-
-        Fires on every version bump: background-writer publishes, sync
-        drains, and live ``add_node`` growth.  Listeners run on the
-        draining thread (under the apply lock in background mode), so
-        they must be fast and must not call back into the service;
-        exceptions are swallowed.  The network front door uses this to
-        learn about drains without polling — its listener just flips an
-        asyncio event across the thread boundary.
-        """
-        self._ensure_open()
-        self._drain_listeners.append(listener)
-
-    def remove_drain_listener(self, listener) -> None:
-        """Unregister a listener (no-op when absent)."""
-        try:
-            self._drain_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _on_writer_publish(self, view: SnapshotView) -> None:
-        self._notify_drained(view.version)
-
-    def _notify_drained(self, version: int) -> None:
-        for listener in tuple(self._drain_listeners):
-            try:
-                listener(version)
-            except Exception:
-                pass  # a broken listener must never stall a drain
 
     # -------------------------------------------------------------- #
     # Introspection
@@ -463,10 +425,9 @@ class SimRankService:
         except Exception:
             self._scheduler.submit_many(batch)
             raise
-        # The same extent the background writer times: apply, WAL
-        # append (and any checkpoint), publish.
+        # The same extent the background writer times: apply and WAL
+        # append (and any checkpoint).
         self._durable_on_drain()
-        self._notify_drained(self._engine.version)
         elapsed = time.perf_counter() - started
         self._drain_hist.observe(elapsed)
         for trace_id in traces:
@@ -503,7 +464,6 @@ class SimRankService:
             return node
         node = self._engine.add_node()
         self._durable_add_node(node)
-        self._notify_drained(self._engine.version)
         return node
 
     # -------------------------------------------------------------- #

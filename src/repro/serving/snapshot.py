@@ -128,14 +128,6 @@ class SnapshotView:
 
         return top_k_similar_nodes(self._transitions, node, k, self._config)
 
-    # -------------------------------------------------------------- #
-    # Accounting
-    # -------------------------------------------------------------- #
-
-    def nbytes(self) -> int:
-        """Bytes pinned by this view (score shards + frozen Q arrays)."""
-        return self._scores.nbytes() + self._transitions.nbytes()
-
     def __repr__(self) -> str:
         return (
             f"SnapshotView(version={self._version}, "

@@ -86,13 +86,12 @@ class BackgroundWriter:
         Bound on net queued updates before backpressure applies.
     policy:
         One of :data:`BACKPRESSURE_POLICIES`.
-    on_publish:
-        Optional ``callback(view)`` invoked (under the apply lock,
-        right after :attr:`current_view` flips) every time a fresh
-        snapshot is published.  This is how the network front door
-        learns about drains without polling; callbacks must be fast and
-        must not raise — exceptions are swallowed so a broken listener
-        can never stall the drain loop.
+    on_drained:
+        Optional zero-argument callback invoked after each engine apply
+        and before the publish, still under the apply lock.  The service
+        appends the drain to its WAL here, so a published (acked)
+        version is always a durable one; an exception fails the drain
+        like an engine error.
     telemetry:
         A :class:`repro.telemetry.Telemetry` facade (None → the shared
         disabled instance).  Each drain observes its wall time (apply,
@@ -112,7 +111,6 @@ class BackgroundWriter:
         drain_interval: float = DEFAULT_DRAIN_INTERVAL,
         max_pending: int = DEFAULT_MAX_PENDING,
         policy: str = "block",
-        on_publish=None,
         on_drained=None,
         telemetry=None,
         trace_source=None,
@@ -188,7 +186,6 @@ class BackgroundWriter:
         self._stopping = False
         self._drain_on_stop = True
         self._error: Optional[BaseException] = None
-        self.on_publish = on_publish
         #: Fires between the engine apply and the publish, still under
         #: the apply lock — the service's WAL-append-before-ack seam.
         self.on_drained = on_drained
@@ -476,11 +473,6 @@ class BackgroundWriter:
         )
         self.current_view = view
         self._publishes.inc()
-        if self.on_publish is not None:
-            try:
-                self.on_publish(view)
-            except Exception:
-                pass  # a broken listener must never stall the drain loop
         return view
 
     # -------------------------------------------------------------- #

@@ -1,20 +1,16 @@
-"""Tests for repro.frontdoor (wire protocol, admission, sessions, subs).
+"""Tests for repro.frontdoor (wire protocol, admission, routes).
 
 The contracts the network front door adds on top of the serving layer,
 each asserted as an *exact* equality:
 
 * **batched admission equivalence** — queries answered through the
   vectorized admission path are bit-identical to solo execution;
-* **pinned-session stability** — a session's answers never change
-  across drains, while fresh reads see monotone versions;
-* **subscription reconstruction** — a client applying pushed deltas
-  holds exactly the ranking a full recompute produces, at every drain
-  point, digest-verified;
 * **error taxonomy** — ConfigError is a 400, a closed service is a 503,
-  an unknown session is a 404;
+  a malformed request or an unknown route is a 400 that leaves the
+  server serving;
 * **close discipline** — service close is idempotent and
-  concurrent-safe, and the front door's stop releases every pinned
-  snapshot.
+  concurrent-safe, and the front door's stop is idempotent even with a
+  client still connected.
 
 No pytest-asyncio here: async flows run under ``asyncio.run`` so the
 suite stays dependency-free like the package it tests.
@@ -35,17 +31,9 @@ from repro.exceptions import (
     ConfigError,
     ProtocolError,
     ServiceClosedError,
-    SessionNotFoundError,
 )
-from repro.frontdoor import FrontDoor, HTTPClient, ws_connect, ws_recv_json
+from repro.frontdoor import FrontDoor, HTTPClient
 from repro.frontdoor.admission import execute_batch
-from repro.frontdoor.protocol import websocket_accept
-from repro.frontdoor.sessions import SessionManager
-from repro.frontdoor.subscriptions import (
-    apply_delta,
-    diff_ranking,
-    ranking_digest,
-)
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate
 from repro.metrics.topk import top_k_pairs
@@ -108,14 +96,13 @@ class TestEnvelopes:
 
     def test_round_trip(self):
         request = QueryRequest(
-            kind="single_source", node=4, session="abc", id="r1"
+            kind="single_source", node=4, id="r1"
         )
         assert QueryRequest.from_dict(request.to_dict()) == request
 
     def test_status_taxonomy(self):
         assert http_status(ConfigError("x")) == 400
         assert http_status(BackpressureError("x")) == 429
-        assert http_status(SessionNotFoundError("x")) == 404
         assert http_status(ServiceClosedError("x")) == 503
         assert http_status(ValueError("x")) == 500
 
@@ -149,8 +136,6 @@ class TestServiceConfig:
             ServiceConfig(writer="turbo")
         with pytest.raises(ConfigError):
             FrontDoorConfig(admission_max_batch=0)
-        with pytest.raises(ConfigError):
-            FrontDoorConfig(subscription_max_k=0)
         # Configs saved before the executor knobs were removed must
         # fail loudly, naming the keys, not quietly serve in-process.
         with pytest.raises(ConfigError, match="executor.*workers"):
@@ -160,6 +145,14 @@ class TestServiceConfig:
             ServiceConfig.from_dict(
                 {"frontdoor": {"admission_window": 0.002}}
             )
+        # And one saved with the removed session and subscription knobs.
+        for key, value in (
+            ("session_ttl", 30.0),
+            ("max_sessions", 1024),
+            ("subscription_max_k", 100),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                ServiceConfig.from_dict({"frontdoor": {key: value}})
         # And configs saved with the removed precision autotuner.
         with pytest.raises(ConfigError, match="precision_plan"):
             ServiceConfig.from_dict(
@@ -289,213 +282,39 @@ class TestAdmission:
 
 
 # ------------------------------------------------------------------ #
-# Sessions
+# Fresh reads under drains
 # ------------------------------------------------------------------ #
 
 
-class TestSessions:
-    def test_manager_ttl_and_limits(self, workload):
-        service = _service(workload)
-        try:
-            clock = {"now": 0.0}
-            manager = SessionManager(
-                default_ttl=10.0,
-                max_sessions=2,
-                clock=lambda: clock["now"],
-            )
-            view = service.snapshot()
-            first = manager.create(view)
-            manager.create(view, ttl=1.0)
-            with pytest.raises(BackpressureError):
-                manager.create(view)
-            clock["now"] = 2.0  # second session expired; room again
-            manager.create(view)
-            assert manager.get(first).version == view.version
-            clock["now"] = 50.0
-            with pytest.raises(SessionNotFoundError):
-                manager.get(first)
-        finally:
-            service.close()
-
-    def test_pinned_session_bit_stable_under_drains(self, workload):
+class TestWireReads:
+    def test_top_k_matches_brute_force_at_every_drain(self, workload):
+        """``/query`` top-k equals ``top_k_pairs`` over the dense matrix
+        at each drain point, and fresh versions never go backwards."""
         service = _service(workload, writer="background")
-        graph, _, updates = workload
-
-        async def body(door):
-            async with HTTPClient(door.host, door.port) as client:
-                status, created = await client.request(
-                    "POST", "/session", {"ttl": 60}
-                )
-                assert status == 201
-                session = created["session"]
-                pairs = [(0, 1), (2, 3), (5, 7), (1, 1)]
-                reference = {}
-                for a, b in pairs:
-                    status, body_json = await client.request(
-                        "POST",
-                        "/query",
-                        {
-                            "kind": "similarity",
-                            "node_a": a,
-                            "node_b": b,
-                            "session": session,
-                        },
-                    )
-                    assert status == 200
-                    assert body_json["version"] == created["version"]
-                    reference[(a, b)] = body_json["value"]
-
-                service.submit_many(updates)
-                service.flush()  # versions advance under the session
-
-                last_version = -1
-                for a, b in pairs:
-                    status, pinned = await client.request(
-                        "POST",
-                        "/query",
-                        {
-                            "kind": "similarity",
-                            "node_a": a,
-                            "node_b": b,
-                            "session": session,
-                        },
-                    )
-                    assert status == 200
-                    assert pinned["value"] == reference[(a, b)]
-                    assert pinned["version"] == created["version"]
-                    status, fresh = await client.request(
-                        "POST",
-                        "/query",
-                        {"kind": "similarity", "node_a": a, "node_b": b},
-                    )
-                    assert status == 200
-                    assert fresh["version"] >= max(
-                        last_version, created["version"]
-                    )
-                    last_version = fresh["version"]
-
-                status, _ = await client.request(
-                    "DELETE", f"/session/{session}"
-                )
-                assert status == 200
-                status, body_json = await client.request(
-                    "POST",
-                    "/query",
-                    {
-                        "kind": "similarity",
-                        "node_a": 0,
-                        "node_b": 1,
-                        "session": session,
-                    },
-                )
-                assert status == 404
-                assert body_json["error"] == "SessionNotFoundError"
-            return True
-
-        try:
-            assert asyncio.run(_with_door(service, body))
-        finally:
-            service.close()
-
-
-# ------------------------------------------------------------------ #
-# Subscriptions
-# ------------------------------------------------------------------ #
-
-
-class TestSubscriptions:
-    def test_delta_primitives(self):
-        old = [(0, 1, 0.5), (2, 3, 0.4), (4, 5, 0.3)]
-        new = [(0, 1, 0.5), (4, 5, 0.45), (2, 3, 0.4), (6, 7, 0.2)]
-        changed = diff_ranking(old, new)
-        assert apply_delta(old, len(new), changed) == new
-        shrunk = new[:2]
-        assert apply_delta(new, 2, diff_ranking(new, shrunk)) == shrunk
-        assert ranking_digest(new) != ranking_digest(old)
-        assert ranking_digest(list(new)) == ranking_digest(new)
-
-    def test_deltas_match_brute_force_at_every_drain(self, workload):
-        """Reconstructed-from-deltas == top_k_pairs over the dense
-        matrix, at each controlled drain point."""
-        service = _service(workload, writer="background")
-        graph, _, updates = workload
+        _, _, updates = workload
         k = 8
 
         async def body(door):
-            reader, writer = await ws_connect(
-                door.host, door.port, f"/ws/topk?k={k}"
-            )
-            try:
-                message = await ws_recv_json(reader)
-                assert message["type"] == "snapshot"
-                ranking = [tuple(entry) for entry in message["ranking"]]
-                assert ranking_digest(ranking) == message["digest"]
-                assert ranking == top_k_pairs(
-                    service.engine.similarities(), k
-                )
-
+            async with HTTPClient(door.host, door.port) as client:
+                last_version = -1
                 for start in range(0, len(updates), 4):
                     service.submit_many(updates[start : start + 4])
                     service.flush()
-                    expected = top_k_pairs(
+                    status, body_json = await client.request(
+                        "POST", "/query", {"kind": "top_k", "k": k}
+                    )
+                    assert status == 200
+                    ranking = [tuple(entry) for entry in body_json["value"]]
+                    assert ranking == top_k_pairs(
                         service.engine.similarities(), k
                     )
-                    if expected == ranking:
-                        continue  # nothing pushed for a no-op drain
-                    message = await asyncio.wait_for(
-                        ws_recv_json(reader), timeout=10
-                    )
-                    assert message["type"] == "delta"
-                    ranking = apply_delta(
-                        ranking, message["size"], message["changed"]
-                    )
-                    assert ranking_digest(ranking) == message["digest"]
-                    assert ranking == expected
-            finally:
-                writer.close()
+                    assert body_json["version"] == service.version
+                    assert body_json["version"] >= last_version
+                    last_version = body_json["version"]
             return True
 
         try:
             assert asyncio.run(_with_door(service, body))
-        finally:
-            service.close()
-
-    def test_k_out_of_range_refused(self, workload):
-        service = _service(workload)
-
-        async def body(door):
-            with pytest.raises(ProtocolError):
-                await ws_connect(door.host, door.port, "/ws/topk?k=0")
-            with pytest.raises(ProtocolError):
-                await ws_connect(door.host, door.port, "/ws/topk?k=999")
-            return True
-
-        config = FrontDoorConfig(subscription_max_k=20)
-        try:
-            assert asyncio.run(_with_door(service, body, config))
-        finally:
-            service.close()
-
-    def test_stop_sends_terminal_frame(self, workload):
-        service = _service(workload)
-
-        async def body():
-            door = FrontDoor(service, FrontDoorConfig())
-            await door.start()
-            reader, writer = await ws_connect(
-                door.host, door.port, "/ws/topk?k=5"
-            )
-            snapshot = await ws_recv_json(reader)
-            assert snapshot["type"] == "snapshot"
-            await door.stop()
-            closed = await asyncio.wait_for(ws_recv_json(reader), timeout=5)
-            assert closed is None or closed.get("type") == "closed"
-            writer.close()
-            assert len(door.sessions) == 0
-            return True
-
-        try:
-            assert asyncio.run(body())
         finally:
             service.close()
 
@@ -522,6 +341,18 @@ class TestWireErrors:
                 assert status == 400
                 status, _ = await client.request("GET", "/no/such/route")
                 assert status == 400
+                # JSON ``true`` is a Python int; it must not pass as
+                # node 1 and queue the edge 1 -> 3.
+                _, before = await client.request("GET", "/health")
+                for entry in (["insert", True, 3], ["delete", 3, False]):
+                    status, body_json = await client.request(
+                        "POST", "/updates", {"updates": [entry]}
+                    )
+                    assert status == 400
+                    assert body_json["error"] == "ProtocolError"
+                _, after = await client.request("GET", "/health")
+                assert after["version"] == before["version"]
+                assert after["pending"] == before["pending"] == 0
             return True
 
         try:
@@ -599,22 +430,21 @@ class TestClose:
         with pytest.raises(ServiceClosedError):
             service.snapshot()
 
-    def test_door_stop_is_idempotent_and_releases_sessions(self, workload):
+    def test_door_stop_is_idempotent_with_client_connected(self, workload):
         service = _service(workload)
 
         async def body():
             door = FrontDoor(service, FrontDoorConfig())
             await door.start()
             async with HTTPClient(door.host, door.port) as client:
-                for _ in range(3):
-                    status, _ = await client.request(
-                        "POST", "/session", {}
-                    )
-                    assert status == 201
-                assert len(door.sessions) == 3
-            await door.stop()
-            await door.stop()  # idempotent
-            assert len(door.sessions) == 0
+                status, _ = await client.request("GET", "/health")
+                assert status == 200
+                # The keep-alive connection is still open: stop must
+                # close it rather than wait for the client to leave.
+                await asyncio.wait_for(door.stop(), timeout=10)
+                await asyncio.wait_for(door.stop(), timeout=10)
+                with pytest.raises((ProtocolError, ConnectionError)):
+                    await client.request("GET", "/health")
             return True
 
         try:
@@ -629,49 +459,68 @@ class TestClose:
 
 
 class TestProtocol:
-    def test_websocket_accept_rfc_vector(self):
-        # The worked example from RFC 6455 section 1.3.
-        assert (
-            websocket_accept("dGhlIHNhbXBsZSBub25jZQ==")
-            == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
-        )
+    def test_removed_routes_are_400_and_server_keeps_serving(
+        self, workload
+    ):
+        """Pinned sessions and top-k push are gone: their routes are
+        plain unknown routes, and a query naming a session is refused
+        as carrying an unknown field."""
+        service = _service(workload)
 
-    @pytest.mark.parametrize(
-        "reply",
-        [
-            b"HTTP/1.1 400 Bad Request\r\ncontent-length: 0\r\n\r\n",
-            b"HTTP/1.1 101 Switching Protocols\r\n"
-            b"Sec-WebSocket-Accept: wrong\r\n\r\n",
-        ],
-        ids=["refused", "key-mismatch"],
-    )
-    def test_failed_handshake_closes_the_socket(self, monkeypatch, reply):
-        opened = []
-        open_connection = asyncio.open_connection
+        async def body(door):
+            async with HTTPClient(door.host, door.port) as client:
+                status, body_json = await client.request(
+                    "POST", "/session", {}
+                )
+                assert status == 400
+                assert body_json["error"] == "ProtocolError"
+                status, body_json = await client.request(
+                    "POST",
+                    "/query",
+                    {
+                        "kind": "similarity",
+                        "node_a": 0,
+                        "node_b": 1,
+                        "session": "abc",
+                    },
+                )
+                assert status == 400
+                assert body_json["error"] == "ConfigError"
+                assert "unknown query fields" in body_json["message"]
 
-        async def recording_open(*args, **kwargs):
-            reader, writer = await open_connection(*args, **kwargs)
-            opened.append(writer)
-            return reader, writer
+            reader, writer = await asyncio.open_connection(
+                door.host, door.port
+            )
+            try:
+                writer.write(
+                    b"GET /ws/topk?k=5 HTTP/1.1\r\n"
+                    b"Host: localhost\r\n"
+                    b"Upgrade: websocket\r\n"
+                    b"Connection: Upgrade\r\n"
+                    b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                    b"Sec-WebSocket-Version: 13\r\n\r\n"
+                )
+                await writer.drain()
+                status_line = await reader.readuntil(b"\r\n")
+                assert status_line.split(b" ")[1] == b"400"
+            finally:
+                writer.close()
+                await writer.wait_closed()
 
-        async def handler(reader, writer):
-            await reader.readuntil(b"\r\n\r\n")
-            writer.write(reply)
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
+            async with HTTPClient(door.host, door.port) as client:
+                status, body_json = await client.request(
+                    "POST",
+                    "/query",
+                    {"kind": "similarity", "node_a": 0, "node_b": 1},
+                )
+                assert status == 200
+                assert body_json["value"] == service.similarity(0, 1)
+            return True
 
-        async def body():
-            server = await asyncio.start_server(handler, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            async with server:
-                with pytest.raises(ProtocolError):
-                    await ws_connect("127.0.0.1", port, "/ws/topk?k=5")
-
-        monkeypatch.setattr(asyncio, "open_connection", recording_open)
-        asyncio.run(body())
-        (writer,) = opened
-        assert writer.is_closing()
+        try:
+            assert asyncio.run(_with_door(service, body))
+        finally:
+            service.close()
 
     def test_malformed_http_is_400_not_a_crash(self, workload):
         service = _service(workload)
@@ -802,7 +651,7 @@ class TestTelemetryWire:
 
     def test_prometheus_scrape_and_legacy_json(self, workload):
         """`/metrics?format=prometheus` serves valid text exposition;
-        the JSON default keeps every historical front-door key."""
+        the JSON default carries exactly the front-door keys."""
         from repro.telemetry import validate_scrape
 
         service = _service(workload)
@@ -834,23 +683,16 @@ class TestTelemetryWire:
                     "mean_batch_size",
                     "max_batch_seen",
                 }
-                assert set(frontdoor["sessions"]) == {
-                    "active",
-                    "max_sessions",
-                    "default_ttl_seconds",
-                    "created",
-                    "expired",
-                    "released",
-                    "pinned_bytes",
+                assert set(frontdoor) == {
+                    "host",
+                    "port",
+                    "requests_served",
+                    "protocol_errors",
+                    "status_counts",
+                    "admission",
                 }
-                assert set(frontdoor["subscriptions"]) == {
-                    "active",
-                    "max_k",
-                    "polls",
-                    "deltas_pushed",
-                    "skipped_by_revision",
-                    "quiet_rounds",
-                }
+                for removed in ("repro_sessions_", "repro_subscriptions_"):
+                    assert removed not in text
                 assert "telemetry" in report
             return True
 

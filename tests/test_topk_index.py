@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro import DynamicSimRank, SimRankConfig
 from repro.exceptions import DimensionError
 from repro.executor import ScoreStore, ShardTopK, top_k_from_blocks
-from repro.frontdoor.subscriptions import TopKSubscriptions
 from repro.graph.generators import erdos_renyi_digraph
 from repro.graph.updates import EdgeUpdate
 from repro.incremental.plan import UpdatePlan
@@ -130,32 +129,30 @@ class TestIncrementalProperty:
         )
         assert engine.topk_index is not first
 
-    def test_replacement_keeps_revision_monotone(self, config):
-        """A larger index continues the revision, so polls see the move."""
+    def test_replacement_stays_exact_after_drains(self, config):
+        """A larger index that replaces a patched one tracks drains."""
         graph = erdos_renyi_digraph(40, 0.1, seed=107)
         service = SimRankService(graph, config, shard_rows=8)
         try:
-            hub = TopKSubscriptions(service, max_k=5)
-            subscriber = hub.add(3, queue=None)
-            hub.prime(subscriber)
+            primed = service.top_k(3)
             first = service.engine.topk_index
-            primed = subscriber.last_ranking
-            for update in _random_stream(service.engine.graph, 200, seed=108):
+            stream = _random_stream(service.engine.graph, 200, seed=108)
+            for position, update in enumerate(stream):
                 service.submit_many([update])
                 service.drain()
                 if top_k_pairs(service.engine.similarities(), 3) != primed:
                     break
             else:
                 pytest.fail("the stream never moved the top-3")
-            before = first.revision
-            service.top_k(first.capacity + 1)  # replaces the index
+            big_k = first.capacity + 1
+            service.top_k(big_k)  # replaces the index
             assert service.engine.topk_index is not first
-            assert service.engine.topk_index.revision > before
-            messages = hub.poll()
-            assert [entry[0] for entry in messages] == [subscriber]
-            assert subscriber.last_ranking == top_k_pairs(
-                service.engine.similarities(), 3
-            )
+            for update in stream[position + 1 : position + 21]:
+                service.submit_many([update])
+                service.drain()
+                scores = service.engine.similarities()
+                assert service.top_k(3) == top_k_pairs(scores, 3)
+                assert service.top_k(big_k) == top_k_pairs(scores, big_k)
         finally:
             service.close()
 
@@ -265,10 +262,11 @@ class TestIndexProperty:
         store = engine.score_store
         engine.top_k(stream["k"])
         index = engine.topk_index
-        ranking = index.top_k(index.capacity)
+        assert index.top_k(index.capacity) == top_k_pairs(
+            engine.similarities(), index.capacity
+        )
         for step in stream["steps"]:
             n = engine.graph.num_nodes
-            revision = index.revision
             edges = list(engine.graph.edges())
             if step == "delete" and edges:
                 source, target = edges[int(rng.integers(len(edges)))]
@@ -295,10 +293,8 @@ class TestIndexProperty:
             k = int(rng.integers(1, index.capacity + 1))
             assert index.top_k(k) == top_k_pairs(scores, k)
             _assert_shard_invariant(index, store)
-            previous, ranking = ranking, index.top_k(index.capacity)
+            ranking = index.top_k(index.capacity)
             assert ranking == top_k_pairs(scores, index.capacity)
-            if ranking != previous:
-                assert index.revision > revision
 
 
 class TestShardTopKUnit:
