@@ -178,8 +178,9 @@ def write_checkpoint(
     """Write and atomically publish one checkpoint; returns its path.
 
     Caller must hold the apply lock (or otherwise guarantee the stores
-    are quiescent) — the shard blocks are copied here, so the lock is
-    only held for the copy + serialization, not for later reads.
+    are quiescent) for the whole write: the shard blocks are serialized
+    straight from the live store (``np.ascontiguousarray`` of a
+    C-contiguous block is the block itself, not a copy).
     """
     root = os.path.join(data_dir, CHECKPOINT_DIRNAME)
     os.makedirs(root, exist_ok=True)

@@ -22,6 +22,11 @@ Lifecycle (driven by :class:`~repro.serving.service.SimRankService`):
    WAL append) then :meth:`maybe_checkpoint`.
 5. :meth:`view_at` — time travel: materialize any retained historical
    version from its nearest checkpoint plus WAL replay.
+6. :meth:`close` — given the engine (a clean shutdown, after the
+   writer stopped), publish a checkpoint at the last acked version when
+   drains were WAL'd since the last one, so the next open loads it and
+   replays nothing; then flush the WAL and release the lock.  A crash
+   skips this step, and the next open replays the WAL instead.
 
 Failure containment: a WAL append or checkpoint error must never take
 serving down — the manager flags itself failed, stops appending (so
@@ -78,6 +83,9 @@ class RecoveredState:
     #: (the engine built around it binds its own).
     store: ScoreStore
     meta: dict
+    #: WAL frames (drains and node arrivals) replayed after the base
+    #: checkpoint.
+    frames_replayed: int = 0
 
 
 def _acquire_lock(data_dir: str) -> str:
@@ -187,6 +195,9 @@ class DurabilityManager:
         state = self._materialize(target_version=None, shard_rows=shard_rows)
         self._last_checkpoint_version = max(self._retained)
         self._durable_version = state.version
+        # The replayed frames are WAL'd but not yet checkpointed, the
+        # same lag the appends that wrote them had counted.
+        self._wal_lag_drains = state.frames_replayed
         self._damping = float(state.meta.get("damping", 0.0))
         self._iterations = int(state.meta.get("iterations", 0))
         return state
@@ -385,6 +396,7 @@ class DurabilityManager:
         graph, store = restore_stores(data, shard_rows=shard_rows)
         damping = float(data.meta.get("damping", self._damping))
         version = data.version
+        replayed = 0
         for frame in self._wal.frames(
             after_version=base_version, through_version=target_version
         ):
@@ -398,6 +410,7 @@ class DurabilityManager:
                 for row_update in frame.row_updates:
                     row_update.apply_to(graph)
             version = frame.version
+            replayed += 1
         if target_version is not None and version != target_version:
             raise HistoryUnavailableError(
                 f"version {target_version} is not in the durable history "
@@ -405,7 +418,11 @@ class DurabilityManager:
                 f"v{version})"
             )
         return RecoveredState(
-            version=version, graph=graph, store=store, meta=data.meta
+            version=version,
+            graph=graph,
+            store=store,
+            meta=data.meta,
+            frames_replayed=replayed,
         )
 
     # -------------------------------------------------------------- #
@@ -433,7 +450,7 @@ class DurabilityManager:
         return self._wal.total_bytes()
 
     def wal_lag_drains(self) -> int:
-        """Acked drains WAL'd since the last checkpoint."""
+        """Frames WAL'd since the last checkpoint, replayed ones included."""
         return self._wal_lag_drains
 
     def report(self) -> dict:
@@ -458,10 +475,21 @@ class DurabilityManager:
         """Force appended frames to stable storage (tests/benchmarks)."""
         self._wal.sync()
 
-    def close(self) -> None:
-        """Flush, release the lock, unregister from the reaper."""
+    def close(self, engine=None) -> None:
+        """Checkpoint, flush, release the lock, unregister from the reaper.
+
+        With ``engine`` (a clean shutdown: its writer has stopped, so
+        nothing applies concurrently) a checkpoint is published first
+        when drains were WAL'd since the last one, unless the manager
+        failed — its engine is then ahead of the durable history, and a
+        restart must land on the last durable version.  A checkpoint
+        error is contained as in :meth:`checkpoint`; the lock is
+        released either way.
+        """
         if self._closed:
             return
+        if engine is not None and not self._failed and self._wal_lag_drains:
+            self.checkpoint(engine)  # never raises: errors are counted
         self._closed = True
         try:
             self._wal.close()

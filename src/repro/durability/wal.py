@@ -485,13 +485,20 @@ class WriteAheadLog:
     ) -> Iterator[WalFrame]:
         """Yield frames with ``after_version < version``, in order.
 
-        Stops after ``through_version`` when given.  Every segment
-        opened is read and decoded whole (each frame CRC-checked) before
-        the version filter runs, so frames past ``through_version`` in
-        the same segment are decoded too.  Reading concurrently with an
-        appender is still safe: a half-written frame at the end of the
-        live final segment reads as a torn tail and is skipped, so only
-        frames appended in full are ever yielded.
+        Stops after ``through_version`` when given.  A segment whose
+        successor starts at or before ``after_version`` is not opened:
+        every frame in a segment has a version at most its successor's
+        start, under today's naming and the older one alike, so it
+        holds nothing to yield.  Damage in such a skipped segment shows
+        only when a read from an earlier version (a :meth:`view_at
+        <repro.durability.manager.DurabilityManager.view_at>` from an
+        older checkpoint) needs it.  Every segment opened is read and
+        decoded whole (each frame CRC-checked) before the version
+        filter runs, so frames past ``through_version`` in the same
+        segment are decoded too.  Reading concurrently with an appender
+        is still safe: a half-written frame at the end of the live final
+        segment reads as a torn tail and is skipped, so only frames
+        appended in full are ever yielded.
         """
         segments = list(self._segments)
         for position, (_seq, start, path) in enumerate(segments):
@@ -500,9 +507,14 @@ class WriteAheadLog:
             # segment starting at ``through_version`` may hold it.
             if through_version is not None and start > through_version:
                 break
+            # A successor starts at the version durable when it opened
+            # (or, in older logs, at its own first frame), so it bounds
+            # every version in this segment from above.
+            final = position == len(segments) - 1
+            if not final and segments[position + 1][1] <= after_version:
+                continue
             with open(path, "rb") as handle:
                 buffer = handle.read()
-            final = position == len(segments) - 1
             decoded, _good = decode_frames(
                 buffer, path=path, final_segment=final
             )

@@ -274,9 +274,11 @@ class SimRankService:
         :class:`~repro.exceptions.ServiceClosedError` instead of
         touching a closed service — that is what lets a network front
         door shut down while requests are still in flight.  With
-        durability configured this also flushes the WAL and releases
-        the data-dir lock, so always close (or use the context manager)
-        when done serving.
+        durability configured this also checkpoints the last acked
+        version (when drains were WAL'd since the last checkpoint, so the
+        next open replays nothing), flushes the WAL and releases the
+        data-dir lock, so always close (or use the context manager) when
+        done serving.
         """
         with self._close_lock:
             if self._closed:
@@ -286,7 +288,10 @@ class SimRankService:
                 self.stop_background_writer(drain=drain)
             finally:
                 if self._durability is not None:
-                    self._durability.close()
+                    # A writer that failed to stop may still be applying:
+                    # checkpoint only an engine nothing mutates.
+                    stopped = self._writer is None
+                    self._durability.close(self._engine if stopped else None)
 
     @property
     def closed(self) -> bool:

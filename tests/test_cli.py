@@ -211,6 +211,35 @@ class TestCommands:
         assert "float32" in lines[0]
         assert "Traceback" not in reopen.stderr
 
+    def test_import_leaves_baselines_unloaded(self):
+        """The CLI (and so ``serve``) never loads the paper's comparison
+        baselines or the ``scipy.linalg`` they need; the public names
+        still import on first use."""
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "loaded = [m for m in ('scipy.linalg', 'scipy.sparse.linalg')"
+            " if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from repro import IncSVDSimRank, exact_simrank\n"
+            "from repro.incremental.inc_svd import IncSVDSimRank as direct\n"
+            "assert IncSVDSimRank is direct\n"
+            "assert callable(exact_simrank)\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [
+                os.path.join(os.path.dirname(__file__), "..", "src"),
+                os.environ.get("PYTHONPATH", ""),
+            ])),
+        }
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -111,6 +111,15 @@ def _drain_frames(workload):
     return triples
 
 
+def _crash(service):
+    """Stop ``service`` as a SIGKILL would: release only the data-dir
+    lock, with no shutdown checkpoint or flush (fsync=off forced nothing
+    to disk anyway), so the next open replays the WAL."""
+    service.durability.close()
+    service._durability = None
+    service.close()
+
+
 def _assert_plans_equal(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -217,6 +226,53 @@ class TestWalFrames:
             ] == [version]
         wal.close()
 
+    @pytest.mark.parametrize("named_after_first_frame", [False, True])
+    def test_after_version_skips_covered_segments_exactly(
+        self, workload, tmp_path, monkeypatch, named_after_first_frame
+    ):
+        """``frames(after_version=v)`` yields what reading every segment
+        yields, under today's segment naming and the older one (a
+        segment opened by size named after its first frame), and opens
+        no segment whose successor starts at or before ``v``."""
+        from repro.durability import wal as wal_module
+
+        triples = _drain_frames(workload)
+        records = [encode_drain_frame(v, ru, plan) for v, ru, plan in triples]
+        # About two frames per segment.
+        rotate = 2 * sum(map(len, records)) // len(records)
+        wal = WriteAheadLog(str(tmp_path), fsync="off", rotate_bytes=rotate)
+        wal.open_for_append(0)
+        shift = 0 if named_after_first_frame else 1
+        for (version, _ru, _plan), record in zip(triples, records):
+            wal.append(record, version - shift)
+        segments = list(wal._segments)
+        assert 2 < len(segments) < len(triples)
+        everything = []
+        for _seq, _start, path in segments:
+            with open(path, "rb") as handle:
+                everything += decode_frames(handle.read())[0]
+        assert [f.version for f in everything] == [v for v, _ru, _p in triples]
+        opened = []
+        decode = wal_module.decode_frames
+
+        def recording(buffer, *, path="", final_segment=True):
+            opened.append(path)
+            return decode(buffer, path=path, final_segment=final_segment)
+
+        monkeypatch.setattr(wal_module, "decode_frames", recording)
+        starts = [start for _seq, start, _path in segments]
+        for after in range(-1, len(triples) + 1):
+            opened.clear()
+            got = list(wal.frames(after_version=after))
+            expected = [f for f in everything if f.version > after]
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                _assert_frames_equal(g, e)
+            skipped = sum(start <= after for start in starts[1:])
+            assert opened == [path for _s, _v, path in segments[skipped:]]
+        assert skipped > 0
+        wal.close()
+
     def test_torn_tail_truncated_on_open(self, workload, tmp_path):
         triples = _drain_frames(workload)
         wal = WriteAheadLog(str(tmp_path), fsync="off")
@@ -311,7 +367,8 @@ class TestCorruptionProperties:
             service.submit_many(batch)
             service.drain()
             oracle[service.version] = service.engine.similarities().copy()
-        service.close()
+        # A crash: a clean close would checkpoint and rotate the log.
+        _crash(service)
         wal_dir = os.path.join(tmp_path, "wal")
         (path,) = sorted(
             os.path.join(wal_dir, n)
@@ -416,7 +473,8 @@ class TestCheckpoints:
             service.submit_many(batch)
             service.drain()
         live, version = service.engine.similarities(), service.version
-        service.close()
+        # A crash, so the reopen replays the drains into the blocks.
+        _crash(service)
         loaded = []
         load = manager_module.load_checkpoint
 
@@ -430,6 +488,7 @@ class TestCheckpoints:
         )
         try:
             assert reopened.version == version
+            assert reopened.durability.wal_lag_drains() == 3  # replayed
             assert np.array_equal(reopened.engine.similarities(), live)
             (data,) = loaded
             store = reopened.engine.score_store
@@ -558,11 +617,7 @@ class TestServiceDurability:
         """Recovery from the WAL alone — as if the writer was SIGKILL'd."""
         service, config, oracle = self._run(workload, tmp_path)
         final = service.version
-        # Simulate a crash: release only the lock, skip every shutdown
-        # flush (fsync=off means nothing was forced to disk anyway).
-        service.durability.close()
-        service._durability = None
-        service.close()
+        _crash(service)
         restarted = SimRankService(
             erdos_renyi_digraph(2, 0.5, seed=1), durability=config
         )
@@ -846,6 +901,227 @@ class TestServiceDurability:
         assert "wal_append" in report["failed_reason"]
         assert manager.durable_version == before
         service.close()
+
+    def test_clean_close_checkpoints_so_reopen_replays_nothing(
+        self, workload, tmp_path, monkeypatch
+    ):
+        from repro.durability import wal as wal_module
+
+        service, config, oracle = self._run(workload, tmp_path)
+        final = service.version
+        assert service.durability.wal_lag_drains() > 0
+        service.close()
+        assert read_manifest(str(tmp_path))["latest"] == final
+        decoded = []
+        decode = wal_module._decode_payload
+
+        def counting(payload):
+            decoded.append(payload)
+            return decode(payload)
+
+        monkeypatch.setattr(wal_module, "_decode_payload", counting)
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        try:
+            assert decoded == []
+            assert restarted.version == final
+            assert (
+                restarted.engine.similarities().tobytes()
+                == oracle[final].tobytes()
+            )
+            assert restarted.durability.wal_lag_drains() == 0
+        finally:
+            restarted.close()
+
+    def test_close_without_lag_leaves_manifest_byte_equal(
+        self, workload, tmp_path
+    ):
+        service, config, _oracle = self._run(workload, tmp_path)
+        service.close()
+        manifest = os.path.join(str(tmp_path), "MANIFEST")
+        wal_dir = os.path.join(str(tmp_path), "wal")
+        with open(manifest, "rb") as handle:
+            before = handle.read()
+        segments = sorted(os.listdir(wal_dir))
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        assert restarted.durability.wal_lag_drains() == 0
+        restarted.close()
+        with open(manifest, "rb") as handle:
+            assert handle.read() == before
+        assert sorted(os.listdir(wal_dir)) == segments
+
+    def test_time_travel_after_clean_close_and_reopen(
+        self, workload, tmp_path
+    ):
+        """Every version from the oldest retained checkpoint on answers
+        bit-identically after the close checkpoint, across rotated
+        segments that reads from later checkpoints skip."""
+        graph, scores, batches = workload
+        config = DurabilityConfig(
+            data_dir=str(tmp_path),
+            fsync="off",
+            checkpoint_interval=3,
+            retain_checkpoints=3,
+            rotate_bytes=4096,
+        )
+        service = SimRankService(
+            graph.copy(), CFG, initial_scores=scores.copy(), durability=config
+        )
+        oracle = {0: service.engine.similarities().copy()}
+        for batch in batches:
+            service.submit_many(batch)
+            service.flush()
+            oracle[service.version] = service.engine.similarities().copy()
+        final = service.version
+        service.close()
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        try:
+            retained = restarted.durability.retained_versions()
+            assert retained == [3, 6, final]
+            for version, reference in oracle.items():
+                if version < retained[0]:
+                    with pytest.raises(HistoryUnavailableError):
+                        restarted.view_at(version)
+                    continue
+                view = restarted.view_at(version)
+                assert view.similarities().tobytes() == reference.tobytes()
+        finally:
+            restarted.close()
+
+    def test_restart_keeps_checkpoint_cadence(self, workload, tmp_path):
+        """Replayed frames count toward the checkpoint interval, so
+        process lifetimes shorter than it still checkpoint and the WAL
+        stays bounded (each lifetime ends in a crash)."""
+        graph, scores, _batches = workload
+        config = DurabilityConfig(
+            data_dir=str(tmp_path), fsync="off", checkpoint_interval=4
+        )
+        batches = _update_stream(graph, 15, 4, seed=23)
+        service = SimRankService(
+            graph.copy(), CFG, initial_scores=scores.copy(), durability=config
+        )
+        lag = 0
+        for lifetime in range(5):
+            if lifetime:
+                service = SimRankService(
+                    erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+                )
+                manager = service.durability
+                replayed = service.version - manager.last_checkpoint_version
+                assert replayed == lag
+                assert manager.wal_lag_drains() == replayed
+                report = service.metrics_report()["durability"]
+                assert report["wal_lag_drains"] == replayed
+            for batch in batches[3 * lifetime : 3 * lifetime + 3]:
+                service.submit_many(batch)
+                service.drain()
+            if lifetime == 1:
+                assert service.durability.retained_versions()[-1] == 4
+            lag = service.durability.wal_lag_drains()
+            _crash(service)
+        assert read_manifest(str(tmp_path))["retained"] == [8, 12]
+
+    def test_close_checkpoint_error_still_releases_lock(
+        self, workload, tmp_path, monkeypatch
+    ):
+        from repro.durability import manager as manager_module
+
+        service, config, oracle = self._run(workload, tmp_path)
+        final = service.version
+        manifest = read_manifest(str(tmp_path))
+
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(manager_module, "write_checkpoint", boom)
+        service.close()
+        assert service.durability.report()["errors"] == 1
+        assert read_manifest(str(tmp_path)) == manifest
+        monkeypatch.undo()
+        # The lock is free and the WAL still holds the chain.
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        try:
+            assert restarted.version == final
+            assert np.array_equal(
+                restarted.engine.similarities(), oracle[final]
+            )
+        finally:
+            restarted.close()
+
+    def test_failed_manager_close_does_not_checkpoint(
+        self, workload, tmp_path
+    ):
+        """After a WAL failure the engine is ahead of the durable
+        history; close must not publish it, so a restart lands on the
+        last durable version."""
+        service, config, oracle = self._run(workload, tmp_path)
+
+        def boom(record, last_version):
+            raise OSError("disk gone")
+
+        service.durability._wal.append = boom
+        graph, _scores, _batches = workload
+        durable = service.version
+        service.submit(EdgeUpdate.insert(0, graph.num_nodes - 1))
+        service.drain()
+        assert service.version == durable + 1
+        manifest = os.path.join(str(tmp_path), "MANIFEST")
+        with open(manifest, "rb") as handle:
+            before = handle.read()
+        service.close()
+        with open(manifest, "rb") as handle:
+            assert handle.read() == before
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        try:
+            assert restarted.version == durable
+            assert np.array_equal(
+                restarted.engine.similarities(), oracle[durable]
+            )
+        finally:
+            restarted.close()
+
+    def test_close_skips_checkpoint_when_writer_will_not_stop(
+        self, workload, tmp_path
+    ):
+        """A writer still applying after its stop timeout could mutate
+        the engine mid-write, so close publishes no checkpoint; it still
+        releases the lock, and the next open replays the WAL."""
+        service, config, oracle = self._run(
+            workload, tmp_path, writer="background"
+        )
+        final = service.version
+        writer = service.writer
+        stop = writer.stop
+
+        def stuck(drain=True, timeout=30.0):
+            raise ConfigError("background writer did not stop")
+
+        writer.stop = stuck
+        manifest = read_manifest(str(tmp_path))
+        with pytest.raises(ConfigError):
+            service.close()
+        stop()
+        assert read_manifest(str(tmp_path)) == manifest
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        try:
+            assert restarted.version == final
+            assert restarted.durability.wal_lag_drains() > 0  # replayed
+            assert np.array_equal(
+                restarted.engine.similarities(), oracle[final]
+            )
+        finally:
+            restarted.close()
 
     def test_data_dir_lock_is_exclusive(self, workload, tmp_path):
         service, config, _oracle = self._run(workload, tmp_path)
