@@ -23,9 +23,6 @@ Quickstart::
     print(engine.similarity(5, 9))
 """
 
-import importlib
-from typing import TYPE_CHECKING
-
 from .config import SimRankConfig, iterations_for_accuracy
 from .exceptions import (
     BackpressureError,
@@ -50,6 +47,7 @@ from .graph import (
 from .executor import ScoreSnapshot, ScoreStore
 from .incremental import (
     DynamicSimRank,
+    IncSVDSimRank,
     UnitUpdateResult,
     UpdatePlan,
     inc_sr_update,
@@ -59,9 +57,11 @@ from .incremental import (
 from .serving import SimRankService, SnapshotView, UpdateScheduler
 from .simrank import (
     batch_simrank,
+    exact_simrank,
     matrix_simrank,
     naive_simrank,
     partial_sums_simrank,
+    svd_batch_simrank,
     single_pair_simrank,
     single_source_simrank,
     top_k_similar_nodes,
@@ -118,21 +118,3 @@ __all__ = [
     "SnapshotView",
     "UpdateScheduler",
 ]
-
-if TYPE_CHECKING:
-    from .incremental import IncSVDSimRank
-    from .simrank import exact_simrank, svd_batch_simrank
-
-#: The paper's comparison baselines import on first use (PEP 562):
-#: they load ``scipy.linalg``, which serving never needs.
-_LAZY = {
-    "IncSVDSimRank": ".incremental",
-    "exact_simrank": ".simrank",
-    "svd_batch_simrank": ".simrank",
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_LAZY[name], __name__), name)

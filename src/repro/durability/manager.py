@@ -83,9 +83,6 @@ class RecoveredState:
     #: (the engine built around it binds its own).
     store: ScoreStore
     meta: dict
-    #: WAL frames (drains and node arrivals) replayed after the base
-    #: checkpoint.
-    frames_replayed: int = 0
 
 
 def _acquire_lock(data_dir: str) -> str:
@@ -196,8 +193,9 @@ class DurabilityManager:
         self._last_checkpoint_version = max(self._retained)
         self._durable_version = state.version
         # The replayed frames are WAL'd but not yet checkpointed, the
-        # same lag the appends that wrote them had counted.
-        self._wal_lag_drains = state.frames_replayed
+        # same lag the appends that wrote them had counted: each frame
+        # (drain or node arrival) advanced the version by one.
+        self._wal_lag_drains = state.version - self._last_checkpoint_version
         self._damping = float(state.meta.get("damping", 0.0))
         self._iterations = int(state.meta.get("iterations", 0))
         return state
@@ -396,7 +394,6 @@ class DurabilityManager:
         graph, store = restore_stores(data, shard_rows=shard_rows)
         damping = float(data.meta.get("damping", self._damping))
         version = data.version
-        replayed = 0
         for frame in self._wal.frames(
             after_version=base_version, through_version=target_version
         ):
@@ -410,7 +407,6 @@ class DurabilityManager:
                 for row_update in frame.row_updates:
                     row_update.apply_to(graph)
             version = frame.version
-            replayed += 1
         if target_version is not None and version != target_version:
             raise HistoryUnavailableError(
                 f"version {target_version} is not in the durable history "
@@ -418,11 +414,7 @@ class DurabilityManager:
                 f"v{version})"
             )
         return RecoveredState(
-            version=version,
-            graph=graph,
-            store=store,
-            meta=data.meta,
-            frames_replayed=replayed,
+            version=version, graph=graph, store=store, meta=data.meta
         )
 
     # -------------------------------------------------------------- #
@@ -478,8 +470,10 @@ class DurabilityManager:
     def close(self, engine=None) -> None:
         """Checkpoint, flush, release the lock, unregister from the reaper.
 
-        With ``engine`` (a clean shutdown: its writer has stopped, so
-        nothing applies concurrently) a checkpoint is published first
+        With ``engine`` (a clean shutdown: the caller guarantees nothing
+        applies concurrently, as :meth:`checkpoint` needs — the service
+        has stopped its writer and holds its mutation lock) a checkpoint
+        is published first
         when drains were WAL'd since the last one, unless the manager
         failed — its engine is then ahead of the durable history, and a
         restart must land on the last durable version.  A checkpoint

@@ -21,14 +21,12 @@
   user-facing facade over the kernel and executor layers.
 """
 
-import importlib
-from typing import TYPE_CHECKING
-
 from .rank_one import rank_one_decomposition
 from .gamma import compute_gamma_lambda, compute_update_vectors, UpdateVectors
 from .inc_usr import inc_usr_delta, inc_usr_update, UnitUpdateResult
 from .inc_sr import inc_sr_update
 from .affected import AffectedAreaStats
+from .inc_svd import IncSVDSimRank
 from .plan import (
     UpdatePlan,
     apply_plan_dense,
@@ -57,18 +55,3 @@ __all__ = [
     "DynamicSimRank",
     "UpdateStats",
 ]
-
-if TYPE_CHECKING:
-    from .inc_svd import IncSVDSimRank
-
-#: The Inc-SVD baseline imports on first use (PEP 562), so serving
-#: never loads ``scipy.linalg`` for it.
-_LAZY = {
-    "IncSVDSimRank": ".inc_svd",
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_LAZY[name], __name__), name)

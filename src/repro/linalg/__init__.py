@@ -10,9 +10,7 @@
   ``Q`` store with copy-on-write row surgery behind the engine.
 """
 
-import importlib
-from typing import TYPE_CHECKING
-
+from .kron import unvec, vec, solve_sylvester_kron
 from .qstore import TransitionStore
 from .sylvester import (
     rank_one_sylvester_series,
@@ -30,20 +28,3 @@ __all__ = [
     "lossless_rank",
     "TransitionStore",
 ]
-
-if TYPE_CHECKING:
-    from .kron import solve_sylvester_kron, unvec, vec
-
-#: ``kron`` loads ``scipy.sparse.linalg`` and ``scipy.linalg``; only the
-#: exact oracles call it, so it imports on first use (PEP 562).
-_LAZY = {
-    "vec": ".kron",
-    "unvec": ".kron",
-    "solve_sylvester_kron": ".kron",
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_LAZY[name], __name__), name)

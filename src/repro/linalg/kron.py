@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..exceptions import DimensionError
 
@@ -57,6 +56,10 @@ def solve_sylvester_kron(
         raise DimensionError(
             f"C must have shape ({n}, {n}), got {c_dense.shape}"
         )
+    # Imported here: it loads ``scipy.linalg`` too, which nothing but
+    # this small-graph oracle needs, so importing the package stays lean.
+    import scipy.sparse.linalg as spla
+
     system = sp.identity(n * n, format="csc") - sp.kron(
         b_sparse.T, a_sparse, format="csc"
     )

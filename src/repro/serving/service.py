@@ -170,6 +170,10 @@ class SimRankService:
         self._precision = cfg.precision
         self._closed = False
         self._close_lock = threading.RLock()
+        #: Serializes the engine mutations that run on caller threads (a
+        #: sync drain, ``add_node``) with close's checkpoint, so close
+        #: never checkpoints a half-applied drain.
+        self._mutation_lock = threading.Lock()
         self._durability = None
         if cfg.durability is not None:
             from ..durability.manager import DurabilityManager
@@ -278,7 +282,8 @@ class SimRankService:
         version (when drains were WAL'd since the last checkpoint, so the
         next open replays nothing), flushes the WAL and releases the
         data-dir lock, so always close (or use the context manager) when
-        done serving.
+        done serving.  A sync drain or :meth:`add_node` already applying
+        finishes, WAL append included, before that checkpoint is taken.
         """
         with self._close_lock:
             if self._closed:
@@ -291,7 +296,10 @@ class SimRankService:
                     # A writer that failed to stop may still be applying:
                     # checkpoint only an engine nothing mutates.
                     stopped = self._writer is None
-                    self._durability.close(self._engine if stopped else None)
+                    with self._mutation_lock:
+                        self._durability.close(
+                            self._engine if stopped else None
+                        )
 
     @property
     def closed(self) -> bool:
@@ -419,21 +427,25 @@ class SimRankService:
                 "the background writer owns the drain loop; use flush() "
                 "to wait for it (or stop_background_writer() first)"
             )
-        batch = self._scheduler.drain()
-        if not len(batch):
-            return 0
-        traces = self._take_origin_traces()
+        with self._mutation_lock:
+            # Re-checked under the lock: a close that took it first has
+            # checkpointed and released the data dir.
+            self._ensure_open()
+            batch = self._scheduler.drain()
+            if not len(batch):
+                return 0
+            traces = self._take_origin_traces()
+            started = time.perf_counter()
+            try:
+                groups = self._engine.apply_consolidated(batch)
+            except Exception:
+                self._scheduler.submit_many(batch)
+                raise
+            # The same extent the background writer times: apply and
+            # WAL append (and any checkpoint).
+            self._durable_on_drain()
+            elapsed = time.perf_counter() - started
         tracer = self.telemetry.tracer
-        started = time.perf_counter()
-        try:
-            groups = self._engine.apply_consolidated(batch)
-        except Exception:
-            self._scheduler.submit_many(batch)
-            raise
-        # The same extent the background writer times: apply and WAL
-        # append (and any checkpoint).
-        self._durable_on_drain()
-        elapsed = time.perf_counter() - started
         self._drain_hist.observe(elapsed)
         for trace_id in traces:
             tracer.record(
@@ -461,15 +473,18 @@ class SimRankService:
     def add_node(self) -> int:
         """Grow the node universe by one isolated node (applied live)."""
         self._ensure_open()
-        if self._writer is not None:
-            with self._writer.apply_lock:
+        with self._mutation_lock:
+            self._ensure_open()
+            writer = self._writer
+            if writer is None:
                 node = self._engine.add_node()
                 self._durable_add_node(node)
-                self._writer.publish()
+                return node
+            with writer.apply_lock:
+                node = self._engine.add_node()
+                self._durable_add_node(node)
+                writer.publish()
             return node
-        node = self._engine.add_node()
-        self._durable_add_node(node)
-        return node
 
     # -------------------------------------------------------------- #
     # Durability hooks

@@ -16,12 +16,11 @@ prebuilt ``Q``) and return the dense ``n x n`` similarity matrix ``S``.
   computation from an SVD of ``Q``.
 """
 
-import importlib
-from typing import TYPE_CHECKING
-
 from .matrix import batch_simrank, matrix_simrank
 from .naive import naive_simrank
 from .partial_sums import partial_sums_simrank
+from .exact import exact_simrank
+from .svd_batch import svd_batch_simrank
 from .queries import single_pair_simrank, single_source_simrank, top_k_similar_nodes
 from .montecarlo import monte_carlo_simrank_pair, monte_carlo_simrank_source
 
@@ -38,20 +37,3 @@ __all__ = [
     "monte_carlo_simrank_pair",
     "monte_carlo_simrank_source",
 ]
-
-if TYPE_CHECKING:
-    from .exact import exact_simrank
-    from .svd_batch import svd_batch_simrank
-
-#: The Kronecker and SVD baselines import on first use (PEP 562), so
-#: serving never loads ``scipy.linalg`` for them.
-_LAZY = {
-    "exact_simrank": ".exact",
-    "svd_batch_simrank": ".svd_batch",
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_LAZY[name], __name__), name)

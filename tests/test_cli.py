@@ -211,10 +211,10 @@ class TestCommands:
         assert "float32" in lines[0]
         assert "Traceback" not in reopen.stderr
 
-    def test_import_leaves_baselines_unloaded(self):
-        """The CLI (and so ``serve``) never loads the paper's comparison
-        baselines or the ``scipy.linalg`` they need; the public names
-        still import on first use."""
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        """The CLI (and so ``serve``) never loads ``scipy.linalg`` or
+        ``scipy.sparse.linalg``, which only the exact Kronecker oracle
+        needs; the paper's baselines still import from the package."""
         code = (
             "import sys\n"
             "import repro.cli\n"
@@ -225,7 +225,6 @@ class TestCommands:
             "from repro.incremental.inc_svd import IncSVDSimRank as direct\n"
             "assert IncSVDSimRank is direct\n"
             "assert callable(exact_simrank)\n"
-            "assert 'scipy.linalg' in sys.modules\n"
         )
         env = {
             **os.environ,

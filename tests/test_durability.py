@@ -27,6 +27,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -726,6 +727,31 @@ class TestServiceDurability:
         )
         restarted.close()
 
+    def test_background_writer_and_add_node_replay_after_crash(
+        self, workload, tmp_path
+    ):
+        """A crash leaves a node arrival and a drain linking the new node
+        in the WAL; the reopen replays both into the checkpoint blocks."""
+        service, config, oracle = self._run(
+            workload, tmp_path, writer="background"
+        )
+        service.add_node()  # completes a checkpoint interval
+        node = service.add_node()
+        service.submit(EdgeUpdate.insert(0, node))
+        service.flush()
+        final, nodes = service.version, service.num_nodes
+        expected = service.engine.similarities().copy()
+        assert service.durability.wal_lag_drains() == 2
+        _crash(service)
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        assert restarted.durability.last_checkpoint_version == final - 2
+        assert restarted.durability.wal_lag_drains() == 2
+        assert (restarted.version, restarted.num_nodes) == (final, nodes)
+        assert np.array_equal(restarted.engine.similarities(), expected)
+        restarted.close()
+
     def test_float32_store_recovers_bit_identical(self, workload, tmp_path):
         service, config, oracle = self._run(
             workload, tmp_path, precision="float32"
@@ -738,6 +764,29 @@ class TestServiceDurability:
             precision="float32",
             durability=config,
         )
+        assert restarted.engine.score_store.dtype == np.float32
+        assert np.array_equal(restarted.engine.similarities(), expected)
+        assert restarted.version == final
+        restarted.close()
+
+    def test_float32_store_replays_bit_identical_after_crash(
+        self, workload, tmp_path
+    ):
+        service, config, oracle = self._run(
+            workload, tmp_path, precision="float32"
+        )
+        final = service.version
+        expected = service.engine.similarities().copy()
+        lag = service.durability.wal_lag_drains()
+        assert lag > 0
+        _crash(service)
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1),
+            precision="float32",
+            durability=config,
+        )
+        assert restarted.durability.last_checkpoint_version == final - lag
+        assert restarted.durability.wal_lag_drains() == lag
         assert restarted.engine.score_store.dtype == np.float32
         assert np.array_equal(restarted.engine.similarities(), expected)
         assert restarted.version == final
@@ -1119,6 +1168,58 @@ class TestServiceDurability:
             assert restarted.durability.wal_lag_drains() > 0  # replayed
             assert np.array_equal(
                 restarted.engine.similarities(), oracle[final]
+            )
+        finally:
+            restarted.close()
+
+    def test_close_waits_for_an_in_flight_sync_drain(
+        self, workload, tmp_path
+    ):
+        """A sync drain already applying when close begins finishes (apply
+        and WAL append) before close checkpoints, so the checkpoint never
+        holds a half-applied drain."""
+        service, config, oracle = self._run(workload, tmp_path)
+        engine = service.engine
+        edges = set(engine.graph.edges())
+        n = engine.graph.num_nodes
+        pair = next(
+            (a, b) for a in range(n) for b in range(n)
+            if a != b and (a, b) not in edges
+        )
+        service.submit(EdgeUpdate.insert(*pair))
+        applying, release = threading.Event(), threading.Event()
+        apply = engine.apply_consolidated
+
+        def held(batch):
+            applying.set()
+            release.wait(timeout=30)
+            return apply(batch)
+
+        engine.apply_consolidated = held
+        drainer = threading.Thread(target=service.drain)
+        closer = threading.Thread(target=service.close)
+        drainer.start()
+        try:
+            assert applying.wait(timeout=30)
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive()  # close waits for the drain
+        finally:
+            release.set()
+            drainer.join(timeout=30)
+            if closer.ident is not None:
+                closer.join(timeout=30)
+        assert service.closed
+        final = engine.version
+        assert final == max(oracle) + 1
+        restarted = SimRankService(
+            erdos_renyi_digraph(2, 0.5, seed=1), durability=config
+        )
+        try:
+            assert restarted.version == final
+            assert restarted.durability.last_checkpoint_version == final
+            assert np.array_equal(
+                restarted.engine.similarities(), engine.similarities()
             )
         finally:
             restarted.close()
