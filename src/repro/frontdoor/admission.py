@@ -26,6 +26,16 @@ elementwise.  The equivalence is asserted by the test suite and spot
 checked by the benchmark, so batching is a pure latency/throughput
 optimization — answers never change by admission accident.
 
+Where a batch runs depends on what it holds.  A batch of only
+``similarity`` queries runs **on the event loop** when the pin is one
+attribute read (a background writer's published view): its work is a
+gather per touched shard, cheaper than the hop into the thread pool and
+back.  Every other batch — any ``single_source`` walk (``K`` sparse
+products per step), or a sync service's pin, which waits for an
+in-flight drain — runs in the thread pool.  Since an inline batch never
+yields, queries park only behind a pool batch, so batches form behind
+walks.
+
 Demultiplexing tags each :class:`QueryResult` with ``batched=True``
 and the batch size, so the wire exposes how much coalescing the load
 produced.
@@ -171,9 +181,13 @@ class AdmissionBatcher:
     settles — answered or failed wholesale — whatever has parked, up to
     ``max_batch`` queries, becomes the next batch as one task, so a
     failed batch still hands over.  Every batch pins one freshly taken
-    snapshot and runs **in the executor thread pool** (via
-    ``run_blocking``), so the event loop keeps admitting during the BLAS
-    pass.
+    snapshot.  A batch holding a ``single_source`` walk runs **in the
+    executor thread pool** (via ``run_blocking``), so the event loop
+    keeps admitting during the sparse products.  A batch of only
+    ``similarity`` queries runs inline on the loop when
+    ``pin_never_waits()`` is true, i.e. when ``pin_view`` is an
+    attribute read that no drain can hold up; otherwise (the default)
+    it takes the pool too.
     """
 
     def __init__(
@@ -182,12 +196,14 @@ class AdmissionBatcher:
         max_batch: int,
         run_blocking,
         telemetry=None,
+        pin_never_waits=None,
     ) -> None:
         if telemetry is None:
             telemetry = NULL_TELEMETRY
         self._pin_view = pin_view
         self.max_batch = int(max_batch)
         self._run_blocking = run_blocking
+        self._pin_never_waits = pin_never_waits or (lambda: False)
         self._pending: List[tuple] = []
         self._busy = False
         #: The settle task of the batch in flight, if parked queries
@@ -297,6 +313,10 @@ class AdmissionBatcher:
                 )
             return results
 
+        if self._pin_never_waits() and all(
+            request.kind == "similarity" for request in requests
+        ):
+            return work()
         return await self._run_blocking(work)
 
     @staticmethod

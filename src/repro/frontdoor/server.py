@@ -20,9 +20,13 @@ bodies:
 
 Design rules:
 
-* the **event loop never blocks** — every engine call (query, drain
-  wait, time-travel view) runs in the default thread-pool executor;
-  the loop only parses, routes, and demultiplexes;
+* the **event loop never waits on work that grows with the graph** —
+  it parses, routes, demultiplexes, and answers a batch of only
+  ``similarity`` queries against a background writer's published view
+  (an attribute read plus one gather per touched shard); every other
+  engine call (``single_source`` walks, a sync service's pin, which
+  waits for a drain, ``top_k``, time-travel views, updates, ``/flush``,
+  ``/metrics``) runs in the default thread-pool executor;
 * **errors are the taxonomy** — every library exception maps through
   :func:`~repro.serving.envelopes.http_status`, so a closed service is
   a 503 and a full queue is a 429 on the wire exactly as they are
@@ -86,6 +90,9 @@ class FrontDoor:
             max_batch=config.admission_max_batch,
             run_blocking=self._run_blocking,
             telemetry=self.telemetry,
+            # A background writer publishes views; pinning one is an
+            # attribute read no drain holds up.
+            pin_never_waits=lambda: service.background,
         )
         self.requests_served = 0
         self.protocol_errors = 0

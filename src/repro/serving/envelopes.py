@@ -211,7 +211,7 @@ class QueryResult:
         """JSON-safe payload (ndarray values become lists)."""
         value = self.value
         if isinstance(value, np.ndarray):
-            value = [float(entry) for entry in value]
+            value = value.tolist()
         elif isinstance(value, list) and value and isinstance(value[0], tuple):
             value = [[int(a), int(b), float(s)] for a, b, s in value]
         elif isinstance(value, np.floating):

@@ -8,6 +8,9 @@ serve reads while edges arrive.  It runs in one of two writer modes:
   call :meth:`submit` (updates land in the coalescing
   :class:`~repro.serving.scheduler.UpdateScheduler`), the caller drives
   :meth:`drain` explicitly, and :meth:`snapshot` pins the live stores.
+  Reads (:meth:`snapshot`, :meth:`similarity`, :meth:`top_k`) take the
+  drain lock, so a read on another thread waits for an in-flight drain
+  instead of seeing it half-applied.
 * **background** — a dedicated
   :class:`~repro.serving.writer.BackgroundWriter` thread owns the drain
   loop: it wakes on a configurable interval (or when the bounded queue
@@ -171,8 +174,8 @@ class SimRankService:
         self._closed = False
         self._close_lock = threading.RLock()
         #: Serializes the engine mutations that run on caller threads (a
-        #: sync drain, ``add_node``) with close's checkpoint, so close
-        #: never checkpoints a half-applied drain.
+        #: sync drain, ``add_node``) with close's checkpoint and with
+        #: sync-mode reads, so neither sees a half-applied drain.
         self._mutation_lock = threading.Lock()
         self._durability = None
         if cfg.durability is not None:
@@ -531,12 +534,15 @@ class SimRankService:
 
         Background mode returns the writer's latest *published* view —
         one attribute read, so readers never block on an in-flight
-        drain.  Sync mode pins the live stores directly.
+        drain.  Sync mode pins the live stores under the drain lock, so
+        a pin waits for a drain running on another thread.
         """
         self._ensure_open()
-        if self._writer is not None:
-            return self._writer.current_view
-        return self._pin_live()
+        writer = self._writer
+        if writer is not None:
+            return writer.current_view
+        with self._mutation_lock:
+            return self._pin_live()
 
     def _pin_live(self) -> SnapshotView:
         return SnapshotView(
@@ -550,12 +556,15 @@ class SimRankService:
         """Latest-version score of one pair.
 
         Background mode reads the latest published view (consistent,
-        at most one drain behind); sync mode reads the live store.
+        at most one drain behind); sync mode reads the live store under
+        the drain lock.
         """
         self._ensure_open()
-        if self._writer is not None:
-            return self._writer.current_view.similarity(node_a, node_b)
-        return self._engine.similarity(node_a, node_b)
+        writer = self._writer
+        if writer is not None:
+            return writer.current_view.similarity(node_a, node_b)
+        with self._mutation_lock:
+            return self._engine.similarity(node_a, node_b)
 
     def top_k(self, k: int, include_self: bool = False):
         """Top-``k`` pairs at the latest version via the shard-local index.
@@ -563,15 +572,17 @@ class SimRankService:
         Served by the engine's incremental
         :class:`~repro.executor.topk_index.ShardTopK`: a merge of each
         shard's tracked best pairs, with no dense ``S`` scan and a shard
-        rescan only when a shard tracks too few pairs for ``k``.  In
-        background mode the query takes the writer's apply lock so it
-        never interleaves with a drain.
+        rescan only when a shard tracks too few pairs for ``k``.  The
+        query never interleaves with a drain: it takes the writer's
+        apply lock in background mode and the drain lock in sync mode.
         """
         self._ensure_open()
-        if self._writer is not None:
-            with self._writer.apply_lock:
+        writer = self._writer
+        if writer is not None:
+            with writer.apply_lock:
                 return self._engine.top_k(k, include_self=include_self)
-        return self._engine.top_k(k, include_self=include_self)
+        with self._mutation_lock:
+            return self._engine.top_k(k, include_self=include_self)
 
     def view_at(self, version: int) -> SnapshotView:
         """Pin a historical version as an immutable snapshot.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 
 import numpy as np
@@ -17,29 +18,49 @@ from repro.graph.generators import (
 )
 
 
-def _reaper_manifests() -> set:
-    """Names of the durability reaper's live manifest files."""
+def _reaper_manifests(base_temp: str) -> set:
+    """Names of the reaper manifests this test session owns.
+
+    The manifest directory is shared by every process on the machine,
+    so only manifests this process wrote, or whose data dir lies under
+    the session's base temp dir (a child process serving one of the
+    suite's own data dirs), count.
+    """
     from repro.durability.reaper import MANIFEST_DIR
 
     try:
-        return set(os.listdir(MANIFEST_DIR))
+        names = os.listdir(MANIFEST_DIR)
     except OSError:
         return set()
+    owned = set()
+    for name in names:
+        try:
+            with open(os.path.join(MANIFEST_DIR, name), encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError):
+            continue  # removed meanwhile, or a half-written temp file
+        data_dir = os.path.realpath(str(payload.get("data_dir", "")))
+        if payload.get("pid") == os.getpid() or (
+            os.path.commonpath([data_dir, base_temp]) == base_temp
+        ):
+            owned.add(name)
+    return owned
 
 
 @pytest.fixture
-def manifest_guard():
+def manifest_guard(tmp_path_factory):
     """Leak guard: the test must not leave reaper manifests behind.
 
     Every durability session registers a manifest with the orphan
-    reaper and removes it at close, so a before/after diff of the
-    manifest directory catches any data dir a test opened but never
+    reaper and removes it at close, so a before/after diff of this
+    session's manifests catches any data dir a test opened but never
     closed.
     """
-    before = _reaper_manifests()
+    base_temp = os.path.realpath(str(tmp_path_factory.getbasetemp()))
+    before = _reaper_manifests(base_temp)
     yield
     gc.collect()
-    leaked = _reaper_manifests() - before
+    leaked = _reaper_manifests(base_temp) - before
     assert not leaked, f"leaked reaper manifests: {sorted(leaked)}"
 
 

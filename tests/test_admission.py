@@ -4,7 +4,10 @@ The batcher holds at most one batch in flight: an idle batcher executes
 a query at once (no timer), queries that arrive while a batch executes
 park, and the settle step turns whatever parked into the next batch, up
 to ``max_batch``.  The tests hold a batch's snapshot pin on a
-``threading.Event`` so the parking is deterministic, not a race.
+``threading.Event`` so the parking is deterministic, not a race.  The
+gated head is a ``single_source`` walk: walks always run in the thread
+pool, while a similarity-only batch may run on the event loop, where a
+gated pin would block the very loop that has to release it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import SimRankConfig
+from repro.frontdoor import FrontDoor
 from repro.frontdoor.admission import AdmissionBatcher, execute_batch
 from repro.graph.generators import erdos_renyi_digraph
 from repro.serving import QueryRequest, SimRankService
@@ -33,6 +37,23 @@ def service():
     )
     yield service
     service.close()
+
+
+@pytest.fixture
+def background_service():
+    graph = erdos_renyi_digraph(30, 0.1, seed=31)
+    service = SimRankService(
+        graph,
+        CFG,
+        initial_scores=matrix_simrank(graph, CFG),
+        writer="background",
+    )
+    yield service
+    service.close()
+
+
+#: The gated head of a parking test: a walk, so its batch takes the pool.
+WALK = QueryRequest(kind="single_source", node=5)
 
 
 def _requests(count, n, seed=3):
@@ -119,7 +140,7 @@ class TestGroupCommit:
 
     def test_parked_queries_settle_in_capped_batches(self, service):
         n = service.snapshot().num_nodes
-        requests = _requests(8, n)
+        requests = [WALK] + _requests(7, n)
         pin = _GatedPin(service)
 
         async def body():
@@ -165,7 +186,7 @@ class TestGroupCommit:
         assert "repro_admission_batch_size_sum 8.0" in scrape
 
     def test_failed_batch_fails_alone_and_hands_over(self, service):
-        requests = _requests(5, service.snapshot().num_nodes, seed=8)
+        requests = [WALK] + _requests(4, service.snapshot().num_nodes, seed=8)
         pin = _GatedPin(service, fail_calls={2})
 
         async def body():
@@ -242,3 +263,95 @@ class TestGroupCommit:
         # Nothing ran for the cancelled queries: one batch, one pin.
         assert pin.calls == 1
         assert batcher.report()["batches"] == 1
+
+
+def _count_pool_hops(loop, monkeypatch):
+    """Count ``loop.run_in_executor`` calls (still delegating to it)."""
+    hops = []
+    run_in_executor = loop.run_in_executor
+
+    def counting(executor, fn, *args):
+        hops.append(fn)
+        return run_in_executor(executor, fn, *args)
+
+    monkeypatch.setattr(loop, "run_in_executor", counting)
+    return hops
+
+
+class TestWhereBatchesRun:
+    """Similarity-only batches against published views run on the loop;
+    walks and sync pins (which wait for a drain) take the pool."""
+
+    def test_similarity_runs_inline_and_walks_take_the_pool(
+        self, background_service, monkeypatch
+    ):
+        service = background_service
+        pair = QueryRequest(kind="similarity", node_a=3, node_b=11)
+
+        async def body():
+            hops = _count_pool_hops(asyncio.get_running_loop(), monkeypatch)
+            batcher = FrontDoor(service).batcher
+            alone = await batcher.run(pair)
+            inline_hops = len(hops)
+            walk = await batcher.run(WALK)
+            return alone, inline_hops, walk, len(hops)
+
+        alone, inline_hops, walk, total_hops = asyncio.run(body())
+        assert inline_hops == 0
+        assert total_hops == 1
+        view = service.snapshot()
+        _assert_solo_identical(view, pair, alone)
+        _assert_solo_identical(view, WALK, walk)
+
+    def test_similarity_parked_behind_a_walk_settles_together(
+        self, background_service, monkeypatch
+    ):
+        service = background_service
+        n = service.snapshot().num_nodes
+        pairs = [
+            request
+            for request in _requests(12, n, seed=17)
+            if request.kind == "similarity"
+        ]
+        pin = _GatedPin(service)
+
+        async def body():
+            hops = _count_pool_hops(asyncio.get_running_loop(), monkeypatch)
+            batcher = AdmissionBatcher(
+                pin,
+                max_batch=64,
+                run_blocking=_run_blocking,
+                telemetry=service.telemetry,
+                pin_never_waits=lambda: service.background,
+            )
+            head, tail = await _park_behind(pin, batcher, WALK, pairs)
+            pin.release.set()
+            results = await asyncio.wait_for(asyncio.gather(head, *tail), 10)
+            return batcher, results, hops
+
+        batcher, results, hops = asyncio.run(body())
+        # The waiter in _park_behind, then the walk; the parked pairs
+        # settled inline as one batch.
+        assert len(hops) == 2
+        assert pin.calls == 2
+        assert results[0].batch_size == 1
+        assert len(pairs) > 1
+        assert [r.batch_size for r in results[1:]] == [len(pairs)] * len(pairs)
+        assert batcher.report()["max_batch_seen"] == len(pairs)
+        view = service.snapshot()
+        for request, result in zip([WALK] + pairs, results):
+            assert result.version == view.version
+            _assert_solo_identical(view, request, result)
+
+    def test_sync_service_batches_take_the_pool(self, service, monkeypatch):
+        pair = QueryRequest(kind="similarity", node_a=3, node_b=11)
+
+        async def body():
+            hops = _count_pool_hops(asyncio.get_running_loop(), monkeypatch)
+            result = await FrontDoor(service).batcher.run(pair)
+            return result, len(hops)
+
+        result, hops = asyncio.run(body())
+        assert not service.background
+        assert hops == 1
+        _assert_solo_identical(service.snapshot(), pair, result)

@@ -10,6 +10,10 @@ The two property tests required by the serving contract:
   stream one unit update at a time.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -173,6 +177,46 @@ class TestSnapshotIsolation:
         np.testing.assert_array_equal(view.similarities(), before)
         assert view.similarity(2, 5) == before[2, 5]
         np.testing.assert_array_equal(view.similarity_row(4), before[4])
+
+    def test_sync_pins_never_see_a_half_applied_drain(self):
+        """A sync service's drain and pins on other threads: every pin
+        equals the matrix of the version it reports, bit for bit."""
+        config = SimRankConfig(damping=0.6, iterations=10)
+        graph = erdos_renyi_digraph(240, 0.03, seed=41)
+        service = SimRankService(graph, config, shard_rows=8)
+        expected = {service.version: service.engine.similarities()}
+        pins = []
+        done = threading.Event()
+
+        def pin_forever():
+            while not done.is_set() and len(pins) < 2000:
+                pins.append(service.snapshot())
+                time.sleep(0.0002)
+
+        readers = [threading.Thread(target=pin_forever) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for seed in range(30):
+                stream = _random_stream(service.engine.graph, 4, seed=seed)
+                service.submit_many(stream)
+                service.drain()
+                expected[service.version] = service.engine.similarities()
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(10)
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(expected) == 31
+        assert len({view.version for view in pins}) > 1
+        for view in pins:
+            assert np.array_equal(
+                view.similarities(), expected[view.version]
+            ), f"pin at v{view.version} holds another version's scores"
 
     def test_single_source_served_from_frozen_q(self):
         config = SimRankConfig(damping=0.6, iterations=12)
